@@ -25,11 +25,9 @@ from .preprocess import (
     LabelPolicy,
     Scaler,
     SensorSelection,
-    WindowedSample,
     apply_scaler,
     assign_rul_labels,
     fit_scaler,
-    make_windows,
     pad_series,
     select_columns,
 )
@@ -52,7 +50,6 @@ __all__ = [
     "TrainConfig",
     "TrainReport",
     "TrainResult",
-    "WindowedSample",
     "apply_scaler",
     "assign_rul_labels",
     "conv_channels_for_depth",
@@ -61,7 +58,6 @@ __all__ = [
     "load_checkpoint",
     "load_subset",
     "lr_at",
-    "make_windows",
     "nasa_score",
     "pad_series",
     "predict_engine",

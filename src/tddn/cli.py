@@ -24,8 +24,8 @@ from .checkpoint import CheckpointError, LoadedCheckpoint, load_checkpoint, save
 from .cmapss import CmapssError, DatasetBundle, load_subset
 from .metrics import evaluate_test
 from .model import ModelConfig, conv_channels_for_depth
-from .preprocess import LabelPolicy, apply_scaler, pad_series, select_columns
-from .training import TrainConfig, TrainingError, TrainResult, lr_at, train
+from .preprocess import LabelPolicy, select_columns
+from .training import TrainConfig, TrainingError, TrainResult, build_window_bank, lr_at, train
 
 logger = logging.getLogger(__name__)
 
@@ -68,18 +68,20 @@ _CONFIG_PARSERS: dict[str, Callable[[str], object]] = {
     "no_cap_true_rul": _parse_bool,
 }
 
+# training settings default to the dataclass fields they end up in
+_MODEL_DEFAULTS, _TRAIN_DEFAULTS = ModelConfig(), TrainConfig()
 _DEFAULTS: dict[str, object] = {
     "subset": "FD001",
     "data": None,
     "out": None,
-    "seed": 0,
-    "window": 64,
-    "depth": 3,
-    "epochs": 200,
-    "batch": 32,
-    "lr": 1e-4,
-    "patience": 10,
-    "rmax": 120,
+    "seed": _TRAIN_DEFAULTS.seed,
+    "window": _MODEL_DEFAULTS.window,
+    "depth": _MODEL_DEFAULTS.depth,
+    "epochs": _TRAIN_DEFAULTS.max_epochs,
+    "batch": _TRAIN_DEFAULTS.batch_size,
+    "lr": _TRAIN_DEFAULTS.lr_initial,
+    "patience": _TRAIN_DEFAULTS.patience,
+    "rmax": _TRAIN_DEFAULTS.r_max,
     "repeats": 5,
     "include_sensor_14": False,
     "no_cap_true_rul": False,
@@ -401,6 +403,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_per_cycle_rows(path: Path, row_key: str, prefix: str, values: np.ndarray) -> None:
+    """One CSV line per (cycle, row) of a (cycles, rows, columns) array, both 1-based."""
+    with open(path, "w", newline="") as fh:
+        writer = _csv_writer(fh)
+        n_cols = values.shape[2]
+        writer.writerow(["cycle", row_key] + [f"{prefix}{i}" for i in range(1, n_cols + 1)])
+        for j, block in enumerate(values, 1):
+            for row, line in enumerate(block, 1):
+                writer.writerow([j, row] + [_fmt(v) for v in line])
+
+
 def cmd_export_features(args: argparse.Namespace) -> int:
     settings = _resolve(args, ("data", "out"))
     loaded = _load_checkpoint_arg(args.checkpoint)
@@ -430,20 +443,10 @@ def cmd_export_features(args: argparse.Namespace) -> int:
 
     model = loaded.model
     w = model.config.window
-    scaled = apply_scaler(trajectory, loaded.scaler, loaded.selection)
-    padded = pad_series(scaled, w)
     n = trajectory.n_cycles
-    temporal_parts, abstract_parts, attention_parts = [], [], []
-    for start in range(0, n, 256):
-        stop = min(start + 256, n)
-        x = np.stack([padded[j : j + w] for j in range(start, stop)])
-        trace = model.trace(x)
-        temporal_parts.append(trace.temporal)
-        abstract_parts.append(trace.abstract)
-        attention_parts.append(trace.attention)
-    temporal = np.concatenate(temporal_parts)
-    abstract = np.concatenate(abstract_parts)
-    attention = np.concatenate(attention_parts)
+    bank = build_window_bank([trajectory], loaded.scaler, loaded.selection, loaded.policy, w)
+    traces = [model.trace(x) for x in bank.batches(256)]
+    attention = np.concatenate([t.attention for t in traces])
 
     with open(out_dir / "attention.csv", "w", newline="") as fh:
         writer = _csv_writer(fh)
@@ -451,21 +454,10 @@ def cmd_export_features(args: argparse.Namespace) -> int:
         for j in range(n):
             writer.writerow([j + 1] + [_fmt(v) for v in attention[j]])
 
-    n_steps, n_channels = temporal.shape[1], temporal.shape[2]
-    with open(out_dir / "temporal_features.csv", "w", newline="") as fh:
-        writer = _csv_writer(fh)
-        writer.writerow(["cycle", "step"] + [f"ch_{i}" for i in range(1, n_channels + 1)])
-        for j in range(n):
-            for step in range(n_steps):
-                writer.writerow([j + 1, step + 1] + [_fmt(v) for v in temporal[j, step]])
-
-    m = abstract.shape[2]
-    with open(out_dir / "abstract_features.csv", "w", newline="") as fh:
-        writer = _csv_writer(fh)
-        writer.writerow(["cycle", "row"] + [f"feat_{i}" for i in range(1, m + 1)])
-        for j in range(n):
-            for row in range(w):
-                writer.writerow([j + 1, row + 1] + [_fmt(v) for v in abstract[j, row]])
+    temporal = np.concatenate([t.temporal for t in traces])
+    _write_per_cycle_rows(out_dir / "temporal_features.csv", "step", "ch_", temporal)
+    abstract = np.concatenate([t.abstract for t in traces])
+    _write_per_cycle_rows(out_dir / "abstract_features.csv", "row", "feat_", abstract)
 
     print(f"exported {n} windows for engine {args.engine} ({loaded.subset_id})")
     return 0

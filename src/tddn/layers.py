@@ -119,17 +119,6 @@ class ReLU(Module):
         return np.where(mask, gout, 0.0)
 
 
-class Tanh(Module):
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        out = np.tanh(x)
-        self._cache = out
-        return out
-
-    def backward(self, gout: np.ndarray) -> np.ndarray:
-        out = self._take_cache()
-        return gout * (1.0 - out * out)
-
-
 class Conv1d(Module):
     """Causal 1-D convolution over time, output length equal to input.
 
@@ -191,39 +180,33 @@ class Conv1d(Module):
 
 
 class MaxPool1d(Module):
-    """Max pooling over time with floor semantics; a trailing partial
-    window is dropped. Ties go to the earliest position."""
+    """Non-overlapping max pooling over time with floor semantics; a
+    trailing partial window is dropped. Ties go to the earliest position."""
 
-    def __init__(self, pool: int = 2, stride: int = 2):
-        if pool < 1 or stride < 1:
-            raise ValueError(f"pool and stride must be >= 1, got {pool}, {stride}")
+    def __init__(self, pool: int = 2):
+        if pool < 1:
+            raise ValueError(f"pool must be >= 1, got {pool}")
         self.pool = pool
-        self.stride = stride
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         batch, n_time, channels = x.shape
         if n_time < self.pool:
             raise ValueError(f"time axis {n_time} shorter than pool window {self.pool}")
-        n_out = (n_time - self.pool) // self.stride + 1
-        starts = np.arange(n_out) * self.stride
-        windows = x[:, starts[:, None] + np.arange(self.pool)]
+        n_out = n_time // self.pool
+        windows = x[:, : n_out * self.pool].reshape(batch, n_out, self.pool, channels)
         idx = windows.argmax(axis=2)
         out = np.take_along_axis(windows, idx[:, :, None], axis=2).squeeze(axis=2)
-        self._cache = (idx, starts, x.shape)
+        self._cache = (idx, x.shape)
         return out
 
     def backward(self, gout: np.ndarray) -> np.ndarray:
-        idx, starts, in_shape = self._take_cache()
-        batch, n_time, channels = in_shape
-        pos = starts[None, :, None] + idx
+        idx, in_shape = self._take_cache()
+        batch, n_out, channels = gout.shape
+        # windows are disjoint: each one routes its gradient to its argmax only
+        taps = np.arange(self.pool)[:, None]
+        gwindows = np.where(taps == idx[:, :, None], gout[:, :, None], 0.0)
         gin = np.zeros(in_shape)
-        b_idx = np.arange(batch)[:, None, None]
-        c_idx = np.arange(channels)[None, None, :]
-        if self.stride >= self.pool:
-            # windows are disjoint, every input position has one writer
-            gin[b_idx, pos, c_idx] = gout
-        else:
-            np.add.at(gin, (b_idx, pos, c_idx), gout)
+        gin[:, : n_out * self.pool] = gwindows.reshape(batch, n_out * self.pool, channels)
         return gin
 
 

@@ -13,7 +13,9 @@ import numpy as np
 
 from .cmapss import DatasetBundle, EngineTrajectory
 from .model import DegradationNetwork
-from .preprocess import LabelPolicy, Scaler, SensorSelection, apply_scaler, pad_series
+# apply_scaler is not called here; bench/ tracing looks it up as metrics.apply_scaler
+from .preprocess import LabelPolicy, Scaler, SensorSelection, apply_scaler  # noqa: F401
+from .training import build_window_bank, predict_windows
 
 
 def rmse(pred: np.ndarray, true: np.ndarray) -> float:
@@ -66,16 +68,8 @@ def predict_engine(
 
     Clamping happens at inference only; training sees raw outputs.
     """
-    scaled = apply_scaler(trajectory, scaler, selection)
-    padded = pad_series(scaled, model.config.window)
-    w = model.config.window
-    n = trajectory.n_cycles
-    preds = np.empty(n)
-    for start in range(0, n, batch_size):
-        stop = min(start + batch_size, n)
-        x = np.stack([padded[j : j + w] for j in range(start, stop)])
-        preds[start:stop] = model.forward(x)
-    return np.clip(preds, 0.0, float(policy.r_max))
+    bank = build_window_bank([trajectory], scaler, selection, policy, model.config.window)
+    return np.clip(predict_windows(model, bank, batch_size), 0.0, float(policy.r_max))
 
 
 def last_windows(
@@ -85,12 +79,8 @@ def last_windows(
     window: int,
 ) -> np.ndarray:
     """The final window of every test engine, stacked (n_engines, w, m)."""
-    stack = []
-    for traj in bundle.test:
-        scaled = apply_scaler(traj, scaler, selection)
-        padded = pad_series(scaled, window)
-        stack.append(padded[-window:])
-    return np.stack(stack)
+    bank = build_window_bank(bundle.test, scaler, selection, LabelPolicy(), window)
+    return bank.gather(bank.ends)[0]
 
 
 def evaluate_test(

@@ -38,15 +38,15 @@ def conv_channels_for_depth(depth: int) -> tuple[int, ...]:
     return CONV_CHANNEL_LADDER[:depth]
 
 
-def pooled_length(window: int, n_stages: int, pool: int = 2, stride: int = 2) -> int:
-    """Time-axis length after ``n_stages`` pool layers, floor semantics."""
+def pooled_length(window: int, n_stages: int) -> int:
+    """Time-axis length after ``n_stages`` 2/2 pool layers, floor semantics."""
     length = window
     for stage in range(1, n_stages + 1):
-        if length < pool:
+        if length < 2:
             raise ValueError(
                 f"window {window} leaves only {length} steps at pool stage {stage}"
             )
-        length = (length - pool) // stride + 1
+        length //= 2
     return length
 
 
@@ -169,7 +169,7 @@ class DegradationNetwork(Module):
         for i, c_out in enumerate(config.conv_channels, start=1):
             stages.append(Conv1d(c_in, c_out, config.kernel, rng, name=f"conv{i}"))
             stages.append(ReLU())
-            stages.append(MaxPool1d(pool=2, stride=2))
+            stages.append(MaxPool1d(pool=2))
             c_in = c_out
         self.conv_stack = Sequential(*stages)
         n_flat = pooled_length(w, config.depth) * config.conv_channels[-1]

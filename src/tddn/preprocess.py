@@ -1,17 +1,17 @@
-"""Feature selection, scaling, RUL labeling and moving-window segmentation.
+"""Feature selection, scaling, RUL labeling and window padding.
 
 The pipeline per engine is: pick the informative columns for the subset,
 min-max scale them with statistics fitted on the training split only,
-attach piecewise-linear RUL labels, left-pad with the first cycle so every
-cycle owns a full window, and cut the stream into moving windows.
+attach piecewise-linear RUL labels, and left-pad with the first cycle so
+every cycle owns a full window. Cutting the padded rows into moving
+windows is ``training.WindowBank``'s job.
 """
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -73,20 +73,6 @@ class Scaler:
     def degenerate(self) -> np.ndarray:
         """Boolean mask of constant columns (max == min)."""
         return self.col_max == self.col_min
-
-
-@dataclass(frozen=True, eq=False)
-class WindowedSample:
-    """One w-by-m normalized window with its RUL label.
-
-    ``cycle`` is the 1-based index of the original cycle the window ends
-    on; the window's last row is that cycle's measurements.
-    """
-
-    matrix: np.ndarray
-    label: float
-    unit_id: int
-    cycle: int
 
 
 def select_columns(subset_id: str, include_sensor_14: bool = False) -> SensorSelection:
@@ -188,58 +174,5 @@ def pad_series(matrix: np.ndarray, window: int) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] < 1:
         raise ValueError(f"expected a nonempty 2-D matrix, got shape {matrix.shape}")
-    if window == 1:
-        return matrix
     return np.concatenate([np.repeat(matrix[:1], window - 1, axis=0), matrix])
 
-
-def make_windows(
-    padded: np.ndarray,
-    window: int,
-    labels: Sequence[float] | np.ndarray,
-    unit_id: int = 0,
-) -> list[WindowedSample]:
-    """Cut a padded series into one window per original cycle.
-
-    Window j (1-based) spans padded rows j..j+window-1 and ends on
-    original cycle j, so an engine of length n yields exactly n windows.
-    The window matrices are views into ``padded``.
-    """
-    labels = np.asarray(labels, dtype=np.float64)
-    n_cycles = labels.shape[0]
-    if padded.shape[0] != n_cycles + window - 1:
-        raise ValueError(
-            f"padded length {padded.shape[0]} does not match "
-            f"{n_cycles} labels with window {window}"
-        )
-    return [
-        WindowedSample(
-            matrix=padded[j : j + window],
-            label=float(labels[j]),
-            unit_id=unit_id,
-            cycle=j + 1,
-        )
-        for j in range(n_cycles)
-    ]
-
-
-def dump_windows_csv(
-    samples: Iterable[WindowedSample],
-    stream: IO[str],
-    columns: Sequence[str] | None = None,
-) -> None:
-    """Debug dump: one block of w rows per window, under a single header."""
-    writer = csv.writer(stream)
-    header_written = False
-    for sample in samples:
-        if not header_written:
-            names = list(columns) if columns is not None else [
-                f"col_{i + 1}" for i in range(sample.matrix.shape[1])
-            ]
-            writer.writerow(["engine_id", "cycle", "label", "row"] + names)
-            header_written = True
-        for row_idx, row in enumerate(sample.matrix, start=1):
-            writer.writerow(
-                [sample.unit_id, sample.cycle, repr(sample.label), row_idx]
-                + [repr(float(v)) for v in row]
-            )

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .cmapss import DatasetBundle, EngineTrajectory
 from .model import DegradationNetwork, ModelConfig
@@ -31,7 +32,7 @@ logger = logging.getLogger(__name__)
 
 
 class TrainingError(RuntimeError):
-    """Raised when optimization cannot continue (non-finite loss)."""
+    """Raised when optimization cannot continue (non-finite loss or validation RMSE)."""
 
 
 @dataclass(frozen=True)
@@ -165,10 +166,13 @@ class Adam:
 
 
 class WindowBank:
-    """All windows of a set of engines, materialized per batch.
+    """All windows of a set of engines, served from one strided view.
 
-    Stores one padded scaled matrix per engine and assembles (B, w, m)
-    batches on demand, so the full window set never lives in memory.
+    The padded scaled rows of every engine are stacked end to end in one
+    (rows, m) matrix. A ``sliding_window_view`` over it exposes every
+    w-row window without copying; ``starts`` holds the first row of each
+    window in flat order (engine by engine, cycle by cycle), so a batch
+    is one fancy index into the view.
     """
 
     def __init__(
@@ -180,36 +184,37 @@ class WindowBank:
     ):
         if not (len(padded) == len(labels) == len(unit_ids)):
             raise ValueError("padded/labels/unit_ids lengths differ")
+        if not padded:
+            raise ValueError("a window bank needs at least one engine")
         for p, l in zip(padded, labels):
             if p.shape[0] != l.shape[0] + window - 1:
                 raise ValueError(
                     f"padded length {p.shape[0]} does not fit {l.shape[0]} labels"
                 )
-        self.padded = padded
         self.window = window
         self.unit_ids = tuple(unit_ids)
-        self.labels = np.concatenate(labels) if labels else np.zeros(0)
-        self.engine_idx = np.concatenate(
-            [np.full(l.shape[0], i, dtype=np.int64) for i, l in enumerate(labels)]
-        ) if labels else np.zeros(0, dtype=np.int64)
-        self.cycle_idx = np.concatenate(
-            [np.arange(l.shape[0], dtype=np.int64) for l in labels]
-        ) if labels else np.zeros(0, dtype=np.int64)
+        self.labels = np.concatenate(labels)
+        offsets = np.cumsum([0] + [p.shape[0] for p in padded[:-1]])
+        self.starts = np.concatenate(
+            [o + np.arange(l.shape[0], dtype=np.int64) for o, l in zip(offsets, labels)]
+        )
+        # flat index of each engine's last window
+        self.ends = np.cumsum([l.shape[0] for l in labels]) - 1
+        rows = np.concatenate(padded)
+        self._windows = sliding_window_view(rows, (window, rows.shape[1]))[:, 0]
 
     @property
     def n_windows(self) -> int:
         return self.labels.shape[0]
 
     def gather(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Stack the windows at the given flat indices into a batch."""
-        w = self.window
-        x = np.stack(
-            [
-                self.padded[e][c : c + w]
-                for e, c in zip(self.engine_idx[indices], self.cycle_idx[indices])
-            ]
-        )
-        return x, self.labels[indices]
+        """The windows at the given flat indices as a (B, w, m) batch, with labels."""
+        return self._windows[self.starts[indices]], self.labels[indices]
+
+    def batches(self, size: int) -> Iterator[np.ndarray]:
+        """Every window in flat order, ``size`` at a time."""
+        for start in range(0, self.n_windows, size):
+            yield self._windows[self.starts[start : start + size]]
 
 
 def build_window_bank(
@@ -243,12 +248,7 @@ def predict_windows(
     model: DegradationNetwork, bank: WindowBank, batch_size: int = 256
 ) -> np.ndarray:
     """Unclamped model outputs for every window in the bank, in order."""
-    preds = np.empty(bank.n_windows)
-    for start in range(0, bank.n_windows, batch_size):
-        idx = np.arange(start, min(start + batch_size, bank.n_windows))
-        x, _ = bank.gather(idx)
-        preds[idx] = model.forward(x)
-    return preds
+    return np.concatenate([model.forward(x) for x in bank.batches(batch_size)])
 
 
 def train(
@@ -326,6 +326,9 @@ def train(
         val_pred = predict_windows(model, val_bank)
         diff = val_pred - val_bank.labels
         val_rmse = float(np.sqrt(np.mean(diff * diff)))
+        if not np.isfinite(val_rmse):
+            # NaN compares false with the best RMSE and would pass as "no improvement"
+            raise TrainingError(f"non-finite validation RMSE {val_rmse} in epoch {epoch}")
         train_losses.append(epoch_loss)
         val_curve.append(val_rmse)
         logger.info(

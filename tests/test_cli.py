@@ -6,7 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from tddn import cli
 from tddn.cli import main
+from tddn.model import ModelConfig
+from tddn.training import TrainConfig, TrainingError
 from _synth import make_bundle
 
 TINY_FLAGS = ["--window", "8", "--depth", "2", "--epochs", "2", "--batch", "16"]
@@ -46,6 +49,30 @@ class TestTrainCommand:
         assert manifest["subset"] == "FD001"
         assert manifest["data"] == str(synth_data_dir)
         assert len(manifest["columns"]) == 15
+
+    def test_flagless_manifest_matches_dataclass_defaults(
+        self, synth_data_dir, tmp_path, monkeypatch
+    ):
+        # the manifest is written before training; stop there instead of
+        # running the full default budget
+        def stop(*args):
+            raise TrainingError("stopped after the manifest")
+
+        monkeypatch.setattr(cli, "train", stop)
+        out = tmp_path / "defaults"
+        assert run("train", "--data", str(synth_data_dir), "--out", str(out)) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        model, config = ModelConfig(), TrainConfig()
+        assert manifest["seed"] == config.seed
+        assert manifest["window"] == model.window
+        assert manifest["depth"] == model.depth
+        assert manifest["conv_channels"] == list(model.conv_channels)
+        assert manifest["epochs"] == config.max_epochs
+        assert manifest["batch"] == config.batch_size
+        assert manifest["lr_initial"] == config.lr_initial
+        assert manifest["lr_reduced"] == config.lr_reduced
+        assert manifest["patience"] == config.patience
+        assert manifest["rmax"] == config.r_max
 
     def test_missing_data_dir_exits_2_naming_path(self, tmp_path, capsys):
         missing = tmp_path / "nowhere"

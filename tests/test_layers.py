@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import math
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -15,7 +14,6 @@ from tddn.layers import (
     ReLU,
     Reshape,
     Sequential,
-    Tanh,
     glorot_uniform,
     mse_loss,
     softmax,
@@ -71,20 +69,11 @@ class TestActivations:
         layer.forward(np.array([[0.0]]))
         np.testing.assert_array_equal(layer.backward(np.array([[5.0]])), [[0.0]])
 
-    def test_tanh_matches_mpmath(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(scale=2.0, size=(4, 5))
-        out = Tanh().forward(x)
-        for i in range(4):
-            for j in range(5):
-                assert abs(out[i, j] - float(mpmath.tanh(x[i, j]))) < 1e-15
-
     def test_activation_gradchecks(self):
         rng = np.random.default_rng(4)
-        for layer in (ReLU(), Tanh()):
-            for _ in range(5):
-                x = rng.normal(size=(3, 6))
-                assert check_module_gradients(layer, x, rng) < TOL
+        for _ in range(5):
+            x = rng.normal(size=(3, 6))
+            assert check_module_gradients(ReLU(), x, rng) < TOL
 
 
 class TestConv1d:
@@ -152,7 +141,7 @@ class TestMaxPool1d:
             t = int(rng.integers(2, 12))
             c = int(rng.integers(1, 4))
             x = rng.normal(size=(2, t, c))
-            pool = MaxPool1d(pool=2, stride=2)
+            pool = MaxPool1d(pool=2)
             out = pool.forward(x)
             assert out.shape == (2, t // 2, c)
             for b in range(2):

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import io
 import logging
 
 import numpy as np
@@ -13,9 +12,7 @@ from tddn.preprocess import (
     SensorSelection,
     apply_scaler,
     assign_rul_labels,
-    dump_windows_csv,
     fit_scaler,
-    make_windows,
     pad_series,
     select_columns,
 )
@@ -194,43 +191,6 @@ class TestPadding:
             pad_series(np.zeros((3, 2)), 0)
         with pytest.raises(ValueError, match="2-D"):
             pad_series(np.zeros(3), 4)
-
-
-class TestWindows:
-    def test_one_window_per_cycle(self):
-        rng = np.random.default_rng(42)
-        for _ in range(10):
-            n = int(rng.integers(1, 40))
-            w = int(rng.integers(1, 12))
-            matrix = rng.normal(size=(n, 4))
-            labels = rng.normal(size=n)
-            samples = make_windows(pad_series(matrix, w), w, labels, unit_id=9)
-            assert len(samples) == n
-            for j, sample in enumerate(samples, start=1):
-                assert sample.cycle == j
-                assert sample.unit_id == 9
-                assert sample.matrix.shape == (w, 4)
-                # window j ends on original cycle j; missing history is row 1
-                expected = np.stack(
-                    [matrix[max(0, i)] for i in range(j - w, j)]
-                )
-                np.testing.assert_array_equal(sample.matrix, expected)
-                assert sample.label == labels[j - 1]
-
-    def test_length_mismatch_rejected(self):
-        matrix = np.zeros((5, 2))
-        with pytest.raises(ValueError, match="does not match"):
-            make_windows(pad_series(matrix, 4), 4, np.zeros(6))
-
-    def test_csv_dump_shape(self):
-        matrix = np.arange(10, dtype=np.float64).reshape(5, 2)
-        samples = make_windows(pad_series(matrix, 3), 3, np.arange(5.0), unit_id=2)
-        stream = io.StringIO()
-        dump_windows_csv(samples, stream, columns=("a", "b"))
-        lines = stream.getvalue().splitlines()
-        assert lines[0] == "engine_id,cycle,label,row,a,b"
-        assert len(lines) == 1 + 5 * 3
-        assert lines[1].startswith("2,1,0.0,1,")
 
 
 class TestSyntheticTrajectory:

@@ -3,9 +3,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from tddn import cli, training
+from tddn.checkpoint import save_checkpoint
 from tddn.layers import Param
-from tddn.model import ModelConfig
-from tddn.preprocess import LabelPolicy, fit_scaler, make_windows, pad_series, select_columns
+from tddn.metrics import predict_engine
+from tddn.model import DegradationNetwork, ModelConfig
+from tddn.preprocess import (
+    LabelPolicy,
+    apply_scaler,
+    assign_rul_labels,
+    fit_scaler,
+    pad_series,
+    select_columns,
+)
 from tddn.training import (
     Adam,
     TrainConfig,
@@ -17,7 +27,7 @@ from tddn.training import (
     split_engines,
     train,
 )
-from _synth import make_bundle
+from _synth import make_bundle, write_bundle
 
 SMALL_MODEL = ModelConfig(window=8, n_features=15, conv_channels=(4, 8))
 
@@ -152,8 +162,46 @@ class TestAdam:
         assert abs(p.value[0]) < 0.5
 
 
+def window_oracle(matrix: np.ndarray, j: int, window: int) -> np.ndarray:
+    """Window of 1-based cycle j: rows j-w..j-1, missing history is row 0."""
+    return np.stack([matrix[max(0, i)] for i in range(j - window, j)])
+
+
+def stacked_windows(padded: np.ndarray, window: int, start: int, stop: int) -> np.ndarray:
+    """Reference batch: one slice per window, stacked."""
+    return np.stack([padded[j : j + window] for j in range(start, stop)])
+
+
+def read_csv_values(path, n_keys: int) -> np.ndarray:
+    lines = path.read_text().splitlines()[1:]
+    return np.array([[float(v) for v in line.split(",")[n_keys:]] for line in lines])
+
+
 class TestWindowBank:
-    def test_gather_matches_make_windows(self):
+    def test_every_window_matches_oracle(self):
+        rng = np.random.default_rng(42)
+        for window in (1, 2, 5, 9):
+            # engines shorter than, equal to and longer than the window
+            lengths = [1, window, window + 3, 2, int(rng.integers(1, 30))]
+            matrices = [rng.normal(size=(n, 4)) for n in lengths]
+            labels = [rng.normal(size=n) for n in lengths]
+            bank = WindowBank(
+                [pad_series(m, window) for m in matrices], labels, range(5), window
+            )
+            assert bank.n_windows == sum(lengths)
+            x, y = bank.gather(np.arange(bank.n_windows))
+            assert x.shape == (bank.n_windows, window, 4)
+            flat = 0
+            for matrix, label in zip(matrices, labels):
+                for j in range(1, matrix.shape[0] + 1):
+                    np.testing.assert_array_equal(x[flat], window_oracle(matrix, j, window))
+                    assert y[flat] == label[j - 1]
+                    flat += 1
+            np.testing.assert_array_equal(bank.ends, np.cumsum(lengths) - 1)
+            # batches walk the same flat order, engine boundaries included
+            np.testing.assert_array_equal(np.concatenate(list(bank.batches(3))), x)
+
+    def test_gather_matches_brute_force_oracle(self):
         bundle = make_bundle(n_train=3, seed=21)
         selection = select_columns("FD001")
         scaler = fit_scaler(bundle.train, selection)
@@ -161,20 +209,69 @@ class TestWindowBank:
         window = 6
         bank = build_window_bank(bundle.train, scaler, selection, policy, window)
         assert bank.n_windows == sum(t.n_cycles for t in bundle.train)
-
-        from tddn.preprocess import apply_scaler, assign_rul_labels
-
-        offset = 0
+        order = np.random.default_rng(0).permutation(bank.n_windows)
+        x, y = bank.gather(order)
+        oracle_x, oracle_y = [], []
         for traj in bundle.train:
             scaled = apply_scaler(traj, scaler, selection)
             labels = assign_rul_labels(traj.n_cycles, policy)
-            samples = make_windows(pad_series(scaled, window), window, labels, traj.unit_id)
-            idx = np.arange(offset, offset + traj.n_cycles)
-            x, y = bank.gather(idx)
-            for k, sample in enumerate(samples):
-                np.testing.assert_array_equal(x[k], sample.matrix)
-                assert y[k] == sample.label
-            offset += traj.n_cycles
+            for j in range(1, traj.n_cycles + 1):
+                oracle_x.append(window_oracle(scaled, j, window))
+                oracle_y.append(labels[j - 1])
+        np.testing.assert_array_equal(x, np.stack(oracle_x)[order])
+        np.testing.assert_array_equal(y, np.array(oracle_y)[order])
+
+    def test_inference_paths_match_stacked_windows_bit_for_bit(self, tmp_path):
+        # engines past 256 cycles, so every path splits into several chunks
+        bundle = make_bundle(n_train=2, n_test=2, min_len=250, max_len=300, seed=24)
+        data = write_bundle(bundle, tmp_path / "data")
+        selection = select_columns("FD001")
+        scaler = fit_scaler(bundle.train, selection)
+        policy = LabelPolicy()
+        config = ModelConfig(window=8, n_features=15, conv_channels=(4, 8))
+        model = DegradationNetwork(config, np.random.default_rng(3))
+        model.regressor.children[-1].bias.value[...] = 60.0
+        w = config.window
+        padded = [pad_series(apply_scaler(t, scaler, selection), w) for t in bundle.train]
+
+        # predict_windows: 256 at a time over the flat order, across engines
+        flat = np.concatenate([stacked_windows(p, w, 0, p.shape[0] - w + 1) for p in padded])
+        want = np.concatenate(
+            [model.forward(flat[s : s + 256]) for s in range(0, flat.shape[0], 256)]
+        )
+        bank = build_window_bank(bundle.train, scaler, selection, policy, w)
+        np.testing.assert_array_equal(predict_windows(model, bank), want)
+
+        # predict_engine and export-features: 256 at a time from cycle 1
+        traj, rows = bundle.train[0], padded[0]
+        chunks = [
+            stacked_windows(rows, w, s, min(s + 256, traj.n_cycles))
+            for s in range(0, traj.n_cycles, 256)
+        ]
+        want = np.clip(np.concatenate([model.forward(c) for c in chunks]), 0.0, 120.0)
+        np.testing.assert_array_equal(
+            predict_engine(model, traj, scaler, selection, policy), want
+        )
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, model, scaler, selection, policy, "FD001")
+        out = tmp_path / "features"
+        assert cli.main([
+            "export-features", "--checkpoint", str(ckpt), "--data", str(data),
+            "--out", str(out), "--engine", str(traj.unit_id), "--split", "train",
+        ]) == 0
+        traces = [model.trace(c) for c in chunks]
+        attention = np.concatenate([t.attention for t in traces])
+        temporal = np.concatenate([t.temporal for t in traces])
+        abstract = np.concatenate([t.abstract for t in traces])
+        np.testing.assert_array_equal(read_csv_values(out / "attention.csv", 1), attention)
+        np.testing.assert_array_equal(
+            read_csv_values(out / "temporal_features.csv", 2),
+            temporal.reshape(-1, temporal.shape[2]),
+        )
+        np.testing.assert_array_equal(
+            read_csv_values(out / "abstract_features.csv", 2),
+            abstract.reshape(-1, abstract.shape[2]),
+        )
 
     def test_terminal_ruls_shift_labels(self):
         bundle = make_bundle(n_train=1, n_test=2, seed=22)
@@ -191,6 +288,8 @@ class TestWindowBank:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError, match="lengths differ"):
             WindowBank([np.zeros((5, 2))], [], [], window=3)
+        with pytest.raises(ValueError, match="at least one engine"):
+            WindowBank([], [], [], window=3)
         with pytest.raises(ValueError, match="does not fit"):
             WindowBank([np.zeros((5, 2))], [np.zeros(5)], [1], window=3)
         bundle = make_bundle(n_train=2, seed=23)
@@ -275,3 +374,26 @@ class TestTrain:
         with np.errstate(all="ignore"):
             with pytest.raises(TrainingError, match=r"epoch 1, batch \d+"):
                 train(bundle, SMALL_MODEL, config)
+
+    def test_nan_validation_rmse_aborts_naming_epoch(self, monkeypatch):
+        bundle = make_bundle(n_train=3, seed=38)
+        monkeypatch.setattr(
+            training,
+            "predict_windows",
+            lambda model, bank, batch_size=256: np.full(bank.n_windows, np.nan),
+        )
+        with pytest.raises(TrainingError, match="validation RMSE nan in epoch 1"):
+            train(bundle, SMALL_MODEL, small_train_config(max_epochs=2))
+
+    def test_nan_validation_rmse_exits_1(self, monkeypatch, synth_data_dir, tmp_path, capsys):
+        monkeypatch.setattr(
+            training,
+            "predict_windows",
+            lambda model, bank, batch_size=256: np.full(bank.n_windows, np.nan),
+        )
+        code = cli.main([
+            "train", "--data", str(synth_data_dir), "--out", str(tmp_path / "o"),
+            "--window", "8", "--depth", "2", "--epochs", "2", "--batch", "16",
+        ])
+        assert code == 1
+        assert "validation RMSE nan in epoch 1" in capsys.readouterr().err
