@@ -13,7 +13,13 @@ import numpy as np
 
 
 class Param:
-    """A trainable array with an accumulated gradient of the same shape."""
+    """A trainable array with an accumulated gradient of the same shape.
+
+    Building a ``training.Adam`` over a param rebinds ``value`` and ``grad``
+    to views into the optimizer's flat buffers. After that, update both in
+    place (``p.value[...] = x``) and do not rebind them: a rebound array
+    is not what the optimizer steps, and its ``step`` raises.
+    """
 
     __slots__ = ("name", "value", "grad")
 

@@ -130,8 +130,21 @@ def split_engines(
     return tuple(train), tuple(val)
 
 
+# elements per pass of Adam.step: a block's six float64 operands (value,
+# grad, m, v, two scratch) take 1.5 MiB and stay in L2 between its ufuncs
+ADAM_BLOCK = 1 << 15
+
+
 class Adam:
-    """Bias-corrected Adam over a fixed parameter list."""
+    """Bias-corrected Adam over a fixed parameter list.
+
+    Building the optimizer packs every parameter into one contiguous value
+    buffer (``value``) and one gradient buffer (``grad``) and rebinds each
+    ``Param.value``/``.grad`` to a view into them; ``m`` and ``v`` are flat
+    arrays in the same order. From then on, params must be updated in
+    place (``p.grad[...] = g``), never rebound: ``step`` raises
+    ``ValueError`` naming a param whose arrays no longer view the buffers.
+    """
 
     def __init__(
         self,
@@ -141,28 +154,71 @@ class Adam:
         eps: float = 1e-8,
     ):
         self.params = list(params)
+        seen: set[int] = set()
+        for p in self.params:
+            if id(p) in seen:
+                raise ValueError(f"param {p.name!r} is listed twice")
+            seen.add(id(p))
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = [np.zeros_like(p.value) for p in self.params]
-        self.v = [np.zeros_like(p.value) for p in self.params]
+        size = sum(p.value.size for p in self.params)
+        self.value = np.empty(size)
+        self.grad = np.empty(size)
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._scratch = (np.empty(min(size, ADAM_BLOCK)), np.empty(min(size, ADAM_BLOCK)))
+        offset = 0
+        for p in self.params:
+            end = offset + p.value.size
+            value = self.value[offset:end].reshape(p.value.shape)
+            grad = self.grad[offset:end].reshape(p.value.shape)
+            value[...] = p.value
+            grad[...] = p.grad
+            p.value, p.grad = value, grad
+            offset = end
+        self._views = [(p.value, p.grad) for p in self.params]
 
     def step(self, lr: float) -> None:
         """Apply one update from the gradients currently in the params."""
-        self.step_count += 1
-        bc1 = 1.0 - self.beta1**self.step_count
-        bc2 = 1.0 - self.beta2**self.step_count
-        for p, m, v in zip(self.params, self.m, self.v):
-            if p.grad.shape != m.shape:
+        for p, (value, grad) in zip(self.params, self._views):
+            if p.value is not value or p.grad is not grad:
+                attr, view = ("value", value) if p.value is not value else ("grad", grad)
                 raise ValueError(
-                    f"gradient shape {p.grad.shape} does not match state {m.shape}"
+                    f"param {p.name!r}: .{attr} (shape {getattr(p, attr).shape}) no "
+                    f"longer views the optimizer's buffer (shape {view.shape}); "
+                    "update params in place instead of rebinding them"
                 )
-            m *= self.beta1
-            m += (1.0 - self.beta1) * p.grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (p.grad * p.grad)
-            p.value -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        self.step_count += 1
+        b1, b2 = self.beta1, self.beta2
+        bc1 = 1.0 - b1**self.step_count
+        bc2 = 1.0 - b2**self.step_count
+        # the element-wise order of the per-array formula
+        #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
+        #   value -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
+        # is kept exactly, so the bits match an unblocked update
+        for start in range(0, self.value.size, ADAM_BLOCK):
+            stop = min(start + ADAM_BLOCK, self.value.size)
+            g = self.grad[start:stop]
+            m = self.m[start:stop]
+            v = self.v[start:stop]
+            t1 = self._scratch[0][: stop - start]
+            t2 = self._scratch[1][: stop - start]
+            m *= b1
+            np.multiply(1.0 - b1, g, out=t1)
+            m += t1
+            v *= b2
+            np.multiply(g, g, out=t1)
+            np.multiply(1.0 - b2, t1, out=t1)
+            v += t1
+            np.divide(m, bc1, out=t1)
+            np.multiply(lr, t1, out=t1)
+            np.divide(v, bc2, out=t2)
+            np.sqrt(t2, out=t2)
+            t2 += self.eps
+            t1 /= t2
+            self.value[start:stop] -= t1
 
 
 class WindowBank:
@@ -299,7 +355,7 @@ def train(
     val_curve: list[float] = []
     best_rmse = np.inf
     best_epoch = 0
-    best_state = [p.value.copy() for p in model.params()]
+    best_state = optimizer.value.copy()
     epochs_without_improvement = 0
     stop_reason = "max_epochs"
 
@@ -339,7 +395,7 @@ def train(
         if val_rmse < best_rmse:
             best_rmse = val_rmse
             best_epoch = epoch
-            best_state = [p.value.copy() for p in model.params()]
+            best_state = optimizer.value.copy()
             epochs_without_improvement = 0
         else:
             epochs_without_improvement += 1
@@ -347,8 +403,7 @@ def train(
                 stop_reason = "patience"
                 break
 
-    for p, value in zip(model.params(), best_state):
-        p.value[...] = value
+    optimizer.value[...] = best_state
 
     report = TrainReport(
         train_loss=tuple(train_losses),

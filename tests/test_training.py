@@ -5,9 +5,9 @@ import pytest
 
 from tddn import cli, training
 from tddn.checkpoint import save_checkpoint
-from tddn.layers import Param
+from tddn.layers import Param, mse_loss
 from tddn.metrics import predict_engine
-from tddn.model import DegradationNetwork, ModelConfig
+from tddn.model import DegradationNetwork, ModelConfig, conv_channels_for_depth
 from tddn.preprocess import (
     LabelPolicy,
     apply_scaler,
@@ -17,6 +17,7 @@ from tddn.preprocess import (
     select_columns,
 )
 from tddn.training import (
+    ADAM_BLOCK,
     Adam,
     TrainConfig,
     TrainingError,
@@ -160,6 +161,101 @@ class TestAdam:
             p.grad[:] = 2.0 * p.value
             opt.step(lr=0.1)
         assert abs(p.value[0]) < 0.5
+
+    def test_same_shape_rebind_rejected(self):
+        for attr in ("value", "grad"):
+            p = Param("w", np.zeros(3))
+            opt = Adam([Param("b", np.ones(2)), p])
+            setattr(p, attr, np.ones(3))
+            with pytest.raises(ValueError, match=rf"'w': \.{attr} .* in place"):
+                opt.step(lr=0.1)
+            assert opt.step_count == 0
+
+    def test_duplicate_param_rejected(self):
+        p = Param("w", np.zeros(3))
+        with pytest.raises(ValueError, match="'w' is listed twice"):
+            Adam([p, Param("b", np.zeros(1)), p])
+
+
+class ReferenceAdam:
+    """The per-parameter Adam the flat-buffer optimizer must match bit for bit."""
+
+    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = list(params)
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.step_count = 0
+        self.m = [np.zeros_like(p.value) for p in self.params]
+        self.v = [np.zeros_like(p.value) for p in self.params]
+
+    def step(self, lr):
+        self.step_count += 1
+        bc1 = 1.0 - self.beta1**self.step_count
+        bc2 = 1.0 - self.beta2**self.step_count
+        for p, m, v in zip(self.params, self.m, self.v):
+            m *= self.beta1
+            m += (1.0 - self.beta1) * p.grad
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (p.grad * p.grad)
+            p.value -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+
+class TestAdamMatchesReference:
+    N_STEPS = 24
+
+    @staticmethod
+    def lr(step: int) -> float:
+        return 1e-3 if step <= 10 else 1e-4
+
+    @staticmethod
+    def assert_same_state(opt: Adam, ref: ReferenceAdam) -> None:
+        for p, q in zip(opt.params, ref.params):
+            np.testing.assert_array_equal(p.value, q.value, err_msg=p.name)
+        np.testing.assert_array_equal(opt.m, np.concatenate([m.ravel() for m in ref.m]))
+        np.testing.assert_array_equal(opt.v, np.concatenate([v.ravel() for v in ref.v]))
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_network_training_steps(self, depth):
+        config = ModelConfig(
+            window=16, n_features=15, conv_channels=conv_channels_for_depth(depth)
+        )
+        model = DegradationNetwork(config, np.random.default_rng(depth))
+        twin = DegradationNetwork(config, np.random.default_rng(depth))
+        opt = Adam(model.params())
+        ref = ReferenceAdam(twin.params())
+        assert opt.value.size > ADAM_BLOCK
+        rng = np.random.default_rng(100 + depth)
+        for step in range(1, self.N_STEPS + 1):
+            x = rng.uniform(-1.0, 1.0, size=(8, 16, 15))
+            y = rng.uniform(0.0, 120.0, size=8)
+            _, gpred = mse_loss(model.forward(x), y)
+            model.zero_grad()
+            model.backward(gpred)
+            for p, q in zip(model.params(), twin.params()):
+                q.grad[...] = p.grad
+            opt.step(self.lr(step))
+            ref.step(self.lr(step))
+            self.assert_same_state(opt, ref)
+
+    def test_params_spanning_several_blocks(self):
+        # 3 full blocks and a partial one; param edges fall inside blocks
+        shapes = [(ADAM_BLOCK - 3,), (2, ADAM_BLOCK + 5), (7,), (3, 11, 5)]
+        assert sum(np.prod(s) for s in shapes) % ADAM_BLOCK != 0
+        rng = np.random.default_rng(7)
+        values = [rng.normal(size=s) for s in shapes]
+        params = [Param(f"p{i}", v) for i, v in enumerate(values)]
+        twins = [Param(f"p{i}", v.copy()) for i, v in enumerate(values)]
+        opt = Adam(params, beta1=0.8, beta2=0.99, eps=1e-6)
+        ref = ReferenceAdam(twins, beta1=0.8, beta2=0.99, eps=1e-6)
+        for step in range(1, self.N_STEPS + 1):
+            for p, q in zip(params, twins):
+                g = rng.normal(scale=10.0 ** rng.integers(-4, 3), size=p.value.shape)
+                p.grad[...] = g
+                q.grad[...] = g
+            opt.step(self.lr(step))
+            ref.step(self.lr(step))
+            self.assert_same_state(opt, ref)
 
 
 def window_oracle(matrix: np.ndarray, j: int, window: int) -> np.ndarray:
@@ -324,14 +420,8 @@ class TestTrain:
         for pa, pb in zip(a.model.params(), b.model.params()):
             np.testing.assert_array_equal(pa.value, pb.value)
 
-    def test_best_epoch_is_argmin_and_restored(self):
-        bundle = make_bundle(n_train=4, seed=33)
-        config = small_train_config(max_epochs=6, lr_initial=1e-3, lr_reduced=1e-4)
-        result = train(bundle, SMALL_MODEL, config)
-        report = result.report
-        best = report.best_epoch
-        assert report.val_rmse[best - 1] == min(report.val_rmse)
-        # returned parameters reproduce the best epoch's validation RMSE
+    @staticmethod
+    def returned_model_val_rmse(result, bundle, config) -> float:
         by_id = {t.unit_id: t for t in bundle.train}
         val_bank = build_window_bank(
             [by_id[u] for u in result.val_unit_ids],
@@ -341,8 +431,28 @@ class TestTrain:
             SMALL_MODEL.window,
         )
         pred = predict_windows(result.model, val_bank)
-        recomputed = float(np.sqrt(np.mean((pred - val_bank.labels) ** 2)))
+        return float(np.sqrt(np.mean((pred - val_bank.labels) ** 2)))
+
+    def test_best_epoch_is_argmin_and_restored(self):
+        bundle = make_bundle(n_train=4, seed=33)
+        config = small_train_config(max_epochs=6, lr_initial=1e-3, lr_reduced=1e-4)
+        result = train(bundle, SMALL_MODEL, config)
+        report = result.report
+        best = report.best_epoch
+        assert report.val_rmse[best - 1] == min(report.val_rmse)
+        # returned parameters reproduce the best epoch's validation RMSE
+        recomputed = self.returned_model_val_rmse(result, bundle, config)
         assert recomputed == pytest.approx(report.val_rmse[best - 1], abs=1e-12)
+
+    def test_earlier_best_epoch_is_restored(self):
+        bundle = make_bundle(n_train=4, seed=33)
+        config = small_train_config(max_epochs=8, lr_initial=1e-2, lr_reduced=1e-3, patience=3)
+        result = train(bundle, SMALL_MODEL, config)
+        report = result.report
+        # the last epochs moved the weights away from the best ones
+        assert report.best_epoch < report.n_epochs
+        recomputed = self.returned_model_val_rmse(result, bundle, config)
+        assert recomputed == report.val_rmse[report.best_epoch - 1]
 
     def test_patience_stop(self):
         bundle = make_bundle(n_train=4, seed=34)
