@@ -25,7 +25,9 @@ from .cmapss import CmapssError, DatasetBundle, load_subset
 from .metrics import evaluate_test
 from .model import ModelConfig, conv_channels_for_depth
 from .preprocess import LabelPolicy, select_columns
-from .training import TrainConfig, TrainingError, TrainResult, build_window_bank, lr_at, train
+from .training import (
+    INFER_BATCH, TrainConfig, TrainingError, TrainResult, build_window_bank, lr_at, train
+)
 
 logger = logging.getLogger(__name__)
 
@@ -445,7 +447,7 @@ def cmd_export_features(args: argparse.Namespace) -> int:
     w = model.config.window
     n = trajectory.n_cycles
     bank = build_window_bank([trajectory], loaded.scaler, loaded.selection, loaded.policy, w)
-    traces = [model.trace(x) for x in bank.batches(256)]
+    traces = [model.trace(x) for x in bank.batches(INFER_BATCH)]
     attention = np.concatenate([t.attention for t in traces])
 
     with open(out_dir / "attention.csv", "w", newline="") as fh:

@@ -115,14 +115,21 @@ class Linear(Module):
 
 
 class ReLU(Module):
+    """Elementwise max(x, 0) with the subgradient 0 at x == 0.
+
+    Non-finite values: NaN maps to 0 and -0.0 to 0.0 in forward. In
+    backward, a masked-out position gives ``gout * 0``, so an infinite or
+    NaN upstream gradient there comes out NaN instead of 0.
+    """
+
     def forward(self, x: np.ndarray) -> np.ndarray:
-        mask = x > 0.0
-        self._cache = mask
-        return np.where(mask, x, 0.0)
+        self._cache = x > 0.0
+        # fmax returns the non-NaN operand: bit for bit where(x > 0, x, 0.0)
+        return np.fmax(x, 0.0)
 
     def backward(self, gout: np.ndarray) -> np.ndarray:
         mask = self._take_cache()
-        return np.where(mask, gout, 0.0)
+        return gout * mask
 
 
 class Conv1d(Module):
@@ -187,7 +194,15 @@ class Conv1d(Module):
 
 class MaxPool1d(Module):
     """Non-overlapping max pooling over time with floor semantics; a
-    trailing partial window is dropped. Ties go to the earliest position."""
+    trailing partial window is dropped. Ties go to the earliest position.
+
+    Non-finite values: a window holding a NaN gives NaN (which NaN, when it
+    holds several with different bits, is not fixed), and +-inf pools like
+    any other value. In a window holding a NaN, the gradient goes to the
+    earliest largest tap before its first NaN, or to tap 0 if that is the
+    NaN. In backward, a tap that lost its window gets ``gout * 0``, so an
+    infinite or NaN upstream gradient there comes out NaN instead of 0.
+    """
 
     def __init__(self, pool: int = 2):
         if pool < 1:
@@ -200,19 +215,27 @@ class MaxPool1d(Module):
             raise ValueError(f"time axis {n_time} shorter than pool window {self.pool}")
         n_out = n_time // self.pool
         windows = x[:, : n_out * self.pool].reshape(batch, n_out, self.pool, channels)
-        idx = windows.argmax(axis=2)
-        out = np.take_along_axis(windows, idx[:, :, None], axis=2).squeeze(axis=2)
+        out = windows[:, :, 0]
+        idx = np.zeros(out.shape, dtype=np.min_scalar_type(self.pool - 1))
+        for tap in range(1, self.pool):
+            cand = windows[:, :, tap]
+            # a later tap takes over only when strictly greater, and taps grow,
+            # so max(idx, tap or 0) records the earliest winner without a select
+            np.maximum(idx, (cand > out) * idx.dtype.type(tap), out=idx)
+            # maximum returns its second operand on a +-0 tie: keep the earlier
+            out = np.maximum(cand, out)
         self._cache = (idx, x.shape)
-        return out
+        return out.copy() if self.pool == 1 else out
 
     def backward(self, gout: np.ndarray) -> np.ndarray:
         idx, in_shape = self._take_cache()
         batch, n_out, channels = gout.shape
-        # windows are disjoint: each one routes its gradient to its argmax only
-        taps = np.arange(self.pool)[:, None]
-        gwindows = np.where(taps == idx[:, :, None], gout[:, :, None], 0.0)
         gin = np.zeros(in_shape)
-        gin[:, : n_out * self.pool] = gwindows.reshape(batch, n_out * self.pool, channels)
+        # windows are disjoint: each one routes its gradient to its winning tap
+        # only; splitting the time axis keeps the reshape a view into gin
+        gwindows = gin[:, : n_out * self.pool].reshape(batch, n_out, self.pool, channels)
+        for tap in range(self.pool):
+            np.multiply(gout, idx == tap, out=gwindows[:, :, tap])
         return gin
 
 

@@ -15,7 +15,7 @@ from .cmapss import DatasetBundle, EngineTrajectory
 from .model import DegradationNetwork
 # apply_scaler is not called here; bench/ tracing looks it up as metrics.apply_scaler
 from .preprocess import LabelPolicy, Scaler, SensorSelection, apply_scaler  # noqa: F401
-from .training import build_window_bank, predict_windows
+from .training import INFER_BATCH, build_window_bank, predict_windows
 
 
 def rmse(pred: np.ndarray, true: np.ndarray) -> float:
@@ -62,7 +62,7 @@ def predict_engine(
     scaler: Scaler,
     selection: SensorSelection,
     policy: LabelPolicy,
-    batch_size: int = 256,
+    batch_size: int = INFER_BATCH,
 ) -> np.ndarray:
     """Predicted RUL for every cycle of one engine, clamped to [0, r_max].
 

@@ -300,8 +300,13 @@ def build_window_bank(
     return WindowBank(padded, labels, [t.unit_id for t in trajectories], window)
 
 
+# windows per forward pass at inference; chunking decides which windows share
+# a matmul, so changing it can change the last bits of predictions
+INFER_BATCH = 256
+
+
 def predict_windows(
-    model: DegradationNetwork, bank: WindowBank, batch_size: int = 256
+    model: DegradationNetwork, bank: WindowBank, batch_size: int = INFER_BATCH
 ) -> np.ndarray:
     """Unclamped model outputs for every window in the bank, in order."""
     return np.concatenate([model.forward(x) for x in bank.batches(batch_size)])

@@ -22,6 +22,45 @@ from tddn.layers import (
 from gradcheck import TOL, check_module_gradients, max_rel_error, numeric_gradient
 
 
+# The formulations ReLU and MaxPool1d used before their branch-free
+# kernels, kept as oracles: forward outputs must match them byte for byte
+# and backward gradients by value.
+def reference_relu(x: np.ndarray, gout: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    mask = x > 0.0
+    return np.where(mask, x, 0.0), np.where(mask, gout, 0.0)
+
+
+def reference_pool(
+    x: np.ndarray, pool: int, gout: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    batch, n_time, channels = x.shape
+    n_out = n_time // pool
+    windows = x[:, : n_out * pool].reshape(batch, n_out, pool, channels)
+    idx = windows.argmax(axis=2)
+    out = np.take_along_axis(windows, idx[:, :, None], axis=2).squeeze(axis=2)
+    taps = np.arange(pool)[:, None]
+    gwindows = np.where(taps == idx[:, :, None], gout[:, :, None], 0.0)
+    gin = np.zeros(x.shape)
+    gin[:, : n_out * pool] = gwindows.reshape(batch, n_out * pool, channels)
+    return out, gin
+
+
+SPECIALS = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan])
+
+
+def tie_heavy_inputs(rng: np.random.Generator, shape: tuple[int, ...]) -> list[np.ndarray]:
+    """Small integers, post-ReLU zeros, and both salted with -0.0, +-inf and NaN."""
+    ints = rng.integers(-3, 4, size=shape).astype(np.float64)
+    relu_out = np.maximum(rng.normal(size=shape), 0.0)
+    salted = []
+    for base in (ints, relu_out):
+        x = base.copy()
+        hit = rng.random(shape) < 0.2
+        x[hit] = rng.choice(SPECIALS, size=int(hit.sum()))
+        salted.append(x)
+    return [ints, relu_out, *salted]
+
+
 class TestLinear:
     def test_forward_matches_loops(self):
         rng = np.random.default_rng(42)
@@ -187,6 +226,89 @@ class TestMaxPool1d:
     def test_too_short_input_rejected(self):
         with pytest.raises(ValueError, match="shorter than pool"):
             MaxPool1d(pool=4).forward(np.zeros((1, 3, 1)))
+
+
+class TestKernelOracles:
+    @pytest.mark.parametrize("batch", [1, 32, 256])
+    def test_relu_matches_reference(self, batch):
+        rng = np.random.default_rng(batch)
+        for x in tie_heavy_inputs(rng, (batch, 9, 5)):
+            gout = rng.normal(size=x.shape)
+            want_out, want_gin = reference_relu(x, gout)
+            layer = ReLU()
+            assert layer.forward(x).tobytes() == want_out.tobytes()
+            assert np.array_equal(layer.backward(gout), want_gin)
+
+    @pytest.mark.parametrize("pool", [1, 2, 3])
+    @pytest.mark.parametrize("batch", [1, 32, 256])
+    def test_pool_matches_reference(self, pool, batch):
+        rng = np.random.default_rng([pool, batch])
+        # an exact multiple of the pool, and one with a trailing partial window
+        for n_time in (4 * pool, 4 * pool + max(pool - 1, 1)):
+            for x in tie_heavy_inputs(rng, (batch, n_time, 4)):
+                gout = rng.normal(size=(batch, n_time // pool, 4))
+                layer = MaxPool1d(pool=pool)
+                assert layer.forward(x).tobytes() == reference_pool(x, pool, gout)[0].tobytes()
+                # a NaN routes by the strict-greater rule, not argmax's NaN-is-largest
+                # one (see TestNonFiniteContract), so routing is compared without NaN
+                x = np.where(np.isnan(x), 0.0, x)
+                layer.forward(x)
+                assert np.array_equal(layer.backward(gout), reference_pool(x, pool, gout)[1])
+
+    def test_pool3_values_and_routing_brute_force(self):
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            t = int(rng.integers(3, 14))
+            x = rng.integers(-2, 3, size=(2, t, 3)).astype(np.float64)
+            layer = MaxPool1d(pool=3)
+            out = layer.forward(x)
+            g = rng.normal(size=out.shape)
+            gin = layer.backward(g)
+            assert out.shape == (2, t // 3, 3)
+            want = np.zeros_like(x)
+            for b in range(2):
+                for j in range(t // 3):
+                    for ch in range(3):
+                        window = [x[b, 3 * j + k, ch] for k in range(3)]
+                        assert out[b, j, ch] == max(window)
+                        want[b, 3 * j + window.index(max(window)), ch] = g[b, j, ch]
+            np.testing.assert_array_equal(gin, want)
+
+
+class TestNonFiniteContract:
+    def test_relu(self):
+        layer = ReLU()
+        out = layer.forward(np.array([[np.nan, -0.0, np.inf, -np.inf, 2.0]]))
+        assert out.tobytes() == np.array([[0.0, 0.0, np.inf, 0.0, 2.0]]).tobytes()
+        with np.errstate(invalid="ignore"):
+            gin = layer.backward(np.array([[np.inf, -np.inf, np.inf, np.nan, 3.0]]))
+        # inf * 0 at the masked-out positions surfaces as NaN
+        np.testing.assert_array_equal(gin, [[np.nan, np.nan, np.inf, np.nan, 3.0]])
+
+    def test_pool_propagates_nan_and_routes_before_it(self):
+        x = np.array([1.0, np.nan, np.nan, 5.0, 1.0, 3.0]).reshape(1, 6, 1)
+        layer = MaxPool1d(pool=2)
+        np.testing.assert_array_equal(layer.forward(x)[0, :, 0], [np.nan, np.nan, 3.0])
+        gin = layer.backward(np.array([[[1.0], [2.0], [4.0]]]))
+        # gradient to the earliest largest tap before the first NaN, else tap 0
+        np.testing.assert_array_equal(gin[0, :, 0], [1.0, 0.0, 2.0, 0.0, 0.0, 4.0])
+
+        layer = MaxPool1d(pool=3)
+        x = np.array([1.0, 3.0, np.nan, 2.0, np.nan, 9.0]).reshape(1, 6, 1)
+        np.testing.assert_array_equal(layer.forward(x)[0, :, 0], [np.nan, np.nan])
+        gin = layer.backward(np.array([[[1.0], [2.0]]]))
+        np.testing.assert_array_equal(gin[0, :, 0], [0.0, 1.0, 0.0, 2.0, 0.0, 0.0])
+
+        # which of two NaNs with different bits comes out is not fixed
+        payloads = np.array([0x7FF8000000000000, 0xFFF8000000000000], dtype=np.uint64)
+        assert np.isnan(MaxPool1d(pool=2).forward(payloads.view(np.float64).reshape(1, 2, 1)))
+
+    def test_pool_backward_nonfinite_gradient_at_loser(self):
+        layer = MaxPool1d(pool=2)
+        layer.forward(np.array([[[1.0], [2.0]]]))
+        with np.errstate(invalid="ignore"):
+            gin = layer.backward(np.array([[[np.inf]]]))
+        np.testing.assert_array_equal(gin[0, :, 0], [np.nan, np.inf])
 
 
 class TestShapeOps:
