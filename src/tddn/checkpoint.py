@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -62,7 +63,7 @@ def _config_from_dict(raw: dict) -> ModelConfig:
             attention_hidden=int(raw["attention_hidden"]),
             regressor_hidden=int(raw["regressor_hidden"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"bad model config in header: {exc}") from exc
 
 
@@ -117,6 +118,8 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
         header = json.loads(blob[header_start : header_start + header_len])
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(
             f"{path}: unsupported format version {header.get('format_version')!r}"
@@ -136,9 +139,11 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
         try:
             name = entry["name"]
             shape = tuple(int(s) for s in entry["shape"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CheckpointError(f"{path}: bad array entry {entry!r}") from exc
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        if any(s < 0 for s in shape):
+            raise CheckpointError(f"{path}: negative dimension in array entry {entry!r}")
+        count = math.prod(shape)
         nbytes = count * 8
         if offset + nbytes > len(payload):
             raise CheckpointError(f"{path}: payload too short for array {name!r}")
@@ -156,6 +161,8 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
         col_max = arrays.pop(_SCALER_MAX)
     except KeyError as exc:
         raise CheckpointError(f"{path}: header missing {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CheckpointError(f"{path}: bad header field: {exc}") from exc
 
     config = _config_from_dict(header.get("config", {}))
     try:

@@ -15,7 +15,7 @@ import logging
 import sys
 import time
 from pathlib import Path
-from typing import IO, Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -152,8 +152,11 @@ def _write_manifest(out_dir: Path, payload: dict) -> None:
     (out_dir / "manifest.json").write_text(text)
 
 
-def _csv_writer(fh: IO[str]) -> csv.writer:
-    return csv.writer(fh, lineterminator="\n")
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _fmt(x: float) -> str:
@@ -216,12 +219,15 @@ def _train_manifest(
 
 
 def _write_training_log(path: Path, result: TrainResult, config: TrainConfig) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = _csv_writer(fh)
-        writer.writerow(["epoch", "lr", "train_loss", "val_rmse"])
-        report = result.report
-        for epoch, (loss, val) in enumerate(zip(report.train_loss, report.val_rmse), 1):
-            writer.writerow([epoch, _fmt(lr_at(epoch, config)), _fmt(loss), _fmt(val)])
+    report = result.report
+    _write_csv(
+        path,
+        ["epoch", "lr", "train_loss", "val_rmse"],
+        (
+            [epoch, _fmt(lr_at(epoch, config)), _fmt(loss), _fmt(val)]
+            for epoch, (loss, val) in enumerate(zip(report.train_loss, report.val_rmse), 1)
+        ),
+    )
 
 
 def _run_training(
@@ -261,18 +267,15 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _write_predictions(path: Path, unit_ids, pred, true) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = _csv_writer(fh)
-        writer.writerow(["engine_id", "true_rul", "pred_rul", "d"])
-        for uid, p, t in zip(unit_ids, pred, true):
-            writer.writerow([int(uid), _fmt(t), _fmt(p), _fmt(p - t)])
+    _write_csv(
+        path,
+        ["engine_id", "true_rul", "pred_rul", "d"],
+        ([int(uid), _fmt(t), _fmt(p), _fmt(p - t)] for uid, p, t in zip(unit_ids, pred, true)),
+    )
 
 
 def _write_metrics(path: Path, rmse_value: float, score_value: float) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = _csv_writer(fh)
-        writer.writerow(["rmse", "nasa_score"])
-        writer.writerow([_fmt(rmse_value), _fmt(score_value)])
+    _write_csv(path, ["rmse", "nasa_score"], [[_fmt(rmse_value), _fmt(score_value)]])
 
 
 def _load_checkpoint_arg(path_text: str) -> LoadedCheckpoint:
@@ -380,40 +383,40 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 eval_result.rmse, eval_result.nasa_score, seconds,
             )
 
-    with open(out_dir / "runs.csv", "w", newline="") as fh:
-        writer = _csv_writer(fh)
-        writer.writerow(
-            ["value", "seed", "rmse", "nasa_score", "seconds", "best_epoch", "n_epochs"]
-        )
-        for value, seed, r, s, sec, best, n in rows:
-            writer.writerow([value, seed, _fmt(r), _fmt(s), _fmt(sec), best, n])
+    _write_csv(
+        out_dir / "runs.csv",
+        ["value", "seed", "rmse", "nasa_score", "seconds", "best_epoch", "n_epochs"],
+        (
+            [value, seed, _fmt(r), _fmt(s), _fmt(sec), best, n]
+            for value, seed, r, s, sec, best, n in rows
+        ),
+    )
 
-    with open(out_dir / "summary.csv", "w", newline="") as fh:
-        writer = _csv_writer(fh)
-        writer.writerow(["value", "repeats", "mean_rmse", "mean_score", "mean_seconds"])
-        for value in values:
-            ours = [row for row in rows if row[0] == value]
-            writer.writerow(
-                [
-                    value,
-                    len(ours),
-                    _fmt(float(np.mean([r[2] for r in ours]))),
-                    _fmt(float(np.mean([r[3] for r in ours]))),
-                    _fmt(float(np.mean([r[4] for r in ours]))),
-                ]
-            )
+    summary = []
+    for value in values:
+        ours = [row for row in rows if row[0] == value]
+        means = [_fmt(float(np.mean([r[k] for r in ours]))) for k in (2, 3, 4)]
+        summary.append([value, len(ours), *means])
+    _write_csv(
+        out_dir / "summary.csv",
+        ["value", "repeats", "mean_rmse", "mean_score", "mean_seconds"],
+        summary,
+    )
     return 0
 
 
 def _write_per_cycle_rows(path: Path, row_key: str, prefix: str, values: np.ndarray) -> None:
     """One CSV line per (cycle, row) of a (cycles, rows, columns) array, both 1-based."""
-    with open(path, "w", newline="") as fh:
-        writer = _csv_writer(fh)
-        n_cols = values.shape[2]
-        writer.writerow(["cycle", row_key] + [f"{prefix}{i}" for i in range(1, n_cols + 1)])
-        for j, block in enumerate(values, 1):
-            for row, line in enumerate(block, 1):
-                writer.writerow([j, row] + [_fmt(v) for v in line])
+    n_cols = values.shape[2]
+    _write_csv(
+        path,
+        ["cycle", row_key] + [f"{prefix}{i}" for i in range(1, n_cols + 1)],
+        (
+            [j, row] + [_fmt(v) for v in line]
+            for j, block in enumerate(values, 1)
+            for row, line in enumerate(block, 1)
+        ),
+    )
 
 
 def cmd_export_features(args: argparse.Namespace) -> int:
@@ -450,11 +453,11 @@ def cmd_export_features(args: argparse.Namespace) -> int:
     traces = [model.trace(x) for x in bank.batches(INFER_BATCH)]
     attention = np.concatenate([t.attention for t in traces])
 
-    with open(out_dir / "attention.csv", "w", newline="") as fh:
-        writer = _csv_writer(fh)
-        writer.writerow(["cycle"] + [f"weight_{i}" for i in range(1, w + 1)])
-        for j in range(n):
-            writer.writerow([j + 1] + [_fmt(v) for v in attention[j]])
+    _write_csv(
+        out_dir / "attention.csv",
+        ["cycle"] + [f"weight_{i}" for i in range(1, w + 1)],
+        ([j + 1] + [_fmt(v) for v in attention[j]] for j in range(n)),
+    )
 
     temporal = np.concatenate([t.temporal for t in traces])
     _write_per_cycle_rows(out_dir / "temporal_features.csv", "step", "ch_", temporal)

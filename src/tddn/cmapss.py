@@ -7,10 +7,14 @@ columns:
 
     unit  cycle  setting_1..setting_3  sensor_1..sensor_21
 
-Parsing is fail-fast: a malformed line raises with its 1-based line
-number. Fields may be space- or tab-separated and trailing blank lines
-are ignored, since copies of the dataset in the wild vary. Measurements
-are held as float64; ``unit`` and ``cycle`` as ints.
+Parsing is fail-fast: a malformed line raises ParseError with its
+1-based line number, counting blank lines. Fields may be space- or
+tab-separated and blank lines are skipped, since copies of the dataset
+in the wild vary. Unit ids and cycles are positive integers below
+2**53, so a float64 holds each exactly. Rows may come in any order; a
+data file parses into one (n, 26) float64 matrix in file order, and
+grouping sorts it by (unit, cycle) and requires each engine's cycles to
+be exactly 1..n, raising StructureError otherwise.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ SETTING_NAMES = tuple(f"setting_{i}" for i in range(1, N_SETTINGS + 1))
 SENSOR_NAMES = tuple(f"sensor_{i}" for i in range(1, N_SENSORS + 1))
 #: Canonical feature order used everywhere downstream (26 columns minus unit/cycle).
 COLUMN_NAMES = SETTING_NAMES + SENSOR_NAMES
+# integer fields (unit id, cycle, RUL) stay below this, so a float64 holds each exactly
+_INT_LIMIT = 2**53
 
 
 class CmapssError(Exception):
@@ -43,16 +49,6 @@ class ParseError(CmapssError):
 
 class StructureError(CmapssError):
     """Parsed values violate dataset structure (cycle gaps, count mismatches)."""
-
-
-@dataclass(frozen=True)
-class RawRecord:
-    """One data line: a single operational cycle of a single engine."""
-
-    unit_id: int
-    cycle: int
-    settings: tuple[float, ...]
-    sensors: tuple[float, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,14 +64,6 @@ class EngineTrajectory:
     @property
     def n_cycles(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def settings(self) -> np.ndarray:
-        return self.values[:, :N_SETTINGS]
-
-    @property
-    def sensors(self) -> np.ndarray:
-        return self.values[:, N_SETTINGS:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,16 +90,27 @@ def _parse_int_field(token: str, what: str, line_no: int) -> int:
         raise ParseError(f"line {line_no}: non-numeric {what} {token!r}") from None
     if not value.is_integer():
         raise ParseError(f"line {line_no}: {what} must be an integer, got {token!r}")
+    if value >= _INT_LIMIT:
+        raise ParseError(f"line {line_no}: {what} must be below 2**53, got {token!r}")
     return int(value)
 
 
-def parse_data_file(lines: Iterable[str]) -> list[RawRecord]:
-    """Parse a train/test data stream into records, preserving file order.
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def parse_data_file(lines: Iterable[str]) -> np.ndarray:
+    """Parse a train/test data stream into an (n, 26) float64 matrix in file order.
 
     Raises ParseError naming the offending 1-based line number on a wrong
-    column count or a non-numeric token.
+    column count, a non-numeric token, or a unit id or cycle that is not
+    an integer in [1, 2**53).
     """
-    records: list[RawRecord] = []
+    flat: list[float] = []
     for line_no, line in enumerate(lines, start=1):
         fields = line.split()
         if not fields:
@@ -126,51 +125,44 @@ def parse_data_file(lines: Iterable[str]) -> list[RawRecord]:
             raise ParseError(f"line {line_no}: unit id must be >= 1, got {unit_id}")
         if cycle < 1:
             raise ParseError(f"line {line_no}: cycle must be >= 1, got {cycle}")
-        numbers = []
-        for tok in fields[2:]:
-            try:
-                numbers.append(float(tok))
-            except ValueError:
-                raise ParseError(f"line {line_no}: non-numeric value {tok!r}") from None
-        records.append(
-            RawRecord(
-                unit_id=unit_id,
-                cycle=cycle,
-                settings=tuple(numbers[:N_SETTINGS]),
-                sensors=tuple(numbers[N_SETTINGS:]),
-            )
-        )
-    return records
+        try:
+            flat.extend(map(float, fields))
+        except ValueError:
+            bad = next(tok for tok in fields if not _is_number(tok))
+            raise ParseError(f"line {line_no}: non-numeric value {bad!r}") from None
+    return np.array(flat, dtype=np.float64).reshape(-1, N_FIELDS)
 
 
-def group_by_engine(records: Iterable[RawRecord]) -> list[EngineTrajectory]:
-    """Group records into per-engine trajectories ordered by unit id.
+def group_by_engine(rows: np.ndarray) -> list[EngineTrajectory]:
+    """Split a parsed (n, 26) matrix into per-engine trajectories ordered by unit id.
 
-    The (unit, cycle) sort is stable, so equal keys keep input order.
-    Cycles of each engine must be exactly 1..n; a gap or duplicate raises
+    One stable sort on (unit, cycle) orders the rows, and each trajectory's
+    ``values`` is a row slice of the sorted matrix. Cycles of each engine
+    must be exactly 1..n; the first gap or duplicate in sorted order raises
     StructureError naming the unit and cycle.
     """
-    ordered = sorted(records, key=lambda r: (r.unit_id, r.cycle))
-    trajectories: list[EngineTrajectory] = []
-    i = 0
-    while i < len(ordered):
-        unit = ordered[i].unit_id
-        j = i
-        while j < len(ordered) and ordered[j].unit_id == unit:
-            j += 1
-        chunk = ordered[i:j]
-        for expected, rec in enumerate(chunk, start=1):
-            if rec.cycle == expected:
-                continue
-            if rec.cycle < expected:
-                raise StructureError(f"unit {unit}: duplicate cycle {rec.cycle}")
-            raise StructureError(f"unit {unit}: missing cycle {expected}")
-        values = np.array(
-            [rec.settings + rec.sensors for rec in chunk], dtype=np.float64
-        )
-        trajectories.append(EngineTrajectory(unit_id=unit, values=values))
-        i = j
-    return trajectories
+    if not len(rows):
+        return []
+    order = np.lexsort((rows[:, 1], rows[:, 0]))
+    units = rows[order, 0]
+    cycles = rows[order, 1]
+    values = rows[order, 2:]
+    bounds = np.flatnonzero(np.diff(units)) + 1
+    starts = np.concatenate(([0], bounds))
+    sizes = np.diff(np.concatenate((starts, [len(units)])))
+    # row i of an engine starting at row s should hold cycle i - s + 1
+    expected = np.arange(1, len(units) + 1) - np.repeat(starts, sizes)
+    mismatch = np.flatnonzero(cycles != expected)
+    if mismatch.size:
+        i = mismatch[0]
+        unit, cycle, want = int(units[i]), int(cycles[i]), int(expected[i])
+        if cycle < want:
+            raise StructureError(f"unit {unit}: duplicate cycle {cycle}")
+        raise StructureError(f"unit {unit}: missing cycle {want}")
+    return [
+        EngineTrajectory(unit_id=int(units[s]), values=block)
+        for s, block in zip(starts, np.split(values, bounds))
+    ]
 
 
 def parse_rul_file(lines: Iterable[str]) -> list[int]:
@@ -195,27 +187,10 @@ def subset_file_names(subset_id: str) -> tuple[str, str, str]:
     return (f"train_{sid}.txt", f"test_{sid}.txt", f"RUL_{sid}.txt")
 
 
-def load_subset(
-    directory: str | Path,
-    subset_id: str,
-    *,
-    train_file: str | Path | None = None,
-    test_file: str | Path | None = None,
-    rul_file: str | Path | None = None,
-) -> DatasetBundle:
-    """Load one subset from a directory holding the NASA-named text files.
-
-    The ``*_file`` overrides point at renamed files; relative overrides
-    resolve against ``directory``.
-    """
+def load_subset(directory: str | Path, subset_id: str) -> DatasetBundle:
+    """Load one subset from a directory holding the NASA-named text files."""
     sid = _check_subset_id(subset_id)
-    base = Path(directory)
-    default_train, default_test, default_rul = subset_file_names(sid)
-    paths = [
-        base / (train_file or default_train),
-        base / (test_file or default_test),
-        base / (rul_file or default_rul),
-    ]
+    paths = [Path(directory) / name for name in subset_file_names(sid)]
     for path in paths:
         if not path.is_file():
             raise FileNotFoundError(f"missing C-MAPSS file: {path}")

@@ -5,8 +5,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+# same examples on every run, so the suite's result and time do not vary
+settings.register_profile(
+    "tddn", derandomize=True, max_examples=100, deadline=None, database=None
+)
+settings.load_profile("tddn")
 
 from _synth import make_bundle, write_bundle
 

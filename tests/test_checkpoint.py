@@ -133,3 +133,67 @@ class TestCorruption:
         )
         with pytest.raises(CheckpointError, match="columns"):
             load_checkpoint(path)
+
+
+def _rewrite_header(path, edit) -> None:
+    """Replace the header with ``edit(header)``, keeping the payload and its hash."""
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack("<I", blob[8:12])
+    header = edit(json.loads(blob[12 : 12 + header_len]))
+    new_header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(
+        MAGIC + struct.pack("<I", len(new_header)) + new_header + blob[12 + header_len :]
+    )
+
+
+def _with_first_shape(shape):
+    def edit(header):
+        header["arrays"][0]["shape"] = shape
+        return header
+
+    return edit
+
+
+def _with_field(key, value):
+    def edit(header):
+        header[key] = value
+        return header
+
+    return edit
+
+
+class TestMalformedHeader:
+    """A header that parses as JSON but breaks the format is a CheckpointError."""
+
+    def test_header_not_an_object(self, saved):
+        path, *_ = saved
+        _rewrite_header(path, lambda header: [header])
+        with pytest.raises(CheckpointError, match=r"model\.ckpt: header is not a JSON object"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "shape", [[-2, 4], [-1, -3], [2**62, 4]], ids=["negative", "two-negative", "huge"]
+    )
+    def test_bad_array_shape(self, saved, shape):
+        path, *_ = saved
+        _rewrite_header(path, _with_first_shape(shape))
+        message = r"model\.ckpt: (negative dimension|payload too short)"
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            _with_field("r_max", None),
+            _with_field("r_max", float("inf")),
+            _with_field("columns", 5),
+            _with_first_shape([float("inf")]),
+            _with_field("config", {"window": float("inf")}),
+        ],
+        ids=["r_max-null", "r_max-inf", "columns-int", "shape-inf", "config-inf"],
+    )
+    def test_bad_field_type(self, saved, edit):
+        path, *_ = saved
+        _rewrite_header(path, edit)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)

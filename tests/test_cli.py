@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import math
+import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -185,6 +187,35 @@ class TestEvaluateCommand:
         )
         assert code == 1
         assert "checksum" in capsys.readouterr().err
+
+    def test_header_not_an_object_exits_1(self, trained, synth_data_dir, tmp_path, capsys):
+        blob = (trained / "model.ckpt").read_bytes()
+        (header_len,) = struct.unpack("<I", blob[8:12])
+        header = b"[" + blob[12 : 12 + header_len] + b"]"
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(blob[:8] + struct.pack("<I", len(header)) + header + blob[12 + header_len :])
+        code = run(
+            "evaluate", "--checkpoint", str(bad),
+            "--data", str(synth_data_dir), "--out", str(tmp_path / "o"),
+        )
+        assert code == 1
+        assert "bad.ckpt: header is not a JSON object" in capsys.readouterr().err
+
+    def test_unit_id_beyond_float64_exits_1(self, trained, synth_data_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(synth_data_dir, data)
+        # the last test engine becomes unit 1e19, so the file is otherwise well formed
+        lines = (data / "test_FD001.txt").read_text().splitlines()
+        first = next(i for i, line in enumerate(lines) if line.startswith("4 "))
+        lines[first:] = ["1e19" + line[1:] for line in lines[first:]]
+        (data / "test_FD001.txt").write_text("\n".join(lines) + "\n")
+        code = run(
+            "evaluate", "--checkpoint", str(trained / "model.ckpt"),
+            "--data", str(data), "--out", str(tmp_path / "o"),
+        )
+        assert code == 1
+        expected = f"line {first + 1}: unit id must be below 2**53, got '1e19'"
+        assert expected in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_2(self, synth_data_dir, tmp_path):
         code = run(

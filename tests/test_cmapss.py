@@ -1,13 +1,19 @@
 from __future__ import annotations
 
 import io
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tddn.cmapss import (
     COLUMN_NAMES,
     N_FIELDS,
+    N_SETTINGS,
+    EngineTrajectory,
     ParseError,
     StructureError,
     format_value,
@@ -22,6 +28,85 @@ from tddn.cmapss import (
 from _synth import make_bundle, write_bundle
 
 
+# The per-line record parser and grouping loop the matrix path replaced,
+# kept as the oracle: on every input it accepts, the matrix path must give
+# the same engines with bit-identical values, and on every input it rejects
+# the same error. It has no bound on unit ids and cycles.
+@dataclass(frozen=True)
+class ReferenceRecord:
+    unit_id: int
+    cycle: int
+    settings: tuple[float, ...]
+    sensors: tuple[float, ...]
+
+
+def _reference_int_field(token: str, what: str, line_no: int) -> int:
+    try:
+        value = float(token)
+    except ValueError:
+        raise ParseError(f"line {line_no}: non-numeric {what} {token!r}") from None
+    if not value.is_integer():
+        raise ParseError(f"line {line_no}: {what} must be an integer, got {token!r}")
+    return int(value)
+
+
+def reference_parse(lines: Iterable[str]) -> list[ReferenceRecord]:
+    records: list[ReferenceRecord] = []
+    for line_no, line in enumerate(lines, start=1):
+        fields = line.split()
+        if not fields:
+            continue
+        if len(fields) != N_FIELDS:
+            raise ParseError(
+                f"line {line_no}: expected {N_FIELDS} columns, got {len(fields)}"
+            )
+        unit_id = _reference_int_field(fields[0], "unit id", line_no)
+        cycle = _reference_int_field(fields[1], "cycle", line_no)
+        if unit_id < 1:
+            raise ParseError(f"line {line_no}: unit id must be >= 1, got {unit_id}")
+        if cycle < 1:
+            raise ParseError(f"line {line_no}: cycle must be >= 1, got {cycle}")
+        numbers = []
+        for tok in fields[2:]:
+            try:
+                numbers.append(float(tok))
+            except ValueError:
+                raise ParseError(f"line {line_no}: non-numeric value {tok!r}") from None
+        records.append(
+            ReferenceRecord(
+                unit_id=unit_id,
+                cycle=cycle,
+                settings=tuple(numbers[:N_SETTINGS]),
+                sensors=tuple(numbers[N_SETTINGS:]),
+            )
+        )
+    return records
+
+
+def reference_group(records: Iterable[ReferenceRecord]) -> list[EngineTrajectory]:
+    ordered = sorted(records, key=lambda r: (r.unit_id, r.cycle))
+    trajectories: list[EngineTrajectory] = []
+    i = 0
+    while i < len(ordered):
+        unit = ordered[i].unit_id
+        j = i
+        while j < len(ordered) and ordered[j].unit_id == unit:
+            j += 1
+        chunk = ordered[i:j]
+        for expected, rec in enumerate(chunk, start=1):
+            if rec.cycle == expected:
+                continue
+            if rec.cycle < expected:
+                raise StructureError(f"unit {unit}: duplicate cycle {rec.cycle}")
+            raise StructureError(f"unit {unit}: missing cycle {expected}")
+        values = np.array(
+            [rec.settings + rec.sensors for rec in chunk], dtype=np.float64
+        )
+        trajectories.append(EngineTrajectory(unit_id=unit, values=values))
+        i = j
+    return trajectories
+
+
 def _line(unit: int, cycle: int, values=None) -> str:
     if values is None:
         values = [0.1 * i for i in range(24)]
@@ -30,12 +115,10 @@ def _line(unit: int, cycle: int, values=None) -> str:
 
 class TestParseDataFile:
     def test_parses_fields_in_order(self):
-        records = parse_data_file([_line(3, 7, list(range(24)))])
-        rec = records[0]
-        assert rec.unit_id == 3
-        assert rec.cycle == 7
-        assert rec.settings == (0.0, 1.0, 2.0)
-        assert rec.sensors == tuple(float(v) for v in range(3, 24))
+        rows = parse_data_file([_line(3, 7, list(range(24)))])
+        assert rows.shape == (1, N_FIELDS)
+        assert rows.dtype == np.float64
+        assert rows[0].tolist() == [3.0, 7.0] + [float(v) for v in range(24)]
 
     def test_blank_lines_skipped(self):
         records = parse_data_file(["", _line(1, 1), "   ", _line(1, 2), ""])
@@ -62,6 +145,15 @@ class TestParseDataFile:
         with pytest.raises(ParseError, match=r"unit id must be an integer"):
             parse_data_file(["1.5 1 " + " ".join(["0.0"] * 24)])
 
+    def test_rejects_ids_a_float64_cannot_hold(self):
+        message = r"line 2: unit id must be below 2\*\*53, got '1e19'"
+        with pytest.raises(ParseError, match=message):
+            parse_data_file(["", "1e19 1 " + " ".join(["0.0"] * 24)])
+        with pytest.raises(ParseError, match=r"line 1: cycle must be below 2\*\*53"):
+            parse_data_file([_line(1, 2**53)])
+        rows = parse_data_file([_line(2**53 - 1, 1)])
+        assert int(rows[0, 0]) == 2**53 - 1
+
     def test_field_count_constant(self):
         assert N_FIELDS == 26
         assert len(COLUMN_NAMES) == 24
@@ -78,8 +170,6 @@ class TestGroupByEngine:
         trajectories = group_by_engine(parse_data_file([_line(1, 1), _line(1, 2)]))
         traj = trajectories[0]
         assert traj.values.shape == (2, 24)
-        assert traj.settings.shape == (2, 3)
-        assert traj.sensors.shape == (2, 21)
 
     def test_duplicate_cycle(self):
         with pytest.raises(StructureError, match=r"unit 2: duplicate cycle 1"):
@@ -101,6 +191,10 @@ class TestParseRulFile:
     def test_rejects_non_integer(self):
         with pytest.raises(ParseError):
             parse_rul_file(["2.5"])
+
+    def test_rejects_values_a_float64_cannot_hold(self):
+        with pytest.raises(ParseError, match=r"line 1: RUL must be below 2\*\*53"):
+            parse_rul_file(["1e19"])
 
 
 class TestRoundTrip:
@@ -155,3 +249,118 @@ class TestLoadSubset:
             "test_FD003.txt",
             "RUL_FD003.txt",
         )
+
+
+# Value tokens in the forms copies of the dataset use, plus the edge cases
+# float() accepts: signed zero, non-finite values, underscores, exponents.
+_VALUE_FORMATS = (repr, "{:.4f}".format, "{:.6e}".format, lambda x: str(int(x)))
+_ODD_VALUES = ("-0.0", "nan", "inf", "-inf", "1_0", "1e-320", "+7", ".5", "5.")
+_SEPARATORS = (" ", "\t", "  ", " \t ")
+_BLANKS = ("", "   ", "\t")
+
+
+@st.composite
+def data_lines(draw) -> list[str]:
+    """Valid data lines of a few engines in shuffled order, with blank lines."""
+    unit_ids = draw(
+        st.lists(
+            st.one_of(st.integers(1, 50), st.integers(1, 2**53 - 1)),
+            min_size=1, max_size=4, unique=True,
+        )
+    )
+    keys = [(u, c) for u in unit_ids for c in range(1, draw(st.integers(1, 6)) + 1)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lines = []
+    for unit, cycle in draw(st.permutations(keys)):
+        tokens = [str(unit), str(cycle)]
+        for x in rng.normal(0.0, 10.0 ** rng.integers(-3, 5), 24).tolist():
+            if rng.random() < 0.05:
+                tokens.append(_ODD_VALUES[rng.integers(len(_ODD_VALUES))])
+            else:
+                tokens.append(_VALUE_FORMATS[rng.integers(len(_VALUE_FORMATS))](x))
+        lines.append(draw(st.sampled_from(_SEPARATORS)).join(tokens))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_BLANKS)))
+    return lines
+
+
+def _as_stream(lines: list[str]) -> io.StringIO:
+    return io.StringIO("".join(line + "\n" for line in lines))
+
+
+def assert_same_trajectories(got: list[EngineTrajectory], want: list[EngineTrajectory]):
+    assert [t.unit_id for t in got] == [t.unit_id for t in want]
+    for g, w in zip(got, want):
+        assert g.values.dtype == w.values.dtype == np.float64
+        assert g.values.shape == w.values.shape
+        assert g.values.tobytes() == w.values.tobytes()
+
+
+class TestMatchesReference:
+    @given(data_lines())
+    def test_shuffled_engines_give_identical_trajectories(self, lines):
+        got = group_by_engine(parse_data_file(_as_stream(lines)))
+        want = reference_group(reference_parse(_as_stream(lines)))
+        assert_same_trajectories(got, want)
+
+
+_BAD_TOKENS = (
+    "abc", "1e19", "-1e19", "9007199254740992", "1e400", "-3", "0", "-0",
+    "2.5", "nan", "inf", "-inf", "0x10", "1,5", "--1", "1e",
+    "\u0661",  # ARABIC-INDIC DIGIT ONE: float() reads it as 1.0
+)
+
+
+@st.composite
+def mutated_lines(draw) -> list[str]:
+    """Valid data lines with a few fields or lines dropped, repeated or garbled."""
+    lines = draw(data_lines())
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(
+            ("drop_field", "dup_field", "dup_line", "drop_line", "blank_line", "tabs")
+            + ("swap_token",) * 6
+        ))
+        i = draw(st.integers(0, len(lines)))
+        if op == "blank_line":
+            lines.insert(i, draw(st.sampled_from(_BLANKS)))
+            continue
+        if not lines:
+            continue
+        i = min(i, len(lines) - 1)
+        if op == "dup_line":
+            lines.insert(i, lines[i])
+        elif op == "drop_line":
+            del lines[i]
+        elif op == "tabs":
+            lines[i] = "\t".join(lines[i].split())
+        else:
+            fields = lines[i].split()
+            if not fields:
+                continue
+            # unit id and cycle carry most of the checks, so they are hit more often
+            j = draw(st.one_of(st.integers(0, 1), st.integers(0, len(fields) - 1)))
+            j = min(j, len(fields) - 1)
+            if op == "drop_field":
+                del fields[j]
+            elif op == "dup_field":
+                fields.insert(j, fields[j])
+            else:
+                fields[j] = draw(st.sampled_from(_BAD_TOKENS))
+            lines[i] = " ".join(fields)
+    return lines
+
+
+class TestParserFuzz:
+    @given(mutated_lines())
+    def test_every_input_parses_or_raises_a_dataset_error(self, lines):
+        try:
+            got = group_by_engine(parse_data_file(_as_stream(lines)))
+        except (ParseError, StructureError) as exc:
+            if "below 2**53" in str(exc):
+                return  # the reference has no bound to compare against
+            with pytest.raises(type(exc)) as want:
+                reference_group(reference_parse(_as_stream(lines)))
+            assert str(want.value) == str(exc)
+        else:
+            want = reference_group(reference_parse(_as_stream(lines)))
+            assert_same_trajectories(got, want)
