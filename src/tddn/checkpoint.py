@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .cmapss import _check_subset_id
 from .model import DegradationNetwork, ModelConfig, load_state_arrays, state_arrays
 from .preprocess import LabelPolicy, Scaler, SensorSelection
 
@@ -42,29 +43,33 @@ class LoadedCheckpoint:
     subset_id: str
 
 
+def _int(value: object, field: str) -> int:
+    """A header integer; a bool, a float or a string is refused on save and on load."""
+    if type(value) is not int:
+        raise TypeError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def _config_to_dict(config: ModelConfig) -> dict:
     return {
-        "window": config.window,
-        "n_features": config.n_features,
-        "conv_channels": list(config.conv_channels),
-        "kernel": config.kernel,
-        "attention_hidden": config.attention_hidden,
-        "regressor_hidden": config.regressor_hidden,
+        "window": _int(config.window, "window"),
+        "n_features": _int(config.n_features, "n_features"),
+        "conv_channels": [_int(c, "conv_channels") for c in config.conv_channels],
+        "kernel": _int(config.kernel, "kernel"),
+        "attention_hidden": _int(config.attention_hidden, "attention_hidden"),
+        "regressor_hidden": _int(config.regressor_hidden, "regressor_hidden"),
     }
 
 
 def _config_from_dict(raw: dict) -> ModelConfig:
-    try:
-        return ModelConfig(
-            window=int(raw["window"]),
-            n_features=int(raw["n_features"]),
-            conv_channels=tuple(int(c) for c in raw["conv_channels"]),
-            kernel=int(raw["kernel"]),
-            attention_hidden=int(raw["attention_hidden"]),
-            regressor_hidden=int(raw["regressor_hidden"]),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise CheckpointError(f"bad model config in header: {exc}") from exc
+    return ModelConfig(
+        window=_int(raw["window"], "window"),
+        n_features=_int(raw["n_features"], "n_features"),
+        conv_channels=tuple(_int(c, "conv_channels") for c in raw["conv_channels"]),
+        kernel=_int(raw["kernel"], "kernel"),
+        attention_hidden=_int(raw["attention_hidden"], "attention_hidden"),
+        regressor_hidden=_int(raw["regressor_hidden"], "regressor_hidden"),
+    )
 
 
 def save_checkpoint(
@@ -75,7 +80,11 @@ def save_checkpoint(
     policy: LabelPolicy,
     subset_id: str,
 ) -> None:
-    """Write model parameters plus everything needed to reuse them."""
+    """Write model parameters plus everything needed to reuse them.
+
+    A header integer that is not an ``int`` (``r_max=125.0``) is a
+    ``TypeError`` here, since ``load_checkpoint`` would refuse the file.
+    """
     arrays = state_arrays(model)
     arrays[_SCALER_MIN] = scaler.col_min
     arrays[_SCALER_MAX] = scaler.col_max
@@ -87,7 +96,7 @@ def save_checkpoint(
         "format_version": FORMAT_VERSION,
         "subset_id": subset_id,
         "columns": list(selection.columns),
-        "r_max": policy.r_max,
+        "r_max": _int(policy.r_max, "r_max"),
         "config": _config_to_dict(model.config),
         "arrays": [{"name": name, "shape": list(arrays[name].shape)} for name in order],
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
@@ -120,9 +129,10 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
         raise CheckpointError(f"{path}: unreadable header: {exc}") from exc
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: header is not a JSON object")
-    if header.get("format_version") != FORMAT_VERSION:
+    version = header.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:
         raise CheckpointError(
-            f"{path}: unsupported format version {header.get('format_version')!r}"
+            f"{path}: unsupported format version {version!r}"
         )
 
     payload = blob[header_start + header_len :]
@@ -138,9 +148,11 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
     for entry in entries:
         try:
             name = entry["name"]
-            shape = tuple(int(s) for s in entry["shape"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            shape = tuple(_int(s, "shape") for s in entry["shape"])
+        except (KeyError, TypeError) as exc:
             raise CheckpointError(f"{path}: bad array entry {entry!r}") from exc
+        if not isinstance(name, str):
+            raise CheckpointError(f"{path}: bad array entry {entry!r}")
         if any(s < 0 for s in shape):
             raise CheckpointError(f"{path}: negative dimension in array entry {entry!r}")
         count = math.prod(shape)
@@ -155,17 +167,27 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
 
     try:
         subset_id = header["subset_id"]
-        columns = tuple(header["columns"])
-        r_max = int(header["r_max"])
+        columns = header["columns"]
+        r_max = _int(header["r_max"], "r_max")
         col_min = arrays.pop(_SCALER_MIN)
         col_max = arrays.pop(_SCALER_MAX)
     except KeyError as exc:
         raise CheckpointError(f"{path}: header missing {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
+    except TypeError as exc:
         raise CheckpointError(f"{path}: bad header field: {exc}") from exc
+    if not isinstance(subset_id, str):
+        raise CheckpointError(f"{path}: subset_id must be a string, got {subset_id!r}")
+    if not isinstance(columns, list) or not all(isinstance(c, str) for c in columns):
+        raise CheckpointError(f"{path}: columns must be a list of names, got {columns!r}")
+    columns = tuple(columns)
 
-    config = _config_from_dict(header.get("config", {}))
     try:
+        config = _config_from_dict(header.get("config", {}))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: bad model config in header: {exc}") from exc
+    try:
+        # "fd001" from a config file was saved as given; it loads as "FD001"
+        subset_id = _check_subset_id(subset_id)
         selection = SensorSelection(subset_id=subset_id, columns=columns)
         policy = LabelPolicy(r_max=r_max)
     except ValueError as exc:

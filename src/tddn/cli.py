@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import CheckpointError, LoadedCheckpoint, load_checkpoint, save_checkpoint
-from .cmapss import CmapssError, DatasetBundle, load_subset
+from .cmapss import CmapssError, DatasetBundle, _check_subset_id, load_subset
 from .metrics import evaluate_test
 from .model import ModelConfig, conv_channels_for_depth
 from .preprocess import LabelPolicy, select_columns
@@ -54,7 +54,7 @@ def _csv_ints(text: str) -> tuple[int, ...]:
 
 # config-file keys mirror the long flags; parsed with the same types
 _CONFIG_PARSERS: dict[str, Callable[[str], object]] = {
-    "subset": str,
+    "subset": _check_subset_id,
     "data": str,
     "out": str,
     "seed": int,
@@ -243,7 +243,7 @@ def _run_training(
             result.scaler,
             result.selection,
             train_config.label_policy,
-            settings["subset"],
+            result.selection.subset_id,
         )
     _write_training_log(out_dir / "training_log.csv", result, train_config)
     return result
@@ -289,7 +289,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     settings = _resolve(args, ("data", "out", "no_cap_true_rul"))
     loaded = _load_checkpoint_arg(args.checkpoint)
     file_values = _load_config_file(args.config) if args.config else {}
-    stated_subset = args.subset if args.subset is not None else file_values.get("subset")
+    stated_subset = args.subset
+    if stated_subset is None and "subset" in file_values:
+        try:
+            stated_subset = _check_subset_id(file_values["subset"])
+        except ValueError as exc:
+            raise UsageError(f"config key subset: {exc}") from exc
     if stated_subset is not None and stated_subset != loaded.subset_id:
         raise UsageError(
             f"checkpoint was trained on {loaded.subset_id}, not {stated_subset}"

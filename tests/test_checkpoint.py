@@ -56,6 +56,14 @@ class TestRoundTrip:
         save_checkpoint(again, model, scaler, selection, LabelPolicy(r_max=110), "FD001")
         assert again.read_bytes() == path.read_bytes()
 
+    def test_float_r_max_is_refused_on_save(self, saved, tmp_path):
+        # the loader refuses a float r_max, so save must not write one
+        _, model, scaler, selection = saved
+        path = tmp_path / "float.ckpt"
+        with pytest.raises(TypeError, match="r_max must be an integer, got 125.0"):
+            save_checkpoint(path, model, scaler, selection, LabelPolicy(r_max=125.0), "FD001")
+        assert not path.exists()
+
     def test_header_is_compact_sorted_json(self, saved):
         path, _, _, _ = saved
         blob = path.read_bytes()
@@ -154,9 +162,25 @@ def _with_first_shape(shape):
     return edit
 
 
+def _with_first_name(name):
+    def edit(header):
+        header["arrays"][0]["name"] = name
+        return header
+
+    return edit
+
+
 def _with_field(key, value):
     def edit(header):
         header[key] = value
+        return header
+
+    return edit
+
+
+def _with_config_field(key, value):
+    def edit(header):
+        header["config"][key] = value
         return header
 
     return edit
@@ -189,11 +213,42 @@ class TestMalformedHeader:
             _with_field("columns", 5),
             _with_first_shape([float("inf")]),
             _with_field("config", {"window": float("inf")}),
+            _with_field("subset_id", 5),
+            _with_field("subset_id", "FD009"),
+            _with_field("subset_id", ["FD001"]),
+            _with_field("r_max", 1.5),
+            _with_field("r_max", 110.0),
+            _with_field("r_max", True),
+            _with_field("r_max", "110"),
+            _with_config_field("window", 8.0),
+            _with_config_field("kernel", True),
+            _with_config_field("regressor_hidden", "8"),
+            _with_config_field("conv_channels", "48"),
+            _with_config_field("conv_channels", [4, 8.0]),
+            _with_first_shape([2.0, 15, 4]),
+            _with_first_shape(["2", 15, 4]),
+            _with_field("format_version", True),
+            _with_field("columns", [["sensor_2"]]),
+            _with_first_name(["conv1.weight"]),
         ],
-        ids=["r_max-null", "r_max-inf", "columns-int", "shape-inf", "config-inf"],
+        ids=[
+            "r_max-null", "r_max-inf", "columns-int", "shape-inf", "config-inf",
+            "subset_id-int", "subset_id-unknown", "subset_id-list",
+            "r_max-fraction", "r_max-float", "r_max-bool", "r_max-string",
+            "config-float", "config-bool", "config-string",
+            "conv_channels-string", "conv_channels-float",
+            "shape-float", "shape-string", "format_version-bool", "columns-nested",
+            "name-list",
+        ],
     )
     def test_bad_field_type(self, saved, edit):
         path, *_ = saved
         _rewrite_header(path, edit)
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CheckpointError, match=r"model\.ckpt: "):
             load_checkpoint(path)
+
+    def test_subset_id_is_normalized(self, saved):
+        # a config file's "fd001" reaches save_checkpoint as written
+        path, *_ = saved
+        _rewrite_header(path, _with_field("subset_id", "fd001"))
+        assert load_checkpoint(path).subset_id == "FD001"

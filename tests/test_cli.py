@@ -128,6 +128,35 @@ class TestConfigFile:
         assert manifest["window"] == 16  # flag beats config
         assert manifest["depth"] == 2  # config beats default
 
+    def test_lowercase_subset_trains_and_evaluates(self, trained, synth_data_dir, tmp_path):
+        # one config file for both commands; the run matches `--subset FD001`
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"data = {synth_data_dir}\n"
+            "subset = fd001\n"
+            "seed = 1\n"
+            "window = 8\n"
+            "depth = 2\n"
+            "epochs = 2\n"
+            "batch = 16\n"
+        )
+        out = tmp_path / "out"
+        assert run("train", "--config", str(cfg), "--out", str(out)) == 0
+        assert json.loads((out / "manifest.json").read_text())["subset"] == "FD001"
+        assert (out / "model.ckpt").read_bytes() == (trained / "model.ckpt").read_bytes()
+        code = run(
+            "evaluate", "--config", str(cfg), "--checkpoint", str(out / "model.ckpt"),
+            "--out", str(tmp_path / "eval"),
+        )
+        assert code == 0
+
+    def test_unknown_config_subset(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("subset = FD009\n")
+        code = run("train", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "config key subset: unknown subset 'FD009'" in capsys.readouterr().err
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("windou = 8\n")
@@ -200,6 +229,23 @@ class TestEvaluateCommand:
         )
         assert code == 1
         assert "bad.ckpt: header is not a JSON object" in capsys.readouterr().err
+
+    def test_non_string_subset_id_exits_1(self, trained, synth_data_dir, tmp_path, capsys):
+        blob = (trained / "model.ckpt").read_bytes()
+        (header_len,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12 : 12 + header_len])
+        header["subset_id"] = 5
+        raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + header_len :])
+        code = run(
+            "evaluate", "--checkpoint", str(bad),
+            "--data", str(synth_data_dir), "--out", str(tmp_path / "o"),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "bad.ckpt: subset_id must be a string, got 5" in err
+        assert "Traceback" not in err
 
     def test_unit_id_beyond_float64_exits_1(self, trained, synth_data_dir, tmp_path, capsys):
         data = tmp_path / "data"

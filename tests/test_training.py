@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import gc
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -201,6 +206,19 @@ class ReferenceAdam:
             p.value -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
+def adam_workers() -> set[threading.Thread]:
+    return {t for t in threading.enumerate() if t.name.startswith("tddn-adam")}
+
+
+@pytest.fixture(params=[1, 2], ids=["one-lane", "two-lane"])
+def lanes(request, monkeypatch):
+    """Adams built in the test take the serial path (1) or split every step (2)."""
+    monkeypatch.setattr(training, "adam_lanes", lambda: request.param)
+    if request.param == 2:
+        monkeypatch.setattr(training, "ADAM_TWO_LANE_MIN", 0)
+    return request.param
+
+
 class TestAdamMatchesReference:
     N_STEPS = 24
 
@@ -215,13 +233,18 @@ class TestAdamMatchesReference:
         np.testing.assert_array_equal(opt.m, np.concatenate([m.ravel() for m in ref.m]))
         np.testing.assert_array_equal(opt.v, np.concatenate([v.ravel() for v in ref.v]))
 
+    @staticmethod
+    def assert_lanes_used(lanes: int, workers_before: set) -> None:
+        assert len(adam_workers() - workers_before) == (lanes == 2)
+
     @pytest.mark.parametrize("depth", [1, 3])
-    def test_network_training_steps(self, depth):
+    def test_network_training_steps(self, depth, lanes):
         config = ModelConfig(
             window=16, n_features=15, conv_channels=conv_channels_for_depth(depth)
         )
         model = DegradationNetwork(config, np.random.default_rng(depth))
         twin = DegradationNetwork(config, np.random.default_rng(depth))
+        workers = adam_workers()
         opt = Adam(model.params())
         ref = ReferenceAdam(twin.params())
         assert opt.value.size > ADAM_BLOCK
@@ -237,8 +260,9 @@ class TestAdamMatchesReference:
             opt.step(self.lr(step))
             ref.step(self.lr(step))
             self.assert_same_state(opt, ref)
+        self.assert_lanes_used(lanes, workers)
 
-    def test_params_spanning_several_blocks(self):
+    def test_params_spanning_several_blocks(self, lanes):
         # 3 full blocks and a partial one; param edges fall inside blocks
         shapes = [(ADAM_BLOCK - 3,), (2, ADAM_BLOCK + 5), (7,), (3, 11, 5)]
         assert sum(np.prod(s) for s in shapes) % ADAM_BLOCK != 0
@@ -246,6 +270,7 @@ class TestAdamMatchesReference:
         values = [rng.normal(size=s) for s in shapes]
         params = [Param(f"p{i}", v) for i, v in enumerate(values)]
         twins = [Param(f"p{i}", v.copy()) for i, v in enumerate(values)]
+        workers = adam_workers()
         opt = Adam(params, beta1=0.8, beta2=0.99, eps=1e-6)
         ref = ReferenceAdam(twins, beta1=0.8, beta2=0.99, eps=1e-6)
         for step in range(1, self.N_STEPS + 1):
@@ -256,6 +281,95 @@ class TestAdamMatchesReference:
             opt.step(self.lr(step))
             ref.step(self.lr(step))
             self.assert_same_state(opt, ref)
+        self.assert_lanes_used(lanes, workers)
+
+
+class TestTwoLaneAdam:
+    def test_lane_decision(self, monkeypatch):
+        # the window-16 depth-1 model stays serial, the default model splits
+        w16 = ModelConfig(window=16, conv_channels=conv_channels_for_depth(1))
+        rng = np.random.default_rng(0)
+        size = training.ADAM_TWO_LANE_MIN
+        assert DegradationNetwork(w16, rng).n_parameters() < size
+        assert DegradationNetwork(ModelConfig(), rng).n_parameters() >= size
+        monkeypatch.setattr(training, "adam_lanes", lambda: 2)
+        workers = adam_workers()
+        small = Adam([Param("p", np.zeros(size - 1))])
+        small.step(lr=0.1)
+        assert not adam_workers() - workers
+        opt = Adam([Param("p", np.zeros(size))])
+        # no thread at construction, one on the first step
+        assert not adam_workers() - workers
+        opt.step(lr=0.1)
+        (worker,) = adam_workers() - workers
+        monkeypatch.setattr(training, "adam_lanes", lambda: 1)
+        one_cpu = Adam([Param("p", np.zeros(size))])
+        one_cpu.step(lr=0.1)
+        assert adam_workers() - workers == {worker}
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity mask")
+    def test_lane_count_follows_the_affinity_mask(self):
+        # not patched: under `taskset -c 0` this checks the serial decision for real
+        lanes = min(2, len(os.sched_getaffinity(0)))
+        assert training.adam_lanes() == lanes
+        workers = adam_workers()
+        opt = Adam([Param("p", np.zeros(training.ADAM_TWO_LANE_MIN))])
+        opt.step(lr=0.1)
+        assert len(adam_workers() - workers) == (1 if lanes == 2 else 0)
+
+    def test_equals_serial_under_fast_thread_switching(self, monkeypatch):
+        config = ModelConfig()
+        opts = []
+        for lanes in (1, 2):
+            monkeypatch.setattr(training, "adam_lanes", lambda n=lanes: n)
+            opts.append(Adam(DegradationNetwork(config, np.random.default_rng(5)).params()))
+        serial, two_lane = opts
+        assert two_lane.value.size >= training.ADAM_TWO_LANE_MIN
+        rng = np.random.default_rng(6)
+        grad = rng.standard_normal(serial.grad.size)
+        steps_done: list[int] = []
+        errors: list[BaseException] = []
+
+        def run() -> None:
+            try:
+                for step in range(1, 21):
+                    np.multiply(grad, 10.0 ** rng.uniform(-3, 1), out=serial.grad)
+                    two_lane.grad[...] = serial.grad
+                    serial.step(1e-3)
+                    two_lane.step(1e-3)
+                    for name in ("value", "m", "v"):
+                        if not np.array_equal(getattr(serial, name), getattr(two_lane, name)):
+                            raise AssertionError(f"{name} differs after step {step}")
+                    steps_done.append(step)
+            except BaseException as exc:  # re-raised on the test's thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=run, daemon=True)
+            runner.start()
+            runner.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive(), f"stuck after {len(steps_done)} steps"
+        if errors:
+            raise errors[0]
+        assert steps_done == list(range(1, 21))
+
+    def test_worker_exits_with_its_optimizer(self, monkeypatch):
+        monkeypatch.setattr(training, "adam_lanes", lambda: 2)
+        before = threading.active_count()
+        workers = adam_workers()
+        opt = Adam([Param("p", np.ones(training.ADAM_TWO_LANE_MIN))])
+        opt.step(lr=0.1)
+        (worker,) = adam_workers() - workers
+        del opt
+        gc.collect()
+        worker.join(timeout=10.0)
+        assert not worker.is_alive()
+        # other optimizers' workers may have exited meanwhile, never started
+        assert threading.active_count() <= before
 
 
 def window_oracle(matrix: np.ndarray, j: int, window: int) -> np.ndarray:
@@ -453,6 +567,27 @@ class TestTrain:
         assert report.best_epoch < report.n_epochs
         recomputed = self.returned_model_val_rmse(result, bundle, config)
         assert recomputed == report.val_rmse[report.best_epoch - 1]
+
+    def test_learns_more_than_the_mean(self):
+        # windows or labels that slipped against each other leave nothing to
+        # learn, which the gradient checks and the overfit test cannot see
+        bundle = make_bundle(n_train=8, n_test=1, seed=40)
+        model_config = ModelConfig(
+            window=16, n_features=15, conv_channels=conv_channels_for_depth(1)
+        )
+        config = small_train_config(max_epochs=5, lr_initial=3e-3, val_fraction=0.25)
+        result = train(bundle, model_config, config)
+        by_id = {t.unit_id: t for t in bundle.train}
+        val_bank = build_window_bank(
+            [by_id[u] for u in result.val_unit_ids],
+            result.scaler,
+            result.selection,
+            config.label_policy,
+            model_config.window,
+        )
+        # the best constant on these windows is their mean, off by their std
+        mean_rmse = float(np.std(val_bank.labels))
+        assert min(result.report.val_rmse) < 0.5 * mean_rmse
 
     def test_patience_stop(self):
         bundle = make_bundle(n_train=4, seed=34)
