@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -50,26 +50,14 @@ def _int(value: object, field: str) -> int:
     return value
 
 
-def _config_to_dict(config: ModelConfig) -> dict:
+def _config_fields(source: dict, sequence: type) -> dict:
+    """``ModelConfig``'s fields from ``source``: ints, and ``conv_channels`` as a ``sequence``."""
     return {
-        "window": _int(config.window, "window"),
-        "n_features": _int(config.n_features, "n_features"),
-        "conv_channels": [_int(c, "conv_channels") for c in config.conv_channels],
-        "kernel": _int(config.kernel, "kernel"),
-        "attention_hidden": _int(config.attention_hidden, "attention_hidden"),
-        "regressor_hidden": _int(config.regressor_hidden, "regressor_hidden"),
+        f.name: sequence(_int(v, f.name) for v in source[f.name])
+        if isinstance(f.default, tuple)
+        else _int(source[f.name], f.name)
+        for f in fields(ModelConfig)
     }
-
-
-def _config_from_dict(raw: dict) -> ModelConfig:
-    return ModelConfig(
-        window=_int(raw["window"], "window"),
-        n_features=_int(raw["n_features"], "n_features"),
-        conv_channels=tuple(_int(c, "conv_channels") for c in raw["conv_channels"]),
-        kernel=_int(raw["kernel"], "kernel"),
-        attention_hidden=_int(raw["attention_hidden"], "attention_hidden"),
-        regressor_hidden=_int(raw["regressor_hidden"], "regressor_hidden"),
-    )
 
 
 def save_checkpoint(
@@ -97,7 +85,7 @@ def save_checkpoint(
         "subset_id": subset_id,
         "columns": list(selection.columns),
         "r_max": _int(policy.r_max, "r_max"),
-        "config": _config_to_dict(model.config),
+        "config": _config_fields(vars(model.config), list),
         "arrays": [{"name": name, "shape": list(arrays[name].shape)} for name in order],
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
@@ -182,7 +170,7 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
     columns = tuple(columns)
 
     try:
-        config = _config_from_dict(header.get("config", {}))
+        config = ModelConfig(**_config_fields(header.get("config", {}), tuple))
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad model config in header: {exc}") from exc
     try:

@@ -1,7 +1,9 @@
 """Command-line front end: train, evaluate, sweep, export-features.
 
-Every command resolves its settings as flags > config file > defaults,
-writes a manifest into the output directory before any compute, and
+Every setting is one row of ``SETTINGS``, which gives its flag, its
+config-file key, its parser, its default, the commands that take it and
+whether the manifest records it. Every command resolves its settings as
+flags > config file > defaults, writes a manifest into the output directory before any compute, and
 emits CSV artifacts with header rows and '.' decimals. Exit status is
 0 on success, 1 on a runtime failure, 2 on a usage error.
 """
@@ -14,6 +16,7 @@ import json
 import logging
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -24,7 +27,7 @@ from .checkpoint import CheckpointError, LoadedCheckpoint, load_checkpoint, save
 from .cmapss import CmapssError, DatasetBundle, _check_subset_id, load_subset
 from .metrics import evaluate_test
 from .model import ModelConfig, conv_channels_for_depth
-from .preprocess import LabelPolicy, select_columns
+from .preprocess import SensorSelection, select_columns
 from .training import (
     INFER_BATCH, TrainConfig, TrainingError, TrainResult, build_window_bank, lr_at, train
 )
@@ -52,56 +55,104 @@ def _csv_ints(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in parts)
 
 
-# config-file keys mirror the long flags; parsed with the same types
-_CONFIG_PARSERS: dict[str, Callable[[str], object]] = {
-    "subset": _check_subset_id,
-    "data": str,
-    "out": str,
-    "seed": int,
-    "window": int,
-    "depth": int,
-    "epochs": int,
-    "batch": int,
-    "lr": float,
-    "patience": int,
-    "rmax": int,
-    "repeats": int,
-    "include_sensor_14": _parse_bool,
-    "no_cap_true_rul": _parse_bool,
-}
+@dataclass(frozen=True)
+class Setting:
+    """One setting: flag ``--name`` (dashes for underscores), config key ``name``.
 
+    ``parse`` reads the flag and the config value alike; with
+    ``_parse_bool`` the flag is a switch that takes no value. Settings
+    that are not ``in_file`` exist only as flags; ``required`` and
+    ``choices`` are argparse's. A ``recorded`` setting goes into
+    ``manifest.json`` under its name.
+    """
+
+    name: str
+    commands: tuple[str, ...]
+    help: str
+    parse: Callable[[str], object] = str
+    default: object = None
+    in_file: bool = True
+    recorded: bool = True
+    required: bool = False
+    choices: tuple[str, ...] | None = None
+
+
+_ALL = ("train", "evaluate", "sweep", "export-features")
+_FIT = ("train", "sweep")
+_LOADS = ("evaluate", "export-features")
 # training settings default to the dataclass fields they end up in
-_MODEL_DEFAULTS, _TRAIN_DEFAULTS = ModelConfig(), TrainConfig()
-_DEFAULTS: dict[str, object] = {
-    "subset": "FD001",
-    "data": None,
-    "out": None,
-    "seed": _TRAIN_DEFAULTS.seed,
-    "window": _MODEL_DEFAULTS.window,
-    "depth": _MODEL_DEFAULTS.depth,
-    "epochs": _TRAIN_DEFAULTS.max_epochs,
-    "batch": _TRAIN_DEFAULTS.batch_size,
-    "lr": _TRAIN_DEFAULTS.lr_initial,
-    "patience": _TRAIN_DEFAULTS.patience,
-    "rmax": _TRAIN_DEFAULTS.r_max,
-    "repeats": 5,
-    "include_sensor_14": False,
-    "no_cap_true_rul": False,
-}
+_MODEL, _TRAIN = ModelConfig(), TrainConfig()
 
-_TRAIN_KEYS = (
-    "subset", "data", "out", "seed", "window", "depth", "epochs",
-    "batch", "lr", "patience", "rmax", "include_sensor_14",
+SETTINGS = (
+    Setting("config", _ALL, "flat key=value settings file", in_file=False, recorded=False),
+    Setting("data", _ALL, "directory with the C-MAPSS text files"),
+    Setting("out", _ALL, "output directory for artifacts"),
+    Setting("checkpoint", _LOADS, "model.ckpt written by train", in_file=False, required=True),
+    Setting(
+        "subset", ("train", "evaluate", "sweep"),
+        "C-MAPSS subset FD001 to FD004, any case; evaluate defaults to the checkpoint's",
+        _check_subset_id, "FD001",
+    ),
+    Setting("seed", _FIT, "random seed; sweep runs seed, seed+1, ...", int, _TRAIN.seed),
+    Setting("window", _FIT, "moving-window length in cycles", int, _MODEL.window),
+    Setting("depth", _FIT, "number of conv/pool stages (1-4)", int, _MODEL.depth),
+    Setting("epochs", _FIT, "epoch cap", int, _TRAIN.max_epochs),
+    Setting("batch", _FIT, "windows per optimizer step", int, _TRAIN.batch_size),
+    Setting(
+        "lr", _FIT, "initial learning rate; drops to a tenth", float, _TRAIN.lr_initial,
+        recorded=False,
+    ),
+    Setting(
+        "patience", _FIT, "epochs without a better validation RMSE before stopping",
+        int, _TRAIN.patience,
+    ),
+    Setting("rmax", _FIT, "RUL label cap in cycles", int, _TRAIN.r_max),
+    Setting(
+        "include_sensor_14", _FIT, "keep sensor 14 in the FD001/FD003 column selection",
+        _parse_bool, False,
+    ),
+    Setting(
+        "no_cap_true_rul", ("evaluate", "sweep"),
+        "score against raw dataset RUL values instead of capped ones",
+        _parse_bool, False, recorded=False,
+    ),
+    Setting(
+        "dim", ("sweep",), "setting to sweep",
+        in_file=False, required=True, choices=("window", "depth"),
+    ),
+    Setting(
+        "values", ("sweep",), "comma-separated values of --dim", _csv_ints,
+        in_file=False, required=True,
+    ),
+    Setting("repeats", ("sweep",), "runs per value", int, 5),
+    Setting(
+        "engine", ("export-features",), "unit id of the engine", int,
+        in_file=False, required=True,
+    ),
+    Setting(
+        "split", ("export-features",), "file the engine is read from", default="test",
+        in_file=False, choices=("train", "test"),
+    ),
 )
+_FILE_KEYS = frozenset(s.name for s in SETTINGS if s.in_file)
 
 
-def _load_config_file(path: str) -> dict[str, str]:
+def _settings_of(command: str) -> list[Setting]:
+    return [s for s in SETTINGS if command in s.commands]
+
+
+def _read_config(path: str) -> dict[str, str]:
     """Flat key=value text; blank lines and #-comments are skipped."""
     file_path = Path(path)
     if not file_path.is_file():
         raise UsageError(f"config file does not exist: {file_path}")
+    try:
+        text = file_path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{file_path}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
     values: dict[str, str] = {}
-    for line_no, raw in enumerate(file_path.read_text().splitlines(), start=1):
+    lines: dict[str, int] = {}
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -109,28 +160,41 @@ def _load_config_file(path: str) -> dict[str, str]:
             raise UsageError(f"{file_path}:{line_no}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_PARSERS:
+        if key not in _FILE_KEYS:
             raise UsageError(f"{file_path}:{line_no}: unknown config key {key!r}")
-        values[key] = value.strip()
+        if key in lines:
+            raise UsageError(
+                f"{file_path}:{line_no}: config key {key!r} already set on line {lines[key]}"
+            )
+        values[key], lines[key] = value.strip(), line_no
     return values
 
 
-def _resolve(args: argparse.Namespace, keys: Sequence[str]) -> dict:
-    """Merge flag values, config-file values, and defaults, in that order."""
-    file_values = _load_config_file(args.config) if getattr(args, "config", None) else {}
+def _resolve(args: argparse.Namespace, command: str, **defaults: object) -> dict:
+    """The command's settings: flag, else config file, else default.
+
+    ``defaults`` replace table defaults for this call.
+    """
+    file_values = _read_config(args.config) if args.config else {}
     settings: dict = {}
-    for key in keys:
-        flag = getattr(args, key, None)
+    for s in _settings_of(command):
+        flag = getattr(args, s.name)
         if flag is not None:
-            settings[key] = flag
-        elif key in file_values:
+            settings[s.name] = flag
+        elif s.name in file_values:
             try:
-                settings[key] = _CONFIG_PARSERS[key](file_values[key])
+                settings[s.name] = s.parse(file_values[s.name])
             except ValueError as exc:
-                raise UsageError(f"config key {key}: {exc}") from exc
+                raise UsageError(f"config key {s.name}: {exc}") from exc
         else:
-            settings[key] = _DEFAULTS[key]
+            settings[s.name] = defaults.get(s.name, s.default)
     return settings
+
+
+def _manifest(command: str, settings: dict, **derived: object) -> dict:
+    """The command's recorded settings plus what the run derived from them."""
+    recorded = {s.name: settings[s.name] for s in _settings_of(command) if s.recorded}
+    return {"command": command, "tool_version": __version__, **recorded, **derived}
 
 
 def _require(settings: dict, key: str) -> None:
@@ -163,9 +227,9 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _build_configs(settings: dict) -> tuple[ModelConfig, TrainConfig]:
-    selection = select_columns(settings["subset"], settings["include_sensor_14"])
+def _build_configs(settings: dict) -> tuple[SensorSelection, ModelConfig, TrainConfig]:
     try:
+        selection = select_columns(settings["subset"], settings["include_sensor_14"])
         model_config = ModelConfig(
             window=settings["window"],
             n_features=selection.n_columns,
@@ -182,39 +246,24 @@ def _build_configs(settings: dict) -> tuple[ModelConfig, TrainConfig]:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return model_config, train_config
+    return selection, model_config, train_config
 
 
-def _train_manifest(
-    settings: dict, model_config: ModelConfig, train_config: TrainConfig
-) -> dict:
-    selection = select_columns(settings["subset"], settings["include_sensor_14"])
+def _derived(selection: SensorSelection, model: ModelConfig, fit: TrainConfig) -> dict:
+    """Manifest entries that train and sweep derive from their settings."""
     return {
-        "command": "train",
-        "tool_version": __version__,
-        "subset": settings["subset"],
-        "data": str(settings["data"]),
-        "out": str(settings["out"]),
-        "seed": train_config.seed,
-        "window": model_config.window,
-        "depth": model_config.depth,
-        "conv_channels": list(model_config.conv_channels),
-        "kernel": model_config.kernel,
-        "attention_hidden": model_config.attention_hidden,
-        "regressor_hidden": model_config.regressor_hidden,
-        "include_sensor_14": settings["include_sensor_14"],
         "columns": list(selection.columns),
-        "batch": train_config.batch_size,
-        "epochs": train_config.max_epochs,
-        "lr_initial": train_config.lr_initial,
-        "lr_reduced": train_config.lr_reduced,
-        "lr_drop_after": train_config.lr_drop_after,
-        "beta1": train_config.beta1,
-        "beta2": train_config.beta2,
-        "eps": train_config.eps,
-        "patience": train_config.patience,
-        "val_fraction": train_config.val_fraction,
-        "rmax": train_config.r_max,
+        "conv_channels": list(model.conv_channels),
+        "kernel": model.kernel,
+        "attention_hidden": model.attention_hidden,
+        "regressor_hidden": model.regressor_hidden,
+        "lr_initial": fit.lr_initial,
+        "lr_reduced": fit.lr_reduced,
+        "lr_drop_after": fit.lr_drop_after,
+        "beta1": fit.beta1,
+        "beta2": fit.beta2,
+        "eps": fit.eps,
+        "val_fraction": fit.val_fraction,
     }
 
 
@@ -231,10 +280,13 @@ def _write_training_log(path: Path, result: TrainResult, config: TrainConfig) ->
 
 
 def _run_training(
-    bundle: DatasetBundle, settings: dict, out_dir: Path, save_model: bool = True
+    bundle: DatasetBundle,
+    selection: SensorSelection,
+    model_config: ModelConfig,
+    train_config: TrainConfig,
+    out_dir: Path,
+    save_model: bool = True,
 ) -> TrainResult:
-    model_config, train_config = _build_configs(settings)
-    selection = select_columns(settings["subset"], settings["include_sensor_14"])
     result = train(bundle, model_config, train_config, selection)
     if save_model:
         save_checkpoint(
@@ -250,14 +302,14 @@ def _run_training(
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    settings = _resolve(args, _TRAIN_KEYS)
+    settings = _resolve(args, "train")
     data_dir = _data_dir(settings)
     _require(settings, "out")
-    model_config, train_config = _build_configs(settings)
+    configs = _build_configs(settings)
     out_dir = Path(settings["out"])
-    _write_manifest(out_dir, _train_manifest(settings, model_config, train_config))
+    _write_manifest(out_dir, _manifest("train", settings, **_derived(*configs)))
     bundle = load_subset(data_dir, settings["subset"])
-    result = _run_training(bundle, settings, out_dir)
+    result = _run_training(bundle, *configs, out_dir)
     report = result.report
     print(
         f"best epoch {report.best_epoch}/{report.n_epochs} ({report.stop_reason}): "
@@ -286,34 +338,19 @@ def _load_checkpoint_arg(path_text: str) -> LoadedCheckpoint:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    settings = _resolve(args, ("data", "out", "no_cap_true_rul"))
-    loaded = _load_checkpoint_arg(args.checkpoint)
-    file_values = _load_config_file(args.config) if args.config else {}
-    stated_subset = args.subset
-    if stated_subset is None and "subset" in file_values:
-        try:
-            stated_subset = _check_subset_id(file_values["subset"])
-        except ValueError as exc:
-            raise UsageError(f"config key subset: {exc}") from exc
-    if stated_subset is not None and stated_subset != loaded.subset_id:
+    # an unstated subset is the checkpoint's
+    settings = _resolve(args, "evaluate", subset=None)
+    loaded = _load_checkpoint_arg(settings["checkpoint"])
+    if settings["subset"] not in (None, loaded.subset_id):
         raise UsageError(
-            f"checkpoint was trained on {loaded.subset_id}, not {stated_subset}"
+            f"checkpoint was trained on {loaded.subset_id}, not {settings['subset']}"
         )
+    settings["subset"] = loaded.subset_id
     data_dir = _data_dir(settings)
     _require(settings, "out")
     out_dir = Path(settings["out"])
-    _write_manifest(
-        out_dir,
-        {
-            "command": "evaluate",
-            "tool_version": __version__,
-            "checkpoint": args.checkpoint,
-            "data": str(settings["data"]),
-            "out": str(settings["out"]),
-            "subset": loaded.subset_id,
-            "cap_true_rul": not settings["no_cap_true_rul"],
-        },
-    )
+    cap_true_rul = not settings["no_cap_true_rul"]
+    _write_manifest(out_dir, _manifest("evaluate", settings, cap_true_rul=cap_true_rul))
     bundle = load_subset(data_dir, loaded.subset_id)
     result = evaluate_test(
         loaded.model,
@@ -321,7 +358,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         loaded.scaler,
         loaded.selection,
         loaded.policy,
-        cap_true_rul=not settings["no_cap_true_rul"],
+        cap_true_rul=cap_true_rul,
     )
     _write_predictions(out_dir / "predictions.csv", result.unit_ids, result.pred, result.true)
     _write_metrics(out_dir / "metrics.csv", result.rmse, result.nasa_score)
@@ -330,63 +367,52 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    settings = _resolve(args, _TRAIN_KEYS + ("repeats", "no_cap_true_rul"))
+    settings = _resolve(args, "sweep")
     data_dir = _data_dir(settings)
     _require(settings, "out")
     if settings["repeats"] < 1:
         raise UsageError(f"--repeats must be >= 1, got {settings['repeats']}")
-    values = args.values
+    dim, values = settings["dim"], settings["values"]
     if len(set(values)) != len(values):
         raise UsageError(f"duplicate sweep values: {values}")
-    # validate every value before any training starts
-    for value in values:
-        probe = dict(settings)
-        probe[args.dim] = value
-        _build_configs(probe)
+    seeds = range(settings["seed"], settings["seed"] + settings["repeats"])
+    # every run's configs are built, and so checked, before any training starts
+    runs = [
+        (value, seed, _build_configs({**settings, dim: value, "seed": seed}))
+        for value in values
+        for seed in seeds
+    ]
 
     out_dir = Path(settings["out"])
-    manifest = _train_manifest(settings, *_build_configs(settings))
-    manifest.update(
-        {
-            "command": "sweep",
-            "out": str(settings["out"]),
-            "dim": args.dim,
-            "values": list(values),
-            "repeats": settings["repeats"],
-        }
-    )
-    _write_manifest(out_dir, manifest)
+    cap_true_rul = not settings["no_cap_true_rul"]
+    derived = _derived(*_build_configs(settings))
+    _write_manifest(out_dir, _manifest("sweep", settings, cap_true_rul=cap_true_rul, **derived))
     bundle = load_subset(data_dir, settings["subset"])
 
     rows: list[tuple] = []
-    for value in values:
-        for repeat in range(settings["repeats"]):
-            run_settings = dict(settings)
-            run_settings[args.dim] = value
-            run_settings["seed"] = settings["seed"] + repeat
-            run_dir = out_dir / f"{args.dim}_{value}_seed_{run_settings['seed']}"
-            run_dir.mkdir(parents=True, exist_ok=True)
-            started = time.perf_counter()
-            result = _run_training(bundle, run_settings, run_dir, save_model=False)
-            seconds = time.perf_counter() - started
-            eval_result = evaluate_test(
-                result.model,
-                bundle,
-                result.scaler,
-                result.selection,
-                LabelPolicy(r_max=run_settings["rmax"]),
-                cap_true_rul=not settings["no_cap_true_rul"],
-            )
-            _write_metrics(run_dir / "metrics.csv", eval_result.rmse, eval_result.nasa_score)
-            rows.append(
-                (value, run_settings["seed"], eval_result.rmse, eval_result.nasa_score,
-                 seconds, result.report.best_epoch, result.report.n_epochs)
-            )
-            logger.info(
-                "%s=%s seed=%d: rmse %.3f, score %.1f, %.1fs",
-                args.dim, value, run_settings["seed"],
-                eval_result.rmse, eval_result.nasa_score, seconds,
-            )
+    for value, seed, configs in runs:
+        run_dir = out_dir / f"{dim}_{value}_seed_{seed}"
+        run_dir.mkdir(parents=True, exist_ok=True)
+        started = time.perf_counter()
+        result = _run_training(bundle, *configs, run_dir, save_model=False)
+        seconds = time.perf_counter() - started
+        eval_result = evaluate_test(
+            result.model,
+            bundle,
+            result.scaler,
+            result.selection,
+            configs[2].label_policy,
+            cap_true_rul=cap_true_rul,
+        )
+        _write_metrics(run_dir / "metrics.csv", eval_result.rmse, eval_result.nasa_score)
+        rows.append(
+            (value, seed, eval_result.rmse, eval_result.nasa_score,
+             seconds, result.report.best_epoch, result.report.n_epochs)
+        )
+        logger.info(
+            "%s=%s seed=%d: rmse %.3f, score %.1f, %.1fs",
+            dim, value, seed, eval_result.rmse, eval_result.nasa_score, seconds,
+        )
 
     _write_csv(
         out_dir / "runs.csv",
@@ -425,31 +451,19 @@ def _write_per_cycle_rows(path: Path, row_key: str, prefix: str, values: np.ndar
 
 
 def cmd_export_features(args: argparse.Namespace) -> int:
-    settings = _resolve(args, ("data", "out"))
-    loaded = _load_checkpoint_arg(args.checkpoint)
+    settings = _resolve(args, "export-features")
+    loaded = _load_checkpoint_arg(settings["checkpoint"])
     data_dir = _data_dir(settings)
     _require(settings, "out")
     out_dir = Path(settings["out"])
-    _write_manifest(
-        out_dir,
-        {
-            "command": "export-features",
-            "tool_version": __version__,
-            "checkpoint": args.checkpoint,
-            "data": str(settings["data"]),
-            "out": str(settings["out"]),
-            "subset": loaded.subset_id,
-            "engine": args.engine,
-            "split": args.split,
-        },
-    )
+    manifest = _manifest("export-features", settings, subset=loaded.subset_id)
+    _write_manifest(out_dir, manifest)
+    engine, split = settings["engine"], settings["split"]
     bundle = load_subset(data_dir, loaded.subset_id)
-    trajectories = bundle.train if args.split == "train" else bundle.test
-    trajectory = next((t for t in trajectories if t.unit_id == args.engine), None)
+    trajectories = bundle.train if split == "train" else bundle.test
+    trajectory = next((t for t in trajectories if t.unit_id == engine), None)
     if trajectory is None:
-        raise UsageError(
-            f"engine {args.engine} not in the {args.split} split of {loaded.subset_id}"
-        )
+        raise UsageError(f"engine {engine} not in the {split} split of {loaded.subset_id}")
 
     model = loaded.model
     w = model.config.window
@@ -469,33 +483,28 @@ def cmd_export_features(args: argparse.Namespace) -> int:
     abstract = np.concatenate([t.abstract for t in traces])
     _write_per_cycle_rows(out_dir / "abstract_features.csv", "row", "feat_", abstract)
 
-    print(f"exported {n} windows for engine {args.engine} ({loaded.subset_id})")
+    print(f"exported {n} windows for engine {engine} ({loaded.subset_id})")
     return 0
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="flat key=value settings file")
-    sub.add_argument("--data", help="directory with the C-MAPSS text files")
-    sub.add_argument("--out", help="output directory for artifacts")
+def _flag_type(parse: Callable[[str], object]) -> Callable[[str], object]:
+    """``parse`` for argparse, which then reports its ValueError message."""
+
+    def convert(text: str) -> object:
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    return convert
 
 
-def _add_train_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--subset", choices=("FD001", "FD002", "FD003", "FD004"))
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--window", type=int, help="moving-window length in cycles")
-    sub.add_argument("--depth", type=int, help="number of conv/pool stages (1-4)")
-    sub.add_argument("--epochs", type=int)
-    sub.add_argument("--batch", type=int)
-    sub.add_argument("--lr", type=float, help="initial learning rate; drops to a tenth")
-    sub.add_argument("--patience", type=int)
-    sub.add_argument("--rmax", type=int, help="RUL label cap in cycles")
-    sub.add_argument(
-        "--include-sensor-14",
-        dest="include_sensor_14",
-        action="store_const",
-        const=True,
-        help="keep sensor 14 in the FD001/FD003 column selection",
-    )
+_COMMANDS = {
+    "train": (cmd_train, "fit a model on a subset"),
+    "evaluate": (cmd_evaluate, "score a checkpoint on the test split"),
+    "sweep": (cmd_sweep, "train across window sizes or depths"),
+    "export-features": (cmd_export_features, "dump per-window activations of one engine to CSV"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -505,47 +514,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"tddn {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    sub = commands.add_parser("train", help="fit a model on a subset")
-    _add_common_flags(sub)
-    _add_train_flags(sub)
-    sub.set_defaults(func=cmd_train)
-
-    sub = commands.add_parser("evaluate", help="score a checkpoint on the test split")
-    _add_common_flags(sub)
-    sub.add_argument("--checkpoint", required=True)
-    sub.add_argument("--subset", choices=("FD001", "FD002", "FD003", "FD004"))
-    sub.add_argument(
-        "--no-cap-true-rul",
-        dest="no_cap_true_rul",
-        action="store_const",
-        const=True,
-        help="score against raw dataset RUL values instead of capped ones",
-    )
-    sub.set_defaults(func=cmd_evaluate)
-
-    sub = commands.add_parser("sweep", help="train across window sizes or depths")
-    _add_common_flags(sub)
-    _add_train_flags(sub)
-    sub.add_argument("--dim", choices=("window", "depth"), required=True)
-    sub.add_argument("--values", type=_csv_ints, required=True)
-    sub.add_argument("--repeats", type=int)
-    sub.add_argument(
-        "--no-cap-true-rul",
-        dest="no_cap_true_rul",
-        action="store_const",
-        const=True,
-    )
-    sub.set_defaults(func=cmd_sweep)
-
-    sub = commands.add_parser(
-        "export-features", help="dump per-window activations of one engine to CSV"
-    )
-    _add_common_flags(sub)
-    sub.add_argument("--checkpoint", required=True)
-    sub.add_argument("--engine", type=int, required=True)
-    sub.add_argument("--split", choices=("train", "test"), default="test")
-    sub.set_defaults(func=cmd_export_features)
+    for command, (func, help_text) in _COMMANDS.items():
+        sub = commands.add_parser(command, help=help_text)
+        for s in _settings_of(command):
+            flag = "--" + s.name.replace("_", "-")
+            if s.parse is _parse_bool:
+                sub.add_argument(flag, action="store_const", const=True, help=s.help)
+            else:
+                sub.add_argument(
+                    flag, type=_flag_type(s.parse), choices=s.choices,
+                    required=s.required, help=s.help,
+                )
+        sub.set_defaults(func=func)
     return parser
 
 

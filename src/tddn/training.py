@@ -8,6 +8,7 @@ generator streams, and all reductions run in a fixed order.
 from __future__ import annotations
 
 import logging
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -59,8 +60,12 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.lr_initial <= 0.0 or self.lr_reduced <= 0.0:
-            raise ValueError("learning rates must be positive")
+        # a NaN fails both comparisons
+        if not (0.0 < self.lr_initial < math.inf and 0.0 < self.lr_reduced < math.inf):
+            raise ValueError(
+                f"learning rates must be positive and finite, got {self.lr_initial} "
+                f"and {self.lr_reduced}"
+            )
         if self.lr_drop_after < 0:
             raise ValueError(f"lr_drop_after must be >= 0, got {self.lr_drop_after}")
         if self.patience < 1:
@@ -69,6 +74,8 @@ class TrainConfig:
             raise ValueError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
         if self.r_max < 1:
             raise ValueError(f"r_max must be >= 1, got {self.r_max}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def label_policy(self) -> LabelPolicy:

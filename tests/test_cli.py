@@ -1,18 +1,22 @@
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import shutil
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from tddn import cli
+from tddn import __version__, cli
 from tddn.cli import main
+from tddn.cmapss import SUBSET_IDS
 from tddn.model import ModelConfig
 from tddn.training import TrainConfig, TrainingError
-from _synth import make_bundle
+from _synth import make_bundle, write_bundle
 
 TINY_FLAGS = ["--window", "8", "--depth", "2", "--epochs", "2", "--batch", "16"]
 
@@ -375,3 +379,319 @@ class TestVersionFlag:
             run("--version")
         assert exc.value.code == 0
         assert "tddn" in capsys.readouterr().out
+
+
+PINNED = json.loads((Path(__file__).with_name("pinned_cli_outputs.json")).read_text())
+
+
+def stop_before_training(monkeypatch) -> None:
+    """Every command writes its manifest first; end the run right after it."""
+
+    def stop(*args):
+        raise TrainingError("stopped after the manifest")
+
+    monkeypatch.setattr(cli, "train", stop)
+
+
+def read_manifest(out, **paths) -> dict:
+    """manifest.json, with the run's paths and the version as placeholders."""
+    names = {str(out): "<out>", __version__: "<version>"}
+    names.update((str(path), f"<{name}>") for name, path in paths.items())
+    manifest = json.loads((out / "manifest.json").read_text())
+    return {k: names.get(v, v) if isinstance(v, str) else v for k, v in manifest.items()}
+
+
+class TestPinnedOutputs:
+    """Whole manifests and the checkpoint's model config, pinned in
+    ``pinned_cli_outputs.json`` so that changes to the settings code cannot
+    alter them unnoticed."""
+
+    def test_train_defaults(self, synth_data_dir, tmp_path, monkeypatch):
+        stop_before_training(monkeypatch)
+        out = tmp_path / "o"
+        assert run("train", "--data", str(synth_data_dir), "--out", str(out)) == 1
+        assert read_manifest(out, data=synth_data_dir) == PINNED["manifests"]["train-defaults"]
+
+    def test_train(self, trained, synth_data_dir):
+        manifest = read_manifest(trained, data=synth_data_dir)
+        assert manifest == PINNED["manifests"]["train-tiny"]
+
+    def test_checkpoint_config(self, trained):
+        blob = (trained / "model.ckpt").read_bytes()
+        (header_len,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12 : 12 + header_len])
+        assert header["config"] == PINNED["checkpoint_config"]
+
+    def test_evaluate(self, trained, synth_data_dir, tmp_path):
+        out, checkpoint = tmp_path / "o", trained / "model.ckpt"
+        code = run(
+            "evaluate", "--checkpoint", str(checkpoint),
+            "--data", str(synth_data_dir), "--out", str(out),
+        )
+        assert code == 0
+        manifest = read_manifest(out, data=synth_data_dir, checkpoint=checkpoint)
+        assert manifest == PINNED["manifests"]["evaluate"]
+
+    def test_sweep(self, synth_data_dir, tmp_path, monkeypatch):
+        stop_before_training(monkeypatch)
+        out = tmp_path / "o"
+        code = run(
+            "sweep", "--data", str(synth_data_dir), "--out", str(out),
+            "--dim", "window", "--values", "8,16", "--repeats", "1",
+            "--depth", "2", "--epochs", "1", "--batch", "16",
+        )
+        assert code == 1
+        assert read_manifest(out, data=synth_data_dir) == PINNED["manifests"]["sweep"]
+
+    def test_export_features(self, trained, synth_data_dir, tmp_path):
+        out, checkpoint = tmp_path / "o", trained / "model.ckpt"
+        code = run(
+            "export-features", "--checkpoint", str(checkpoint),
+            "--data", str(synth_data_dir), "--out", str(out),
+            "--engine", "2", "--split", "test",
+        )
+        assert code == 0
+        manifest = read_manifest(out, data=synth_data_dir, checkpoint=checkpoint)
+        assert manifest == PINNED["manifests"]["export-features"]
+
+
+class TestRefusedSettings:
+    """Settings TrainConfig refuses end the run with exit 2 before any artifact."""
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--lr=nan", "learning rates must be positive and finite"),
+            ("--lr=inf", "learning rates must be positive and finite"),
+            ("--lr=-inf", "learning rates must be positive and finite"),
+            ("--seed=-1", "seed must be >= 0, got -1"),
+        ],
+        ids=["lr-nan", "lr-inf", "lr-minus-inf", "seed-minus-1"],
+    )
+    def test_exits_2_without_manifest(
+        self, command, flag, message, synth_data_dir, tmp_path, capsys
+    ):
+        out = tmp_path / "o"
+        sweep = ["--dim", "window", "--values", "8"] if command == "sweep" else []
+        code = run(command, "--data", str(synth_data_dir), "--out", str(out), *sweep, flag)
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_config_file_nan_lr(self, synth_data_dir, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data = {synth_data_dir}\nlr = nan\n")
+        out = tmp_path / "o"
+        assert run("train", "--config", str(cfg), "--out", str(out)) == 2
+        assert "learning rates must be positive and finite" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+
+class TestConfigFileErrors:
+    def test_not_utf8_exits_2_naming_file(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xff\xfewindow = 8\n")
+        code = run("train", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}: not UTF-8" in err
+        assert "Traceback" not in err
+
+    def test_duplicate_key_names_both_lines(self, synth_data_dir, tmp_path, capsys):
+        cfg = tmp_path / "dup.cfg"
+        cfg.write_text(f"data = {synth_data_dir}\nwindow = 8\n# again\nwindow = 16\n")
+        out = tmp_path / "o"
+        assert run("train", "--config", str(cfg), "--out", str(out)) == 2
+        assert f"{cfg}:4: config key 'window' already set on line 2" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestSubsetFlag:
+    def test_any_case_trains_like_upper_case(self, trained, synth_data_dir, tmp_path):
+        out = tmp_path / "lower"
+        code = run(
+            "train", "--data", str(synth_data_dir), "--out", str(out),
+            "--subset", "fd001", "--seed", "1", *TINY_FLAGS,
+        )
+        assert code == 0
+        assert json.loads((out / "manifest.json").read_text())["subset"] == "FD001"
+        assert (out / "model.ckpt").read_bytes() == (trained / "model.ckpt").read_bytes()
+
+    def test_evaluate_accepts_any_case(self, trained, synth_data_dir, tmp_path):
+        code = run(
+            "evaluate", "--checkpoint", str(trained / "model.ckpt"),
+            "--data", str(synth_data_dir), "--out", str(tmp_path / "o"), "--subset", "Fd001",
+        )
+        assert code == 0
+
+    def test_evaluate_defaults_to_checkpoint_subset(self, tmp_path):
+        data, run_dir, out = tmp_path / "data", tmp_path / "run", tmp_path / "eval"
+        write_bundle(make_bundle("FD003"), data)
+        code = run(
+            "train", "--data", str(data), "--out", str(run_dir), "--subset", "FD003",
+            "--window", "8", "--depth", "1", "--epochs", "1",
+        )
+        assert code == 0
+        code = run(
+            "evaluate", "--checkpoint", str(run_dir / "model.ckpt"),
+            "--data", str(data), "--out", str(out),
+        )
+        assert code == 0
+        assert json.loads((out / "manifest.json").read_text())["subset"] == "FD003"
+
+    def test_unknown_subset_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("train", "--out", str(tmp_path / "o"), "--subset", "FD009")
+        assert exc.value.code == 2
+        assert "unknown subset 'FD009'" in capsys.readouterr().err
+
+
+class TestSweepManifest:
+    @pytest.mark.parametrize("flags, expected", [([], True), (["--no-cap-true-rul"], False)])
+    def test_records_cap_true_rul(self, flags, expected, synth_data_dir, tmp_path, monkeypatch):
+        stop_before_training(monkeypatch)
+        out = tmp_path / "o"
+        code = run(
+            "sweep", "--data", str(synth_data_dir), "--out", str(out),
+            "--dim", "depth", "--values", "1", *flags,
+        )
+        assert code == 1
+        assert json.loads((out / "manifest.json").read_text())["cap_true_rul"] is expected
+
+
+# each command's flags and config keys; adding or dropping one changes the CLI
+COMMAND_FLAGS = {
+    "train": {
+        "--config", "--data", "--out", "--subset", "--seed", "--window", "--depth",
+        "--epochs", "--batch", "--lr", "--patience", "--rmax", "--include-sensor-14",
+    },
+    "evaluate": {
+        "--config", "--data", "--out", "--checkpoint", "--subset", "--no-cap-true-rul",
+    },
+    "export-features": {
+        "--config", "--data", "--out", "--checkpoint", "--engine", "--split",
+    },
+}
+COMMAND_FLAGS["sweep"] = COMMAND_FLAGS["train"] | {
+    "--dim", "--values", "--repeats", "--no-cap-true-rul",
+}
+COMMAND_KEYS = {
+    "train": {
+        "subset", "data", "out", "seed", "window", "depth", "epochs", "batch", "lr",
+        "patience", "rmax", "include_sensor_14",
+    },
+    "evaluate": {"data", "out", "subset", "no_cap_true_rul"},
+    "export-features": {"data", "out"},
+}
+COMMAND_KEYS["sweep"] = COMMAND_KEYS["train"] | {"repeats", "no_cap_true_rul"}
+
+
+class TestSettingsTable:
+    def test_each_setting_has_one_row(self):
+        names = [s.name for s in cli.SETTINGS]
+        assert len(names) == len(set(names))
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+    def test_flags_and_config_keys_per_command(self, command):
+        (subparsers,) = [
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        flags = {f for a in subparsers.choices[command]._actions for f in a.option_strings}
+        assert flags - {"-h", "--help"} == COMMAND_FLAGS[command]
+        keys = {s.name for s in cli._settings_of(command) if s.in_file}
+        assert keys == COMMAND_KEYS[command]
+
+    def test_config_file_takes_every_key(self):
+        # one file serves train and evaluate; keys other commands take are ignored
+        assert cli._FILE_KEYS == set.union(*COMMAND_KEYS.values())
+
+    def test_train_selects_columns_once(self, synth_data_dir, tmp_path, monkeypatch):
+        calls = []
+        real = cli.select_columns
+        monkeypatch.setattr(cli, "select_columns", lambda *a: calls.append(a) or real(*a))
+        code = run(
+            "train", "--data", str(synth_data_dir), "--out", str(tmp_path / "o"),
+            "--epochs", "1", "--window", "8", "--depth", "1",
+        )
+        assert code == 0
+        assert calls == [("FD001", False)]
+
+    def test_evaluate_reads_config_once(self, trained, synth_data_dir, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data = {synth_data_dir}\nsubset = fd001\n")
+        calls = []
+        real = cli._read_config
+        monkeypatch.setattr(cli, "_read_config", lambda path: calls.append(path) or real(path))
+        code = run(
+            "evaluate", "--config", str(cfg), "--checkpoint", str(trained / "model.ckpt"),
+            "--out", str(tmp_path / "o"),
+        )
+        assert code == 0
+        assert calls == [str(cfg)]
+
+
+FUZZ_VALUES = [
+    "8", " 16 ", "0", "-1", "3.5", "1e3", "nan", "inf", "1e-3", "", "x", "true", "No",
+    "maybe", "fd001", "FD004", "FD009", "a=b", "9" * 5000,
+]
+_fuzz_keys = st.sampled_from(sorted(cli._FILE_KEYS))
+_fuzz_pair = st.tuples(_fuzz_keys, st.sampled_from(FUZZ_VALUES))
+_fuzz_junk = st.one_of(
+    st.text(max_size=20), st.sampled_from(["# comment", "", "window", "windou = 8", "= 8"])
+)
+_fuzz_text = st.one_of(
+    # known keys, each once: only a value can be wrong
+    st.lists(_fuzz_pair, max_size=8, unique_by=lambda kv: kv[0]).map(
+        lambda pairs: [f"{k} = {v}" for k, v in pairs]
+    ),
+    # known keys, some given twice
+    st.lists(_fuzz_pair.map(" = ".join), min_size=2, max_size=8),
+    # unknown keys, lines without '=', comments and blanks
+    st.lists(
+        st.one_of(_fuzz_pair, st.tuples(_fuzz_keys, st.text(max_size=12))).map("=".join)
+        | _fuzz_junk,
+        max_size=8,
+    ),
+).map(lambda lines: "\n".join(lines).encode())
+FUZZ_FILES = st.one_of(
+    _fuzz_text,
+    st.binary(max_size=64),
+    # a valid-looking file with stray bytes spliced in (mostly not UTF-8)
+    st.tuples(_fuzz_text, st.binary(min_size=1, max_size=4), st.integers(0, 200)).map(
+        lambda t: t[0][: t[2]] + t[1] + t[0][t[2]:]
+    ),
+)
+FUZZ_REQUIRED = {
+    "train": [],
+    "sweep": ["--dim", "window", "--values", "8"],
+    "evaluate": ["--checkpoint", "x.ckpt"],
+    "export-features": ["--checkpoint", "x.ckpt", "--engine", "1"],
+}
+
+
+class TestConfigFuzz:
+    @pytest.fixture(scope="class")
+    def cfg(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz") / "fuzz.cfg"
+
+    @given(blob=FUZZ_FILES, command=st.sampled_from(sorted(FUZZ_REQUIRED)))
+    def test_typed_settings_or_usage_error(self, cfg, blob, command):
+        cfg.write_bytes(blob)
+        args = cli.build_parser().parse_args(
+            [command, "--config", str(cfg), *FUZZ_REQUIRED[command]]
+        )
+        try:
+            settings = cli._resolve(args, command)
+        except cli.UsageError:
+            return
+        for s in cli._settings_of(command):
+            if not s.in_file:
+                continue
+            value = settings[s.name]
+            if s.default is None:
+                assert value is None or type(value) is str
+            else:
+                assert type(value) is type(s.default), (s.name, value)
+        if "subset" in settings:
+            assert settings["subset"] in SUBSET_IDS

@@ -68,6 +68,17 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="learning rates"):
             TrainConfig(lr_initial=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["lr_initial", "lr_reduced"])
+    def test_refuses_non_finite_learning_rate(self, field, value):
+        with pytest.raises(ValueError, match="learning rates must be positive and finite"):
+            TrainConfig(**{field: value})
+
+    def test_refuses_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            TrainConfig(seed=-1)
+        assert TrainConfig(seed=0).seed == 0
+
     def test_label_policy_carries_cap(self):
         assert TrainConfig(r_max=90).label_policy == LabelPolicy(r_max=90)
 
