@@ -1,18 +1,20 @@
 """Self-contained binary checkpoints.
 
 Layout: an 8-byte magic, a little-endian u32 header length, a compact
-JSON header, then the raw float64 payload. The header carries the model
-shape, the data subset and column selection, the fitted scaler bounds
-and the label cap, so a checkpoint can be evaluated without the
-training-time configuration. The payload is hashed; loading verifies
-the digest before touching any array.
+JSON header, then the raw float64 payload: the bytes of the model's
+parameter buffer (``DegradationNetwork.value``), then the scaler's
+``min`` and ``max``. The header carries the model shape, the data subset
+and column selection, the label cap and each payload array's name and
+shape (``arrays``), so a checkpoint can be evaluated without the
+training-time configuration. The payload is hashed; loading verifies the
+digest before touching any array, and refuses an ``arrays`` table that is
+not the one the header's model config produces.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -20,14 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from .cmapss import _check_subset_id
-from .model import DegradationNetwork, ModelConfig, load_state_arrays, state_arrays
+from .model import DegradationNetwork, ModelConfig
 from .preprocess import LabelPolicy, Scaler, SensorSelection
 
 MAGIC = b"TDDNCKPT"
 FORMAT_VERSION = 1
-
-_SCALER_MIN = "scaler.min"
-_SCALER_MAX = "scaler.max"
 
 
 class CheckpointError(Exception):
@@ -60,6 +59,13 @@ def _config_fields(source: dict, sequence: type) -> dict:
     }
 
 
+def _arrays_table(model: DegradationNetwork, n_columns: int) -> list[dict]:
+    """The header's ``arrays`` entries, in payload order."""
+    return [{"name": p.name, "shape": list(p.value.shape)} for p in model.params()] + [
+        {"name": name, "shape": [n_columns]} for name in ("scaler.min", "scaler.max")
+    ]
+
+
 def save_checkpoint(
     path: str | Path,
     model: DegradationNetwork,
@@ -73,20 +79,14 @@ def save_checkpoint(
     A header integer that is not an ``int`` (``r_max=125.0``) is a
     ``TypeError`` here, since ``load_checkpoint`` would refuse the file.
     """
-    arrays = state_arrays(model)
-    arrays[_SCALER_MIN] = scaler.col_min
-    arrays[_SCALER_MAX] = scaler.col_max
-    order = list(arrays.keys())
-    payload = b"".join(
-        np.ascontiguousarray(arrays[name], dtype="<f8").tobytes() for name in order
-    )
+    payload = np.concatenate([model.value, scaler.col_min, scaler.col_max]).astype("<f8").tobytes()
     header = {
         "format_version": FORMAT_VERSION,
         "subset_id": subset_id,
         "columns": list(selection.columns),
         "r_max": _int(policy.r_max, "r_max"),
         "config": _config_fields(vars(model.config), list),
-        "arrays": [{"name": name, "shape": list(arrays[name].shape)} for name in order],
+        "arrays": _arrays_table(model, scaler.col_min.size),
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -128,37 +128,10 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
     if digest != header.get("payload_sha256"):
         raise CheckpointError(f"{path}: payload checksum mismatch")
 
-    entries = header.get("arrays")
-    if not isinstance(entries, list):
-        raise CheckpointError(f"{path}: header lists no arrays")
-    arrays: dict[str, np.ndarray] = {}
-    offset = 0
-    for entry in entries:
-        try:
-            name = entry["name"]
-            shape = tuple(_int(s, "shape") for s in entry["shape"])
-        except (KeyError, TypeError) as exc:
-            raise CheckpointError(f"{path}: bad array entry {entry!r}") from exc
-        if not isinstance(name, str):
-            raise CheckpointError(f"{path}: bad array entry {entry!r}")
-        if any(s < 0 for s in shape):
-            raise CheckpointError(f"{path}: negative dimension in array entry {entry!r}")
-        count = math.prod(shape)
-        nbytes = count * 8
-        if offset + nbytes > len(payload):
-            raise CheckpointError(f"{path}: payload too short for array {name!r}")
-        flat = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
-        arrays[name] = flat.reshape(shape).astype(np.float64)
-        offset += nbytes
-    if offset != len(payload):
-        raise CheckpointError(f"{path}: {len(payload) - offset} trailing payload bytes")
-
     try:
         subset_id = header["subset_id"]
         columns = header["columns"]
         r_max = _int(header["r_max"], "r_max")
-        col_min = arrays.pop(_SCALER_MIN)
-        col_max = arrays.pop(_SCALER_MAX)
     except KeyError as exc:
         raise CheckpointError(f"{path}: header missing {exc}") from exc
     except TypeError as exc:
@@ -184,13 +157,20 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
         raise CheckpointError(
             f"{path}: {selection.n_columns} columns for {config.n_features} model features"
         )
-    scaler = Scaler(columns=columns, col_min=col_min, col_max=col_max)
 
+    # checked before the model is built, so a crafted config cannot allocate more
+    size = config.n_parameters
+    expected = 8 * (size + 2 * config.n_features)
+    if len(payload) != expected:
+        raise CheckpointError(f"{path}: payload of {len(payload)} bytes, expected {expected}")
     model = DegradationNetwork(config, rng=np.random.default_rng(0))
-    try:
-        load_state_arrays(model, arrays)
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: {exc}") from exc
+    # compared as JSON text, so 2.0 or true does not pass for 2 or 1
+    if json.dumps(header.get("arrays")) != json.dumps(_arrays_table(model, config.n_features)):
+        raise CheckpointError(f"{path}: header arrays are not those of its model config")
+    values = np.frombuffer(payload, dtype="<f8")
+    model.value[...] = values[:size]
+    col_min, col_max = values[size:].reshape(2, -1).astype(np.float64)
+    scaler = Scaler(columns=columns, col_min=col_min, col_max=col_max)
     return LoadedCheckpoint(
         model=model,
         scaler=scaler,

@@ -147,7 +147,8 @@ def _read_config(path: str) -> dict[str, str]:
     if not file_path.is_file():
         raise UsageError(f"config file does not exist: {file_path}")
     try:
-        text = file_path.read_text(encoding="utf-8")
+        # utf-8-sig drops the byte-order mark some editors write first
+        text = file_path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise UsageError(f"{file_path}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
     values: dict[str, str] = {}
@@ -456,14 +457,13 @@ def cmd_export_features(args: argparse.Namespace) -> int:
     data_dir = _data_dir(settings)
     _require(settings, "out")
     out_dir = Path(settings["out"])
-    manifest = _manifest("export-features", settings, subset=loaded.subset_id)
-    _write_manifest(out_dir, manifest)
     engine, split = settings["engine"], settings["split"]
     bundle = load_subset(data_dir, loaded.subset_id)
     trajectories = bundle.train if split == "train" else bundle.test
     trajectory = next((t for t in trajectories if t.unit_id == engine), None)
     if trajectory is None:
         raise UsageError(f"engine {engine} not in the {split} split of {loaded.subset_id}")
+    _write_manifest(out_dir, _manifest("export-features", settings, subset=loaded.subset_id))
 
     model = loaded.model
     w = model.config.window

@@ -9,16 +9,18 @@ forward) is a programming error and raises. Batched inputs use the
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 
 class Param:
     """A trainable array with an accumulated gradient of the same shape.
 
-    Building a ``training.Adam`` over a param rebinds ``value`` and ``grad``
-    to views into the optimizer's flat buffers. After that, update both in
-    place (``p.value[...] = x``) and do not rebind them: a rebound array
-    is not what the optimizer steps, and its ``step`` raises.
+    ``pack``, which every ``DegradationNetwork`` runs when it is built,
+    rebinds ``value`` and ``grad`` to views into two flat buffers. After
+    that, update both in place (``p.value[...] = x``) and do not rebind
+    them: ``training.Adam`` steps the buffers and raises on a rebound param.
     """
 
     __slots__ = ("name", "value", "grad")
@@ -30,6 +32,48 @@ class Param:
 
     def __repr__(self) -> str:
         return f"Param({self.name!r}, shape={self.value.shape})"
+
+
+def pack(params: Sequence[Param]) -> tuple[np.ndarray, np.ndarray]:
+    """Lay ``params`` out, in order, in one flat value and one flat grad buffer.
+
+    Each param's arrays are copied in, and ``value``/``grad`` are rebound to
+    views into the returned buffers. A param listed twice is a ``ValueError``.
+    """
+    for i, p in enumerate(params):
+        if any(p is q for q in params[:i]):
+            raise ValueError(f"param {p.name!r} is listed twice")
+    value = np.concatenate([p.value.ravel() for p in params])
+    grad = np.concatenate([p.grad.ravel() for p in params])
+    offset = 0
+    for p in params:
+        end, shape = offset + p.value.size, p.value.shape
+        p.value, p.grad = value[offset:end].reshape(shape), grad[offset:end].reshape(shape)
+        offset = end
+    return value, grad
+
+
+def packed(params: Sequence[Param]) -> tuple[np.ndarray, np.ndarray]:
+    """The flat value and grad buffers that ``pack`` laid ``params`` out in.
+
+    A ``ValueError`` names the first param that is not viewed at its offset
+    in them (never packed, listed out of order or twice, or rebound since),
+    or the last one when the list leaves packed params out.
+    """
+    value, grad = params[0].value.base, params[0].grad.base
+    offset = 0
+    for p in params:
+        end = offset + p.value.size
+        if value is grad or not all(
+            isinstance(b, np.ndarray) and b.ndim == 1 and end <= b.size
+            and a.__array_interface__ == b[offset:end].reshape(p.value.shape).__array_interface__
+            for a, b in ((p.value, value), (p.grad, grad))
+        ):
+            raise ValueError(f"param {p.name!r} is not at offset {offset} of packed buffers")
+        offset = end
+    if offset != value.size:
+        raise ValueError(f"param {params[-1].name!r} is not the last param packed with it")
+    return value, grad
 
 
 def glorot_uniform(

@@ -24,6 +24,7 @@ from .layers import (
     Reshape,
     Sequential,
     glorot_uniform,
+    pack,
     softmax,
     softmax_backward,
 )
@@ -85,6 +86,15 @@ class ModelConfig:
     @property
     def depth(self) -> int:
         return len(self.conv_channels)
+
+    @property
+    def n_parameters(self) -> int:
+        """Parameter count of the network this config describes, without building it."""
+        w, m, h, r = self.window, self.n_features, self.attention_hidden, self.regressor_hidden
+        c = (m,) + self.conv_channels
+        conv = sum((self.kernel * c_in + 1) * c_out for c_in, c_out in zip(c, c[1:]))
+        n_flat = pooled_length(w, self.depth) * c[-1]
+        return conv + (n_flat + 1) * w * m + (4 * m + 2) * h + (m + 1) * r + r + 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,7 +169,11 @@ class FeatureAttention(Module):
 
 
 class DegradationNetwork(Module):
-    """Full network: windows (B, w, m) in, RUL estimates (B,) out."""
+    """Full network: windows (B, w, m) in, RUL estimates (B,) out.
+
+    Every param is a view into ``value`` and ``grad``, two flat buffers in
+    ``params()`` order that the network lays out when it is built (``pack``).
+    """
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
         self.config = config
@@ -183,6 +197,7 @@ class DegradationNetwork(Module):
             ReLU(),
             Linear(config.regressor_hidden, 1, rng, name="regress2"),
         )
+        self.value, self.grad = pack(self.params())
 
     def params(self) -> list[Param]:
         return (
@@ -193,7 +208,7 @@ class DegradationNetwork(Module):
         )
 
     def n_parameters(self) -> int:
-        return sum(p.value.size for p in self.params())
+        return self.value.size
 
     def trace(self, x: np.ndarray) -> ModelTrace:
         """Forward pass that also exposes the intermediate activations."""
@@ -222,29 +237,3 @@ class DegradationNetwork(Module):
         g = self.attention.backward(g)
         g = self.flatten.backward(self.expand.backward(self.expand_act.backward(self.reshape.backward(g))))
         return self.conv_stack.backward(g)
-
-
-def state_arrays(model: DegradationNetwork) -> dict[str, np.ndarray]:
-    """Named parameter values in the fixed traversal order."""
-    arrays: dict[str, np.ndarray] = {}
-    for p in model.params():
-        if p.name in arrays:
-            raise ValueError(f"duplicate parameter name {p.name!r}")
-        arrays[p.name] = p.value
-    return arrays
-
-
-def load_state_arrays(model: DegradationNetwork, arrays: dict[str, np.ndarray]) -> None:
-    """Copy named arrays into the model parameters, shapes must match."""
-    params = {p.name: p for p in model.params()}
-    missing = sorted(params.keys() - arrays.keys())
-    extra = sorted(arrays.keys() - params.keys())
-    if missing or extra:
-        raise ValueError(f"state mismatch: missing {missing}, unexpected {extra}")
-    for name, p in params.items():
-        value = np.asarray(arrays[name], dtype=np.float64)
-        if value.shape != p.value.shape:
-            raise ValueError(
-                f"shape mismatch for {name}: expected {p.value.shape}, got {value.shape}"
-            )
-        p.value[...] = value

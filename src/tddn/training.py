@@ -19,7 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .cmapss import DatasetBundle, EngineTrajectory
 from .model import DegradationNetwork, ModelConfig
-from .layers import mse_loss
+from .layers import mse_loss, packed
 from .preprocess import (
     LabelPolicy,
     Scaler,
@@ -160,12 +160,13 @@ def adam_lanes() -> int:
 class Adam:
     """Bias-corrected Adam over a fixed parameter list.
 
-    Building the optimizer packs every parameter into one contiguous value
-    buffer (``value``) and one gradient buffer (``grad``) and rebinds each
-    ``Param.value``/``.grad`` to a view into them; ``m`` and ``v`` are flat
-    arrays in the same order. From then on, params must be updated in
-    place (``p.grad[...] = g``), never rebound: ``step`` raises
-    ``ValueError`` naming a param whose arrays no longer view the buffers.
+    The params must be exactly those ``layers.pack`` laid out, in packing
+    order, as ``DegradationNetwork.params()`` are. The optimizer adopts
+    their flat buffers as ``value`` and ``grad`` without copying, and keeps
+    ``m`` and ``v`` as flat arrays in the same order; any other list is a
+    ``ValueError`` naming a param. Update params in place (``p.grad[...] =
+    g``), never rebind them: ``step`` raises ``ValueError`` naming a param
+    whose arrays no longer view the buffers.
 
     With at least ``ADAM_TWO_LANE_MIN`` parameters and two usable CPUs,
     ``step`` runs the upper half of its blocks on one worker thread while
@@ -182,29 +183,14 @@ class Adam:
         eps: float = 1e-8,
     ):
         self.params = list(params)
-        seen: set[int] = set()
-        for p in self.params:
-            if id(p) in seen:
-                raise ValueError(f"param {p.name!r} is listed twice")
-            seen.add(id(p))
+        self.value, self.grad = packed(self.params)
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        size = sum(p.value.size for p in self.params)
-        self.value = np.empty(size)
-        self.grad = np.empty(size)
+        size = self.value.size
         self.m = np.zeros(size)
         self.v = np.zeros(size)
-        offset = 0
-        for p in self.params:
-            end = offset + p.value.size
-            value = self.value[offset:end].reshape(p.value.shape)
-            grad = self.grad[offset:end].reshape(p.value.shape)
-            value[...] = p.value
-            grad[...] = p.grad
-            p.value, p.grad = value, grad
-            offset = end
         self._views = [(p.value, p.grad) for p in self.params]
         n_blocks = -(-size // ADAM_BLOCK)
         two_lane = size >= ADAM_TWO_LANE_MIN and n_blocks > 1 and adam_lanes() > 1
@@ -412,7 +398,7 @@ def train(
     val_curve: list[float] = []
     best_rmse = np.inf
     best_epoch = 0
-    best_state = optimizer.value.copy()
+    best_state = model.value.copy()
     epochs_without_improvement = 0
     stop_reason = "max_epochs"
 
@@ -452,7 +438,7 @@ def train(
         if val_rmse < best_rmse:
             best_rmse = val_rmse
             best_epoch = epoch
-            best_state = optimizer.value.copy()
+            best_state = model.value.copy()
             epochs_without_improvement = 0
         else:
             epochs_without_improvement += 1
@@ -460,7 +446,7 @@ def train(
                 stop_reason = "patience"
                 break
 
-    optimizer.value[...] = best_state
+    model.value[...] = best_state
 
     report = TrainReport(
         train_loss=tuple(train_losses),

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from tddn.checkpoint import (
     FORMAT_VERSION,
@@ -14,20 +16,25 @@ from tddn.checkpoint import (
     save_checkpoint,
 )
 from tddn.model import DegradationNetwork, ModelConfig
-from tddn.preprocess import LabelPolicy, fit_scaler, select_columns
+from tddn.preprocess import COLUMN_NAMES, LabelPolicy, fit_scaler, select_columns
+from tddn.training import Adam
 from _synth import make_bundle
 
 
-@pytest.fixture()
-def saved(tmp_path):
+def _save(directory):
     bundle = make_bundle(n_train=3, seed=50)
     selection = select_columns("FD001")
     scaler = fit_scaler(bundle.train, selection)
     config = ModelConfig(window=8, n_features=15, conv_channels=(4, 8))
     model = DegradationNetwork(config, np.random.default_rng(1))
-    path = tmp_path / "model.ckpt"
+    path = directory / "model.ckpt"
     save_checkpoint(path, model, scaler, selection, LabelPolicy(r_max=110), "FD001")
     return path, model, scaler, selection
+
+
+@pytest.fixture()
+def saved(tmp_path):
+    return _save(tmp_path)
 
 
 class TestRoundTrip:
@@ -71,6 +78,63 @@ class TestRoundTrip:
         header = json.loads(blob[12 : 12 + header_len])
         assert header["format_version"] == FORMAT_VERSION
         assert list(header.keys()) == sorted(header.keys())
+
+
+def reference_checkpoint(model, scaler, selection, policy, subset_id) -> bytes:
+    """A checkpoint written array by array: each param's bytes in ``params()``
+    order, then the scaler bounds, each named with its shape in the header."""
+    arrays = [(p.name, p.value) for p in model.params()]
+    arrays += [("scaler.min", scaler.col_min), ("scaler.max", scaler.col_max)]
+    payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in arrays)
+    c = model.config
+    header = {
+        "format_version": FORMAT_VERSION,
+        "subset_id": subset_id,
+        "columns": list(selection.columns),
+        "r_max": policy.r_max,
+        "config": {
+            "window": c.window,
+            "n_features": c.n_features,
+            "conv_channels": list(c.conv_channels),
+            "kernel": c.kernel,
+            "attention_hidden": c.attention_hidden,
+            "regressor_hidden": c.regressor_hidden,
+        },
+        "arrays": [{"name": name, "shape": list(a.shape)} for name, a in arrays],
+        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+    }
+    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return MAGIC + struct.pack("<I", len(header_bytes)) + header_bytes + payload
+
+
+def _payload(blob: bytes) -> bytes:
+    (header_len,) = struct.unpack("<I", blob[8:12])
+    return blob[12 + header_len :]
+
+
+class TestArenaBytes:
+    def test_file_equals_the_array_by_array_writer(self, saved, tmp_path):
+        _, model, scaler, selection = saved
+        # step the model so its buffer no longer holds the initial draws
+        opt = Adam(model.params())
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            model.grad[...] = rng.normal(size=model.grad.size)
+            opt.step(lr=0.05)
+        path = tmp_path / "stepped.ckpt"
+        policy = LabelPolicy(r_max=110)
+        save_checkpoint(path, model, scaler, selection, policy, "FD001")
+        reference = reference_checkpoint(model, scaler, selection, policy, "FD001")
+        blob = path.read_bytes()
+        assert _payload(blob) == _payload(reference)
+        assert blob == reference
+
+    def test_load_fills_the_buffer(self, saved):
+        path, model, scaler, _ = saved
+        loaded = load_checkpoint(path)
+        np.testing.assert_array_equal(loaded.model.value, model.value)
+        assert loaded.model.value.tobytes() == model.value.tobytes()
+        assert loaded.scaler.col_min.flags.writeable and loaded.scaler.col_max.flags.writeable
 
 
 class TestCorruption:
@@ -186,6 +250,18 @@ def _with_config_field(key, value):
     return edit
 
 
+def _with_arrays(edit_arrays):
+    def edit(header):
+        edit_arrays(header["arrays"])
+        return header
+
+    return edit
+
+
+def _swap_first_two(arrays):
+    arrays[0], arrays[1] = arrays[1], arrays[0]
+
+
 class TestMalformedHeader:
     """A header that parses as JSON but breaks the format is a CheckpointError."""
 
@@ -201,7 +277,7 @@ class TestMalformedHeader:
     def test_bad_array_shape(self, saved, shape):
         path, *_ = saved
         _rewrite_header(path, _with_first_shape(shape))
-        message = r"model\.ckpt: (negative dimension|payload too short)"
+        message = r"model\.ckpt: header arrays are not those of its model config"
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
 
@@ -247,8 +323,99 @@ class TestMalformedHeader:
         with pytest.raises(CheckpointError, match=r"model\.ckpt: "):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            _with_arrays(lambda arrays: arrays.pop(4)),
+            _with_arrays(lambda arrays: arrays.append({"name": "bogus", "shape": [1]})),
+            _with_first_name("conv9.weight"),
+            _with_arrays(_swap_first_two),
+            _with_arrays(lambda arrays: arrays[5].update(shape=[5])),
+            _with_arrays(lambda arrays: arrays[-1].update(shape=[14])),
+            _with_arrays(lambda arrays: arrays[0].update(dtype="<f4")),
+            _with_field("arrays", {}),
+        ],
+        ids=[
+            "missing", "extra", "renamed", "reordered", "wrong-shape", "scaler-shape",
+            "extra-key", "not-a-list",
+        ],
+    )
+    def test_arrays_table_must_match(self, saved, edit):
+        path, *_ = saved
+        _rewrite_header(path, edit)
+        with pytest.raises(CheckpointError, match=r"model\.ckpt: header arrays are not those"):
+            load_checkpoint(path)
+
+    def test_payload_size_is_checked_before_building(self, saved):
+        # a 2.4e14-parameter model is refused without allocating it
+        path, *_ = saved
+        _rewrite_header(path, _with_config_field("window", 10**6))
+        with pytest.raises(CheckpointError, match=r"model\.ckpt: payload of 23192 bytes"):
+            load_checkpoint(path)
+
     def test_subset_id_is_normalized(self, saved):
         # a config file's "fd001" reaches save_checkpoint as written
         path, *_ = saved
         _rewrite_header(path, _with_field("subset_id", "fd001"))
         assert load_checkpoint(path).subset_id == "FD001"
+
+
+# any JSON value, plus values close to the real ones so that some edits still load
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=12), inner, max_size=4),
+    max_leaves=8,
+)
+_NEAR = st.one_of(
+    st.integers(-1, 20),
+    st.lists(st.integers(0, 20), max_size=4),
+    st.sampled_from(COLUMN_NAMES),
+    st.lists(st.sampled_from(COLUMN_NAMES), min_size=15, max_size=15, unique=True),
+    st.fixed_dictionaries(
+        {
+            "name": st.sampled_from(["conv1.weight", "expand.bias", "scaler.min"]),
+            "shape": st.lists(st.integers(0, 20), max_size=3),
+        }
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_target(tmp_path_factory):
+    path, model, scaler, _ = _save(tmp_path_factory.mktemp("fuzz"))
+    x = np.random.default_rng(2).normal(size=(4, 8, 15))
+    return path, path.read_bytes(), scaler, x, model.forward(x)
+
+
+class TestHeaderFuzz:
+    @given(data=st.data())
+    def test_loads_the_same_model_or_raises_checkpoint_error(self, fuzz_target, data):
+        path, blob, scaler, x, predictions = fuzz_target
+        (header_len,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12 : 12 + header_len])
+        for _ in range(data.draw(st.integers(1, 3))):
+            section = data.draw(st.sampled_from(["arrays", "config", "columns"]))
+            value = data.draw(_JSON | _NEAR)
+            part = header[section]
+            if isinstance(part, dict) and part:
+                part[data.draw(st.sampled_from(sorted(part)))] = value
+            elif isinstance(part, list) and part and data.draw(st.booleans()):
+                i = data.draw(st.integers(0, len(part) - 1))
+                if isinstance(part[i], dict) and data.draw(st.booleans()):
+                    part[i][data.draw(st.sampled_from(["name", "shape"]))] = value
+                else:
+                    part[i] = value
+            else:
+                header[section] = value
+        new_header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        path.write_bytes(
+            MAGIC + struct.pack("<I", len(new_header)) + new_header + blob[12 + header_len :]
+        )
+        try:
+            loaded = load_checkpoint(path)
+        except CheckpointError:
+            return
+        np.testing.assert_array_equal(loaded.model.forward(x), predictions)
+        np.testing.assert_array_equal(loaded.scaler.col_min, scaler.col_min)
+        np.testing.assert_array_equal(loaded.scaler.col_max, scaler.col_max)

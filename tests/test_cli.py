@@ -358,6 +358,15 @@ class TestExportFeaturesCommand:
         assert code == 2
         assert "999" in capsys.readouterr().err
 
+    def test_absent_engine_writes_no_manifest(self, trained, synth_data_dir, tmp_path):
+        out = tmp_path / "o"
+        code = run(
+            "export-features", "--checkpoint", str(trained / "model.ckpt"),
+            "--data", str(synth_data_dir), "--out", str(out), "--engine", "999",
+        )
+        assert code == 2
+        assert not (out / "manifest.json").exists()
+
     def test_deterministic_bytes(self, trained, synth_data_dir, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -497,6 +506,17 @@ class TestConfigFileErrors:
         err = capsys.readouterr().err
         assert f"{cfg}: not UTF-8" in err
         assert "Traceback" not in err
+
+    def test_byte_order_mark_is_accepted(self, synth_data_dir, tmp_path):
+        text = f"data = {synth_data_dir}\nwindow = 8\ndepth = 2\nepochs = 1\nbatch = 16\n"
+        checkpoints = []
+        for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_bytes(prefix + text.encode("utf-8"))
+            out = tmp_path / name
+            assert run("train", "--config", str(cfg), "--out", str(out)) == 0
+            checkpoints.append((out / "model.ckpt").read_bytes())
+        assert checkpoints[0] == checkpoints[1]
 
     def test_duplicate_key_names_both_lines(self, synth_data_dir, tmp_path, capsys):
         cfg = tmp_path / "dup.cfg"

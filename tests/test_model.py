@@ -3,15 +3,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from tddn import model as model_module
+from tddn.checkpoint import load_checkpoint, save_checkpoint
 from tddn.model import (
     DegradationNetwork,
     FeatureAttention,
     ModelConfig,
     conv_channels_for_depth,
-    load_state_arrays,
     pooled_length,
-    state_arrays,
 )
+from tddn.preprocess import LabelPolicy, Scaler, SensorSelection
 from gradcheck import TOL, check_module_gradients
 
 TINY = ModelConfig(window=8, n_features=3, conv_channels=(4, 8, 16))
@@ -49,6 +50,21 @@ class TestModelConfig:
             conv_channels_for_depth(0)
         with pytest.raises(ValueError, match="depth"):
             conv_channels_for_depth(5)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            TINY,
+            ModelConfig(),
+            ModelConfig(window=16, conv_channels=(32,)),
+            ModelConfig(window=33, n_features=24, conv_channels=(5, 6, 7, 9), kernel=3),
+            ModelConfig(window=9, n_features=2, attention_hidden=3, regressor_hidden=1),
+        ],
+        ids=["tiny", "default", "w16", "deep-k3", "hidden"],
+    )
+    def test_n_parameters_counts_without_building(self, config):
+        net = DegradationNetwork(config, np.random.default_rng(0))
+        assert config.n_parameters == sum(p.value.size for p in net.params())
 
 
 class TestPooledLength:
@@ -186,30 +202,55 @@ class TestDegradationNetwork:
             assert check_module_gradients(net, x, rng) < TOL
 
 
-class TestStateArrays:
+def assert_views_the_buffers(net: DegradationNetwork) -> None:
+    """Each param's value and grad are its slice of ``net.value``/``net.grad``."""
+    offset = 0
+    for p in net.params():
+        end = offset + p.value.size
+        for array, buffer in ((p.value, net.value), (p.grad, net.grad)):
+            assert array.base is buffer, p.name
+            assert array.ctypes.data == buffer[offset:].ctypes.data, p.name
+            assert array.flags.c_contiguous and array.shape == p.value.shape, p.name
+            # a write through the buffer shows in the param
+            buffer[offset:end] = -7.0
+            assert (array == -7.0).all(), p.name
+        offset = end
+    assert offset == net.value.size == net.grad.size == net.n_parameters()
+
+
+class TestArena:
+    def test_params_view_the_buffers_from_construction(self):
+        net = DegradationNetwork(TINY, np.random.default_rng(11))
+        assert net.value.dtype == net.grad.dtype == np.float64
+        assert net.value.flags.owndata and net.grad.flags.owndata
+        assert_views_the_buffers(net)
+
+    def test_packing_keeps_the_initial_values(self, monkeypatch):
+        net = DegradationNetwork(TINY, np.random.default_rng(12))
+        np.testing.assert_array_equal(net.grad, 0.0)
+        # the same draws, left in the arrays the layers made
+        monkeypatch.setattr(model_module, "pack", lambda params: (None, None))
+        unpacked = DegradationNetwork(TINY, np.random.default_rng(12))
+        np.testing.assert_array_equal(
+            net.value, np.concatenate([p.value.ravel() for p in unpacked.params()])
+        )
+
+    def test_loaded_model_views_its_buffers(self, tmp_path):
+        net = DegradationNetwork(TINY, np.random.default_rng(13))
+        columns = ("sensor_2", "sensor_3", "sensor_4")
+        selection = SensorSelection(subset_id="FD001", columns=columns)
+        scaler = Scaler(columns=selection.columns, col_min=np.zeros(3), col_max=np.ones(3))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, net, scaler, selection, LabelPolicy(), "FD001")
+        loaded = load_checkpoint(path).model
+        np.testing.assert_array_equal(loaded.value, net.value)
+        assert_views_the_buffers(loaded)
+
     def test_round_trip(self):
-        rng = np.random.default_rng(11)
+        # copying one buffer into another model copies the model
+        rng = np.random.default_rng(14)
         source = DegradationNetwork(TINY, rng)
         target = DegradationNetwork(TINY, np.random.default_rng(99))
-        load_state_arrays(target, state_arrays(source))
+        target.value[...] = source.value
         x = rng.normal(size=(3, 8, 3))
         np.testing.assert_array_equal(target.forward(x), source.forward(x))
-
-    def test_missing_and_extra_keys_rejected(self):
-        net = DegradationNetwork(TINY, np.random.default_rng(12))
-        arrays = state_arrays(net)
-        incomplete = dict(arrays)
-        incomplete.pop("expand.weight")
-        with pytest.raises(ValueError, match="missing"):
-            load_state_arrays(net, incomplete)
-        extra = dict(arrays)
-        extra["bogus"] = np.zeros(1)
-        with pytest.raises(ValueError, match="unexpected"):
-            load_state_arrays(net, extra)
-
-    def test_wrong_shape_rejected(self):
-        net = DegradationNetwork(TINY, np.random.default_rng(13))
-        arrays = state_arrays(net)
-        arrays["expand.bias"] = np.zeros(5)
-        with pytest.raises(ValueError, match="shape mismatch"):
-            load_state_arrays(net, arrays)

@@ -10,7 +10,7 @@ import pytest
 
 from tddn import cli, training
 from tddn.checkpoint import save_checkpoint
-from tddn.layers import Param, mse_loss
+from tddn.layers import Param, mse_loss, pack
 from tddn.metrics import predict_engine
 from tddn.model import DegradationNetwork, ModelConfig, conv_channels_for_depth
 from tddn.preprocess import (
@@ -131,10 +131,16 @@ class TestSplitEngines:
             split_engines([1, 1, 2], 0.5, seed=0)
 
 
+def packed_params(*params: Param) -> list[Param]:
+    """``params`` laid out by ``pack``, as a model lays out its own."""
+    pack(params)
+    return list(params)
+
+
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         p = Param("p", np.array([1.0, -2.0]))
-        opt = Adam([p])
+        opt = Adam(packed_params(p))
         opt.step(lr=0.1)
         np.testing.assert_array_equal(p.value, [1.0, -2.0])
         assert opt.step_count == 1
@@ -144,7 +150,7 @@ class TestAdam:
         for g in (0.7, -3.0, 1e-3):
             p = Param("p", np.array([0.5]))
             p.grad[:] = g
-            opt = Adam([p])
+            opt = Adam(packed_params(p))
             opt.step(lr=0.01)
             update = p.value[0] - 0.5
             assert update == pytest.approx(-0.01 * np.sign(g), rel=1e-5)
@@ -157,7 +163,7 @@ class TestAdam:
         for _ in range(2):
             p = Param("p", value.copy())
             p.grad[...] = grad
-            opt = Adam([p])
+            opt = Adam(packed_params(p))
             opt.step(lr=0.05)
             opt.step(lr=0.05)
             results.append(p.value.copy())
@@ -165,14 +171,14 @@ class TestAdam:
 
     def test_shape_mismatch_rejected(self):
         p = Param("p", np.zeros(3))
-        opt = Adam([p])
+        opt = Adam(packed_params(p))
         p.grad = np.zeros(4)
         with pytest.raises(ValueError, match="shape"):
             opt.step(lr=0.1)
 
     def test_descends_a_quadratic(self):
         p = Param("p", np.array([5.0]))
-        opt = Adam([p])
+        opt = Adam(packed_params(p))
         for _ in range(200):
             p.grad[:] = 2.0 * p.value
             opt.step(lr=0.1)
@@ -181,7 +187,7 @@ class TestAdam:
     def test_same_shape_rebind_rejected(self):
         for attr in ("value", "grad"):
             p = Param("w", np.zeros(3))
-            opt = Adam([Param("b", np.ones(2)), p])
+            opt = Adam(packed_params(Param("b", np.ones(2)), p))
             setattr(p, attr, np.ones(3))
             with pytest.raises(ValueError, match=rf"'w': \.{attr} .* in place"):
                 opt.step(lr=0.1)
@@ -190,7 +196,58 @@ class TestAdam:
     def test_duplicate_param_rejected(self):
         p = Param("w", np.zeros(3))
         with pytest.raises(ValueError, match="'w' is listed twice"):
-            Adam([p, Param("b", np.zeros(1)), p])
+            pack([p, Param("b", np.zeros(1)), p])
+        w, b = packed_params(Param("w", np.zeros(3)), Param("b", np.zeros(1)))
+        with pytest.raises(ValueError, match="param 'w' is not at offset 4"):
+            Adam([w, b, w])
+
+    def test_adopts_the_model_buffers(self):
+        model = DegradationNetwork(SMALL_MODEL, np.random.default_rng(3))
+        views = [(p.value, p.grad) for p in model.params()]
+        before = model.value.copy()
+        opt = Adam(model.params())
+        assert opt.value is model.value and opt.grad is model.grad
+        for p, (value, grad) in zip(model.params(), views):
+            assert p.value is value and p.grad is grad
+        np.testing.assert_array_equal(model.value, before)
+        model.grad[...] = 1.0
+        opt.step(lr=0.01)
+        np.testing.assert_array_equal(model.value, before - 0.01 * (1.0 / (1.0 + 1e-8)))
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "unpacked", "unpacked-appended", "reordered", "repeated", "rebound-value",
+            "rebound-grad", "grad-aliases-value", "prefix", "two-models",
+        ],
+    )
+    def test_list_that_is_not_one_arena_rejected(self, case):
+        model = DegradationNetwork(SMALL_MODEL, np.random.default_rng(4))
+        params = model.params()
+        stray = Param("stray", np.zeros(3))
+        if case == "unpacked":
+            params, name = [stray], "stray"
+        elif case == "unpacked-appended":
+            params, name = params + [stray], "stray"
+        elif case == "reordered":
+            params[1], params[2] = params[2], params[1]
+            name = params[1].name
+        elif case == "repeated":
+            params, name = params + params[:1], params[0].name
+        elif case.startswith("rebound"):
+            attr = case.split("-")[1]
+            setattr(params[3], attr, getattr(params[3], attr).copy())
+            name = params[3].name
+        elif case == "grad-aliases-value":
+            params[0].grad = params[0].value
+            name = params[0].name
+        elif case == "prefix":
+            params, name = params[:-1], params[-2].name
+        else:
+            other = DegradationNetwork(SMALL_MODEL, np.random.default_rng(4)).params()
+            params, name = params[:2] + other[2:], other[2].name
+        with pytest.raises(ValueError, match=f"param '{name}"):
+            Adam(params)
 
 
 class ReferenceAdam:
@@ -279,7 +336,7 @@ class TestAdamMatchesReference:
         assert sum(np.prod(s) for s in shapes) % ADAM_BLOCK != 0
         rng = np.random.default_rng(7)
         values = [rng.normal(size=s) for s in shapes]
-        params = [Param(f"p{i}", v) for i, v in enumerate(values)]
+        params = packed_params(*(Param(f"p{i}", v) for i, v in enumerate(values)))
         twins = [Param(f"p{i}", v.copy()) for i, v in enumerate(values)]
         workers = adam_workers()
         opt = Adam(params, beta1=0.8, beta2=0.99, eps=1e-6)
@@ -305,16 +362,16 @@ class TestTwoLaneAdam:
         assert DegradationNetwork(ModelConfig(), rng).n_parameters() >= size
         monkeypatch.setattr(training, "adam_lanes", lambda: 2)
         workers = adam_workers()
-        small = Adam([Param("p", np.zeros(size - 1))])
+        small = Adam(packed_params(Param("p", np.zeros(size - 1))))
         small.step(lr=0.1)
         assert not adam_workers() - workers
-        opt = Adam([Param("p", np.zeros(size))])
+        opt = Adam(packed_params(Param("p", np.zeros(size))))
         # no thread at construction, one on the first step
         assert not adam_workers() - workers
         opt.step(lr=0.1)
         (worker,) = adam_workers() - workers
         monkeypatch.setattr(training, "adam_lanes", lambda: 1)
-        one_cpu = Adam([Param("p", np.zeros(size))])
+        one_cpu = Adam(packed_params(Param("p", np.zeros(size))))
         one_cpu.step(lr=0.1)
         assert adam_workers() - workers == {worker}
 
@@ -324,7 +381,7 @@ class TestTwoLaneAdam:
         lanes = min(2, len(os.sched_getaffinity(0)))
         assert training.adam_lanes() == lanes
         workers = adam_workers()
-        opt = Adam([Param("p", np.zeros(training.ADAM_TWO_LANE_MIN))])
+        opt = Adam(packed_params(Param("p", np.zeros(training.ADAM_TWO_LANE_MIN))))
         opt.step(lr=0.1)
         assert len(adam_workers() - workers) == (1 if lanes == 2 else 0)
 
@@ -372,7 +429,7 @@ class TestTwoLaneAdam:
         monkeypatch.setattr(training, "adam_lanes", lambda: 2)
         before = threading.active_count()
         workers = adam_workers()
-        opt = Adam([Param("p", np.ones(training.ADAM_TWO_LANE_MIN))])
+        opt = Adam(packed_params(Param("p", np.ones(training.ADAM_TWO_LANE_MIN))))
         opt.step(lr=0.1)
         (worker,) = adam_workers() - workers
         del opt
