@@ -77,8 +77,16 @@ def save_checkpoint(
     """Write model parameters plus everything needed to reuse them.
 
     A header integer that is not an ``int`` (``r_max=125.0``) is a
-    ``TypeError`` here, since ``load_checkpoint`` would refuse the file.
+    ``TypeError`` here, and a selection or scaler whose column count is not
+    the model's feature count a ``ValueError``, since ``load_checkpoint``
+    would refuse the file; neither writes to ``path``.
     """
+    n_features = model.config.n_features
+    if not selection.n_columns == scaler.col_min.size == scaler.col_max.size == n_features:
+        raise ValueError(
+            f"{selection.n_columns} selected columns and a scaler over "
+            f"{scaler.col_min.size}/{scaler.col_max.size} for {n_features} model features"
+        )
     payload = np.concatenate([model.value, scaler.col_min, scaler.col_max]).astype("<f8").tobytes()
     header = {
         "format_version": FORMAT_VERSION,

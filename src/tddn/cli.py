@@ -29,7 +29,7 @@ from .metrics import evaluate_test
 from .model import ModelConfig, conv_channels_for_depth
 from .preprocess import SensorSelection, select_columns
 from .training import (
-    INFER_BATCH, TrainConfig, TrainingError, TrainResult, build_window_bank, lr_at, train
+    TrainConfig, TrainingError, TrainResult, build_window_bank, lr_at, map_chunks, train
 )
 
 logger = logging.getLogger(__name__)
@@ -469,7 +469,7 @@ def cmd_export_features(args: argparse.Namespace) -> int:
     w = model.config.window
     n = trajectory.n_cycles
     bank = build_window_bank([trajectory], loaded.scaler, loaded.selection, loaded.policy, w)
-    traces = [model.trace(x) for x in bank.batches(INFER_BATCH)]
+    traces = map_chunks(lambda chunk: model.trace(bank.gather(chunk)[0]), bank.n_windows)
     attention = np.concatenate([t.attention for t in traces])
 
     _write_csv(

@@ -1,10 +1,12 @@
 """Minimal float64 layers with explicit forward and backward passes.
 
-Every layer is a Module that caches what its backward pass needs during
-forward and accumulates parameter gradients into Param.grad. A backward
-call consumes the cache, so backward before forward (or twice per
-forward) is a programming error and raises. Batched inputs use the
-(batch, time, channels) layout.
+Every layer computes in one stateless method, ``apply(x) -> (out,
+cache)``, which writes nothing to the module, so one layer can serve
+several threads. ``forward`` is ``apply`` that keeps the cache on the
+module for ``backward``, which accumulates parameter gradients into
+Param.grad. A backward call consumes the cache, so backward before
+forward (or twice per forward) is a programming error and raises.
+Batched inputs use the (batch, time, channels) layout.
 """
 
 from __future__ import annotations
@@ -34,12 +36,19 @@ class Param:
         return f"Param({self.name!r}, shape={self.value.shape})"
 
 
+def _require_params(params: Sequence[Param]) -> None:
+    if not params:
+        raise ValueError("empty param list: there are no buffers to pack")
+
+
 def pack(params: Sequence[Param]) -> tuple[np.ndarray, np.ndarray]:
     """Lay ``params`` out, in order, in one flat value and one flat grad buffer.
 
     Each param's arrays are copied in, and ``value``/``grad`` are rebound to
-    views into the returned buffers. A param listed twice is a ``ValueError``.
+    views into the returned buffers. A param listed twice, or none at all, is
+    a ``ValueError``.
     """
+    _require_params(params)
     for i, p in enumerate(params):
         if any(p is q for q in params[:i]):
             raise ValueError(f"param {p.name!r} is listed twice")
@@ -60,6 +69,7 @@ def packed(params: Sequence[Param]) -> tuple[np.ndarray, np.ndarray]:
     in them (never packed, listed out of order or twice, or rebound since),
     or the last one when the list leaves packed params out.
     """
+    _require_params(params)
     value, grad = params[0].value.base, params[0].grad.base
     offset = 0
     for p in params:
@@ -84,7 +94,7 @@ def glorot_uniform(
 
 
 class Module:
-    """Base for layers: forward caches, backward consumes the cache."""
+    """Base for layers: ``apply`` computes, ``forward`` keeps its cache, backward consumes it."""
 
     _cache: object | None = None
 
@@ -95,8 +105,13 @@ class Module:
         for p in self.params():
             p.grad[...] = 0.0
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def apply(self, x: np.ndarray) -> tuple[np.ndarray, object]:
+        """The output for ``x`` and what ``backward`` needs of it; the module is not written."""
         raise NotImplementedError
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        out, self._cache = self.apply(x)
+        return out
 
     def backward(self, gout: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -115,7 +130,7 @@ class Module:
 
 
 class Sequential(Module):
-    """Chains modules; backward runs the children in reverse order."""
+    """Chains modules through their own ``forward``; backward runs them in reverse order."""
 
     def __init__(self, *children: Module):
         self.children = list(children)
@@ -147,9 +162,10 @@ class Linear(Module):
     def params(self) -> list[Param]:
         return [self.weight, self.bias]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._cache = x
-        return x @ self.weight.value + self.bias.value
+    def apply(self, x: np.ndarray) -> tuple[np.ndarray, object]:
+        out = x @ self.weight.value
+        out += self.bias.value
+        return out, x
 
     def backward(self, gout: np.ndarray) -> np.ndarray:
         x = self._take_cache()
@@ -166,10 +182,9 @@ class ReLU(Module):
     NaN upstream gradient there comes out NaN instead of 0.
     """
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._cache = x > 0.0
+    def apply(self, x: np.ndarray) -> tuple[np.ndarray, object]:
         # fmax returns the non-NaN operand: bit for bit where(x > 0, x, 0.0)
-        return np.fmax(x, 0.0)
+        return np.fmax(x, 0.0), x > 0.0
 
     def backward(self, gout: np.ndarray) -> np.ndarray:
         mask = self._take_cache()
@@ -207,7 +222,7 @@ class Conv1d(Module):
     def params(self) -> list[Param]:
         return [self.weight, self.bias]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def apply(self, x: np.ndarray) -> tuple[np.ndarray, object]:
         batch, n_time, c_in = x.shape
         if c_in != self.c_in:
             raise ValueError(f"expected {self.c_in} input channels, got {c_in}")
@@ -216,9 +231,10 @@ class Conv1d(Module):
         # patches[b, t, tap, c] = padded[b, t + tap, c]
         patches = np.stack([padded[:, tap : tap + n_time] for tap in range(k)], axis=2)
         patches = patches.reshape(batch, n_time, k * c_in)
-        self._cache = patches
         flat_w = self.weight.value.reshape(k * c_in, self.c_out)
-        return patches @ flat_w + self.bias.value
+        out = patches @ flat_w
+        out += self.bias.value
+        return out, patches
 
     def backward(self, gout: np.ndarray) -> np.ndarray:
         patches = self._take_cache()
@@ -253,7 +269,7 @@ class MaxPool1d(Module):
             raise ValueError(f"pool must be >= 1, got {pool}")
         self.pool = pool
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def apply(self, x: np.ndarray) -> tuple[np.ndarray, object]:
         batch, n_time, channels = x.shape
         if n_time < self.pool:
             raise ValueError(f"time axis {n_time} shorter than pool window {self.pool}")
@@ -268,8 +284,7 @@ class MaxPool1d(Module):
             np.maximum(idx, (cand > out) * idx.dtype.type(tap), out=idx)
             # maximum returns its second operand on a +-0 tie: keep the earlier
             out = np.maximum(cand, out)
-        self._cache = (idx, x.shape)
-        return out.copy() if self.pool == 1 else out
+        return (out.copy() if self.pool == 1 else out), (idx, x.shape)
 
     def backward(self, gout: np.ndarray) -> np.ndarray:
         idx, in_shape = self._take_cache()
@@ -286,9 +301,8 @@ class MaxPool1d(Module):
 class Flatten(Module):
     """(B, T, C) -> (B, T*C)."""
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._cache = x.shape
-        return x.reshape(x.shape[0], -1)
+    def apply(self, x: np.ndarray) -> tuple[np.ndarray, object]:
+        return x.reshape(x.shape[0], -1), x.shape
 
     def backward(self, gout: np.ndarray) -> np.ndarray:
         shape = self._take_cache()
@@ -301,9 +315,8 @@ class Reshape(Module):
     def __init__(self, *shape: int):
         self.shape = shape
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._cache = x.shape
-        return x.reshape(x.shape[0], *self.shape)
+    def apply(self, x: np.ndarray) -> tuple[np.ndarray, object]:
+        return x.reshape(x.shape[0], *self.shape), x.shape
 
     def backward(self, gout: np.ndarray) -> np.ndarray:
         shape = self._take_cache()

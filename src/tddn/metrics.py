@@ -98,7 +98,7 @@ def evaluate_test(
     ``cap_true_rul=False`` scores against the raw dataset values.
     """
     windows = last_windows(bundle, scaler, selection, model.config.window)
-    pred = np.clip(model.forward(windows), 0.0, float(policy.r_max))
+    pred = np.clip(model.predict(windows), 0.0, float(policy.r_max))
     true = bundle.test_rul.astype(np.float64)
     if cap_true_rul:
         true = np.minimum(true, float(policy.r_max))

@@ -114,7 +114,7 @@ class FeatureAttention(Module):
     vector [row, first, row - first, row * first], scored by a shared
     one-hidden-layer tanh MLP against a trainable context vector, and
     the softmax-weighted sum of the original rows is returned. The
-    weights of the latest forward stay readable as ``last_weights``.
+    weights are the last item of the cache ``apply`` returns.
     """
 
     def __init__(self, n_features: int, hidden: int, rng: np.random.Generator):
@@ -128,24 +128,24 @@ class FeatureAttention(Module):
         self.context = Param(
             "attention.context", glorot_uniform(rng, hidden, 1, (hidden,))
         )
-        self.last_weights: np.ndarray | None = None
 
     def params(self) -> list[Param]:
         return [self.weight, self.bias, self.context]
 
-    def forward(self, h: np.ndarray) -> np.ndarray:
+    def apply(self, h: np.ndarray) -> tuple[np.ndarray, object]:
         m = h.shape[2]
         if m != self.n_features:
             raise ValueError(f"expected {self.n_features} features, got {m}")
         first = np.broadcast_to(h[:, :1, :], h.shape)
         augmented = np.concatenate([h, first, h - first, h * first], axis=2)
-        hidden = np.tanh(augmented @ self.weight.value + self.bias.value)
+        # in place: these (B, w, hidden) arrays are the largest of a forward
+        hidden = augmented @ self.weight.value
+        hidden += self.bias.value
+        np.tanh(hidden, out=hidden)
         scores = hidden @ self.context.value
         weights = softmax(scores, axis=1)
         pooled = np.einsum("bw,bwm->bm", weights, h)
-        self.last_weights = weights
-        self._cache = (h, augmented, hidden, weights)
-        return pooled
+        return pooled, (h, augmented, hidden, weights)
 
     def backward(self, gout: np.ndarray) -> np.ndarray:
         h, augmented, hidden, weights = self._take_cache()
@@ -166,6 +166,13 @@ class FeatureAttention(Module):
         # everything routed through the broadcast first row lands on row 0
         gh[:, 0, :] += (g_first - g_diff + g_prod * h).sum(axis=1)
         return gh
+
+
+def _outputs(layers, x: np.ndarray) -> np.ndarray:
+    """``x`` through each layer's ``apply`` in turn; every cache is dropped at once."""
+    for layer in layers:
+        x = layer.apply(x)[0]
+    return x
 
 
 class DegradationNetwork(Module):
@@ -210,27 +217,40 @@ class DegradationNetwork(Module):
     def n_parameters(self) -> int:
         return self.value.size
 
-    def trace(self, x: np.ndarray) -> ModelTrace:
-        """Forward pass that also exposes the intermediate activations."""
+    def _check_input(self, x: np.ndarray) -> None:
         if x.ndim != 3 or x.shape[1:] != (self.config.window, self.config.n_features):
             raise ValueError(
                 f"expected input (B, {self.config.window}, {self.config.n_features}), "
                 f"got {x.shape}"
             )
-        temporal = self.conv_stack(x)
-        abstract = self.reshape(self.expand_act(self.expand(self.flatten(temporal))))
-        pooled = self.attention(abstract)
-        prediction = self.regressor(pooled)[:, 0]
-        assert self.attention.last_weights is not None
+
+    def trace(self, x: np.ndarray) -> ModelTrace:
+        """The inference walk: every layer's ``apply``, each cache dropped as it returns.
+
+        Nothing is written to the model, so threads may share it, and a
+        following ``backward`` raises as if no forward had run.
+        """
+        self._check_input(x)
+        temporal = _outputs(self.conv_stack.children, x)
+        abstract = _outputs((self.flatten, self.expand, self.expand_act, self.reshape), temporal)
+        pooled, cache = self.attention.apply(abstract)
+        weights = cache[-1]
+        del cache
+        prediction = _outputs(self.regressor.children, pooled)[:, 0]
         return ModelTrace(
-            temporal=temporal,
-            abstract=abstract,
-            attention=self.attention.last_weights,
-            prediction=prediction,
+            temporal=temporal, abstract=abstract, attention=weights, prediction=prediction
         )
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """The RUL estimates of ``forward``, bit for bit, by the inference walk."""
         return self.trace(x).prediction
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Predictions, with every layer's cache kept for ``backward``."""
+        self._check_input(x)
+        h = self.conv_stack.forward(x)
+        h = self.expand_act.forward(self.expand.forward(self.flatten.forward(h)))
+        return self.regressor.forward(self.attention.forward(self.reshape.forward(h)))[:, 0]
 
     def backward(self, gout: np.ndarray) -> np.ndarray:
         g = self.regressor.backward(gout[:, None])

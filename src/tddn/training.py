@@ -12,7 +12,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -148,8 +148,8 @@ ADAM_BLOCK = 1 << 15
 ADAM_TWO_LANE_MIN = 5 * ADAM_BLOCK
 
 
-def adam_lanes() -> int:
-    """Threads Adam.step may use: one per CPU this process may run on, at most 2."""
+def cpu_lanes() -> int:
+    """Threads Adam.step and inference may use: one per CPU this process may run on, at most 2."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
@@ -193,7 +193,7 @@ class Adam:
         self.v = np.zeros(size)
         self._views = [(p.value, p.grad) for p in self.params]
         n_blocks = -(-size // ADAM_BLOCK)
-        two_lane = size >= ADAM_TWO_LANE_MIN and n_blocks > 1 and adam_lanes() > 1
+        two_lane = size >= ADAM_TWO_LANE_MIN and n_blocks > 1 and cpu_lanes() > 1
         # lane i updates [bounds[i], bounds[i + 1]) with its own scratch pair
         self._bounds = (0, (n_blocks + 1) // 2 * ADAM_BLOCK, size) if two_lane else (0, size)
         block = min(size, ADAM_BLOCK)
@@ -301,14 +301,9 @@ class WindowBank:
     def n_windows(self) -> int:
         return self.labels.shape[0]
 
-    def gather(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The windows at the given flat indices as a (B, w, m) batch, with labels."""
+    def gather(self, indices: np.ndarray | slice) -> tuple[np.ndarray, np.ndarray]:
+        """The windows at flat indices (an array or a slice) as a (B, w, m) batch, with labels."""
         return self._windows[self.starts[indices]], self.labels[indices]
-
-    def batches(self, size: int) -> Iterator[np.ndarray]:
-        """Every window in flat order, ``size`` at a time."""
-        for start in range(0, self.n_windows, size):
-            yield self._windows[self.starts[start : start + size]]
 
 
 def build_window_bank(
@@ -342,12 +337,35 @@ def build_window_bank(
 # a matmul, so changing it can change the last bits of predictions
 INFER_BATCH = 256
 
+T = TypeVar("T")
+
+
+def map_chunks(fn: Callable[[slice], T], n: int, size: int = INFER_BATCH) -> list[T]:
+    """``fn`` of each ``size``-long slice of ``range(n)``, in order.
+
+    With more than one chunk and two usable CPUs, the caller runs the lower
+    half of the chunks while one worker thread, started for this call and
+    joined before it returns, runs the upper half. The chunks are those of
+    the serial path, so ``fn`` sees the same inputs either way; it must not
+    write shared state (``DegradationNetwork.trace`` and ``predict`` do not).
+    """
+    chunks = [slice(start, start + size) for start in range(0, n, size)]
+    half = len(chunks) // 2
+    if half == 0 or cpu_lanes() < 2:
+        return [fn(chunk) for chunk in chunks]
+    with ThreadPoolExecutor(1, thread_name_prefix="tddn-infer") as worker:
+        upper = worker.submit(lambda: [fn(chunk) for chunk in chunks[half:]])
+        lower = [fn(chunk) for chunk in chunks[:half]]
+        return lower + upper.result()
+
 
 def predict_windows(
     model: DegradationNetwork, bank: WindowBank, batch_size: int = INFER_BATCH
 ) -> np.ndarray:
     """Unclamped model outputs for every window in the bank, in order."""
-    return np.concatenate([model.forward(x) for x in bank.batches(batch_size)])
+    return np.concatenate(
+        map_chunks(lambda chunk: model.predict(bank.gather(chunk)[0]), bank.n_windows, batch_size)
+    )
 
 
 def train(

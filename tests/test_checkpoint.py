@@ -71,6 +71,18 @@ class TestRoundTrip:
             save_checkpoint(path, model, scaler, selection, LabelPolicy(r_max=125.0), "FD001")
         assert not path.exists()
 
+    def test_column_count_mismatch_is_refused_on_save(self, saved, tmp_path):
+        # the loader refuses a file whose columns are not the model's features
+        _, model, scaler, selection = saved
+        fd004 = select_columns("FD004")
+        fd004_scaler = fit_scaler(make_bundle(n_train=3, seed=50).train, fd004)
+        assert model.config.n_features == 15 and fd004.n_columns == 24
+        path = tmp_path / "mismatch.ckpt"
+        for sel, sc in ((fd004, fd004_scaler), (selection, fd004_scaler), (fd004, scaler)):
+            with pytest.raises(ValueError, match="for 15 model features"):
+                save_checkpoint(path, model, sc, sel, LabelPolicy(), "FD004")
+            assert not path.exists()
+
     def test_header_is_compact_sorted_json(self, saved):
         path, _, _, _ = saved
         blob = path.read_bytes()

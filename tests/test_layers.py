@@ -439,6 +439,19 @@ class TestModuleDiscipline:
         x = rng.normal(size=(5, 3))
         assert check_module_gradients(stack, x, rng) < TOL
 
+    def test_apply_matches_forward_and_writes_nothing(self):
+        rng = np.random.default_rng(25)
+        x = rng.normal(size=(3, 8, 4))
+        layers = [
+            (Conv1d(4, 5, 3, rng), x), (ReLU(), x), (MaxPool1d(pool=3), x),
+            (Flatten(), x), (Reshape(4, 8), x.reshape(3, 32)), (Linear(4, 2, rng), x[:, 0]),
+        ]
+        for layer, inp in layers:
+            state = dict(vars(layer))
+            out, cache = layer.apply(inp)
+            assert vars(layer) == state and cache is not None, type(layer).__name__
+            assert out.tobytes() == layer.forward(inp).tobytes(), type(layer).__name__
+
     def test_base_module_is_abstract(self):
         with pytest.raises(NotImplementedError):
             Module().forward(np.zeros(1))

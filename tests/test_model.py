@@ -112,30 +112,39 @@ def _attention_oracle(att: FeatureAttention, h: np.ndarray):
     return pooled, weights
 
 
+def _network(window: int, n_features: int, rng, **config) -> DegradationNetwork:
+    """A one-stage network, so its attention sees ``window`` abstract rows."""
+    config = ModelConfig(window=window, n_features=n_features, conv_channels=(4,), **config)
+    return DegradationNetwork(config, rng)
+
+
 class TestFeatureAttention:
     def test_matches_row_by_row_oracle(self):
         rng = np.random.default_rng(1)
-        att = FeatureAttention(n_features=4, hidden=6, rng=rng)
-        h = rng.normal(size=(3, 5, 4))
-        pooled = att.forward(h)
-        expected_pooled, expected_weights = _attention_oracle(att, h)
+        net = _network(5, 4, rng, attention_hidden=6)
+        trace = net.trace(rng.normal(size=(3, 5, 4)))
+        expected_pooled, expected_weights = _attention_oracle(net.attention, trace.abstract)
+        pooled = net.attention.forward(trace.abstract)
         np.testing.assert_allclose(pooled, expected_pooled, atol=1e-12)
-        np.testing.assert_allclose(att.last_weights, expected_weights, atol=1e-12)
+        np.testing.assert_allclose(trace.attention, expected_weights, atol=1e-12)
 
     def test_weights_form_a_distribution(self):
         rng = np.random.default_rng(2)
-        att = FeatureAttention(n_features=3, hidden=4, rng=rng)
-        att.forward(rng.normal(size=(6, 9, 3)))
-        np.testing.assert_allclose(att.last_weights.sum(axis=1), 1.0, atol=1e-12)
-        assert (att.last_weights > 0.0).all()
+        trace = _network(9, 3, rng, attention_hidden=4).trace(rng.normal(size=(6, 9, 3)))
+        np.testing.assert_allclose(trace.attention.sum(axis=1), 1.0, atol=1e-12)
+        assert (trace.attention > 0.0).all()
 
     def test_identical_rows_get_uniform_weights(self):
         rng = np.random.default_rng(3)
-        att = FeatureAttention(n_features=3, hidden=4, rng=rng)
-        row = rng.normal(size=3)
-        h = np.tile(row, (2, 7, 1))
-        pooled = att.forward(h)
-        np.testing.assert_allclose(att.last_weights, 1.0 / 7.0, atol=1e-12)
+        net = _network(7, 3, rng, attention_hidden=4)
+        # a zero expand weight makes every abstract row the (positive) bias row
+        row = rng.uniform(0.5, 1.5, size=3)
+        net.expand.weight.value[...] = 0.0
+        net.expand.bias.value[...] = np.tile(row, 7)
+        trace = net.trace(rng.normal(size=(2, 7, 3)))
+        np.testing.assert_array_equal(trace.abstract, np.tile(row, (2, 7, 1)))
+        np.testing.assert_allclose(trace.attention, 1.0 / 7.0, atol=1e-12)
+        pooled = net.attention.forward(trace.abstract)
         np.testing.assert_allclose(pooled, np.tile(row, (2, 1)), atol=1e-12)
 
     def test_gradcheck_covers_first_row_coupling(self):

@@ -11,7 +11,7 @@ import pytest
 from tddn import cli, training
 from tddn.checkpoint import save_checkpoint
 from tddn.layers import Param, mse_loss, pack
-from tddn.metrics import predict_engine
+from tddn.metrics import evaluate_test, predict_engine
 from tddn.model import DegradationNetwork, ModelConfig, conv_channels_for_depth
 from tddn.preprocess import (
     LabelPolicy,
@@ -201,6 +201,11 @@ class TestAdam:
         with pytest.raises(ValueError, match="param 'w' is not at offset 4"):
             Adam([w, b, w])
 
+    @pytest.mark.parametrize("build", [pack, Adam], ids=["pack", "Adam"])
+    def test_empty_list_rejected(self, build):
+        with pytest.raises(ValueError, match="empty param list"):
+            build([])
+
     def test_adopts_the_model_buffers(self):
         model = DegradationNetwork(SMALL_MODEL, np.random.default_rng(3))
         views = [(p.value, p.grad) for p in model.params()]
@@ -281,7 +286,7 @@ def adam_workers() -> set[threading.Thread]:
 @pytest.fixture(params=[1, 2], ids=["one-lane", "two-lane"])
 def lanes(request, monkeypatch):
     """Adams built in the test take the serial path (1) or split every step (2)."""
-    monkeypatch.setattr(training, "adam_lanes", lambda: request.param)
+    monkeypatch.setattr(training, "cpu_lanes", lambda: request.param)
     if request.param == 2:
         monkeypatch.setattr(training, "ADAM_TWO_LANE_MIN", 0)
     return request.param
@@ -360,7 +365,7 @@ class TestTwoLaneAdam:
         size = training.ADAM_TWO_LANE_MIN
         assert DegradationNetwork(w16, rng).n_parameters() < size
         assert DegradationNetwork(ModelConfig(), rng).n_parameters() >= size
-        monkeypatch.setattr(training, "adam_lanes", lambda: 2)
+        monkeypatch.setattr(training, "cpu_lanes", lambda: 2)
         workers = adam_workers()
         small = Adam(packed_params(Param("p", np.zeros(size - 1))))
         small.step(lr=0.1)
@@ -370,7 +375,7 @@ class TestTwoLaneAdam:
         assert not adam_workers() - workers
         opt.step(lr=0.1)
         (worker,) = adam_workers() - workers
-        monkeypatch.setattr(training, "adam_lanes", lambda: 1)
+        monkeypatch.setattr(training, "cpu_lanes", lambda: 1)
         one_cpu = Adam(packed_params(Param("p", np.zeros(size))))
         one_cpu.step(lr=0.1)
         assert adam_workers() - workers == {worker}
@@ -379,7 +384,7 @@ class TestTwoLaneAdam:
     def test_lane_count_follows_the_affinity_mask(self):
         # not patched: under `taskset -c 0` this checks the serial decision for real
         lanes = min(2, len(os.sched_getaffinity(0)))
-        assert training.adam_lanes() == lanes
+        assert training.cpu_lanes() == lanes
         workers = adam_workers()
         opt = Adam(packed_params(Param("p", np.zeros(training.ADAM_TWO_LANE_MIN))))
         opt.step(lr=0.1)
@@ -389,7 +394,7 @@ class TestTwoLaneAdam:
         config = ModelConfig()
         opts = []
         for lanes in (1, 2):
-            monkeypatch.setattr(training, "adam_lanes", lambda n=lanes: n)
+            monkeypatch.setattr(training, "cpu_lanes", lambda n=lanes: n)
             opts.append(Adam(DegradationNetwork(config, np.random.default_rng(5)).params()))
         serial, two_lane = opts
         assert two_lane.value.size >= training.ADAM_TWO_LANE_MIN
@@ -426,7 +431,7 @@ class TestTwoLaneAdam:
         assert steps_done == list(range(1, 21))
 
     def test_worker_exits_with_its_optimizer(self, monkeypatch):
-        monkeypatch.setattr(training, "adam_lanes", lambda: 2)
+        monkeypatch.setattr(training, "cpu_lanes", lambda: 2)
         before = threading.active_count()
         workers = adam_workers()
         opt = Adam(packed_params(Param("p", np.ones(training.ADAM_TWO_LANE_MIN))))
@@ -476,8 +481,9 @@ class TestWindowBank:
                     assert y[flat] == label[j - 1]
                     flat += 1
             np.testing.assert_array_equal(bank.ends, np.cumsum(lengths) - 1)
-            # batches walk the same flat order, engine boundaries included
-            np.testing.assert_array_equal(np.concatenate(list(bank.batches(3))), x)
+            # chunks walk the same flat order, engine boundaries included
+            chunks = training.map_chunks(lambda c: bank.gather(c)[0], bank.n_windows, 3)
+            np.testing.assert_array_equal(np.concatenate(chunks), x)
 
     def test_gather_matches_brute_force_oracle(self):
         bundle = make_bundle(n_train=3, seed=21)
@@ -577,6 +583,141 @@ class TestWindowBank:
             build_window_bank(
                 bundle.train, scaler, selection, LabelPolicy(), 4, terminal_ruls=[1]
             )
+
+
+def infer_workers() -> set[threading.Thread]:
+    return {t for t in threading.enumerate() if t.name.startswith("tddn-infer")}
+
+
+class TestTwoLaneInference:
+    @pytest.fixture(scope="class")
+    def long_engines(self, tmp_path_factory):
+        """Engines of 520-600 cycles (three chunks each), their data files and a checkpoint."""
+        bundle = make_bundle(n_train=2, n_test=1, min_len=520, max_len=600, seed=31)
+        data = write_bundle(bundle, tmp_path_factory.mktemp("data"))
+        selection = select_columns("FD001")
+        scaler = fit_scaler(bundle.train, selection)
+        model = DegradationNetwork(SMALL_MODEL, np.random.default_rng(8))
+        model.regressor.children[-1].bias.value[...] = 60.0
+        ckpt = data / "model.ckpt"
+        save_checkpoint(ckpt, model, scaler, selection, LabelPolicy(), "FD001")
+        return bundle, data, scaler, selection, model, ckpt
+
+    def test_one_and_two_lanes_give_the_same_bytes(self, long_engines, monkeypatch, tmp_path):
+        bundle, data, scaler, selection, model, ckpt = long_engines
+        policy = LabelPolicy()
+        bank = build_window_bank(bundle.train, scaler, selection, policy, SMALL_MODEL.window)
+        traj = bundle.train[1]
+        names = ("attention.csv", "temporal_features.csv", "abstract_features.csv")
+        threads: set[str] = set()
+        trace = DegradationNetwork.trace
+
+        def spy(self, x):
+            threads.add(threading.current_thread().name)
+            return trace(self, x)
+
+        monkeypatch.setattr(DegradationNetwork, "trace", spy)
+        outputs = {}
+        for lanes in (1, 2):
+            monkeypatch.setattr(training, "cpu_lanes", lambda n=lanes: n)
+            threads.clear()
+            out = tmp_path / f"features-{lanes}"
+            assert cli.main([
+                "export-features", "--checkpoint", str(ckpt), "--data", str(data),
+                "--out", str(out), "--engine", str(traj.unit_id), "--split", "train",
+            ]) == 0
+            outputs[lanes] = (
+                predict_windows(model, bank).tobytes(),
+                predict_engine(model, traj, scaler, selection, policy).tobytes(),
+                *((out / name).read_bytes() for name in names),
+            )
+            assert (len(threads) == 2) == (lanes == 2), threads
+        assert outputs[1] == outputs[2]
+
+    def test_chunks_are_the_serial_ones_in_order(self, monkeypatch):
+        want = [slice(0, 256), slice(256, 512), slice(512, 768), slice(768, 1024)]
+        for lanes, lower in ((1, want), (2, want[:2])):
+            monkeypatch.setattr(training, "cpu_lanes", lambda n=lanes: n)
+            runs: list[tuple[slice, bool]] = []
+
+            def fn(chunk: slice) -> slice:
+                runs.append((chunk, threading.current_thread() is threading.main_thread()))
+                return chunk
+
+            assert training.map_chunks(fn, 1000) == want
+            assert sorted(runs, key=lambda r: r[0].start) == [(c, c in lower) for c in want]
+
+    def test_threads_share_one_model_bit_for_bit(self):
+        config = ModelConfig(window=16, conv_channels=(8, 16))
+        model = DegradationNetwork(config, np.random.default_rng(9))
+        rng = np.random.default_rng(10)
+        inputs = [rng.normal(size=(64, 16, 15)) for _ in range(2)]
+        fields = ("temporal", "abstract", "attention", "prediction")
+        want = [[getattr(model.trace(x), f).tobytes() for f in fields] for x in inputs]
+        rounds_done = [0, 0]
+        errors: list[BaseException] = []
+
+        def run(lane: int) -> None:
+            try:
+                for _ in range(200):
+                    got = model.trace(inputs[lane])
+                    if [getattr(got, f).tobytes() for f in fields] != want[lane]:
+                        raise AssertionError(f"lane {lane}: round {rounds_done[lane] + 1} differs")
+                    rounds_done[lane] += 1
+            except BaseException as exc:  # re-raised on the test's thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runners = [threading.Thread(target=run, args=(lane,), daemon=True) for lane in (0, 1)]
+            for runner in runners:
+                runner.start()
+            for runner in runners:
+                runner.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(r.is_alive() for r in runners), f"stuck after {rounds_done} rounds"
+        if errors:
+            raise errors[0]
+        assert rounds_done == [200, 200]
+
+    def test_inference_leaves_no_state_and_no_thread(self, long_engines, monkeypatch):
+        bundle, _, scaler, selection, model, _ = long_engines
+        policy = LabelPolicy()
+        monkeypatch.setattr(training, "cpu_lanes", lambda: 2)
+        started: list[int] = []
+        executor = training.ThreadPoolExecutor
+
+        def spy(*args, **kwargs):
+            started.append(1)
+            return executor(*args, **kwargs)
+
+        monkeypatch.setattr(training, "ThreadPoolExecutor", spy)
+        short = make_bundle(n_train=1, min_len=100, max_len=200, seed=32).train[0]
+        bank = build_window_bank(bundle.train, scaler, selection, policy, SMALL_MODEL.window)
+        before = threading.active_count()
+        alive = set(threading.enumerate())
+        calls = [
+            (lambda: predict_engine(model, short, scaler, selection, policy), 0),
+            (lambda: evaluate_test(model, bundle, scaler, selection, policy), 0),
+            (lambda: model.trace(bank.gather(slice(0, 40))[0]), 0),
+            (lambda: predict_engine(model, bundle.train[0], scaler, selection, policy), 1),
+            (lambda: predict_windows(model, bank), 1),
+        ]
+        for call, threads in calls:
+            del started[:]
+            call()
+            assert len(started) == threads
+            assert set(threading.enumerate()) <= alive and not infer_workers()
+            assert threading.active_count() <= before
+        layers = [
+            *model.conv_stack.children, model.flatten, model.expand, model.expand_act,
+            model.reshape, model.attention, *model.regressor.children,
+        ]
+        for layer in [model, *layers]:
+            with pytest.raises(RuntimeError, match="without a pending forward"):
+                layer.backward(np.ones(1))
 
 
 class TestTrain:
