@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import CheckpointError, LoadedCheckpoint, load_checkpoint, save_checkpoint
-from .cmapss import CmapssError, DatasetBundle, _check_subset_id, load_subset
+from .cmapss import CmapssError, DatasetBundle, _check_subset_id, format_value, load_subset
 from .metrics import evaluate_test
 from .model import ModelConfig, conv_channels_for_depth
 from .preprocess import SensorSelection, select_columns
@@ -224,10 +224,6 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
         writer.writerows(rows)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _build_configs(settings: dict) -> tuple[SensorSelection, ModelConfig, TrainConfig]:
     try:
         selection = select_columns(settings["subset"], settings["include_sensor_14"])
@@ -274,7 +270,7 @@ def _write_training_log(path: Path, result: TrainResult, config: TrainConfig) ->
         path,
         ["epoch", "lr", "train_loss", "val_rmse"],
         (
-            [epoch, _fmt(lr_at(epoch, config)), _fmt(loss), _fmt(val)]
+            [epoch, format_value(lr_at(epoch, config)), format_value(loss), format_value(val)]
             for epoch, (loss, val) in enumerate(zip(report.train_loss, report.val_rmse), 1)
         ),
     )
@@ -323,12 +319,15 @@ def _write_predictions(path: Path, unit_ids, pred, true) -> None:
     _write_csv(
         path,
         ["engine_id", "true_rul", "pred_rul", "d"],
-        ([int(uid), _fmt(t), _fmt(p), _fmt(p - t)] for uid, p, t in zip(unit_ids, pred, true)),
+        (
+            [int(uid), format_value(t), format_value(p), format_value(p - t)]
+            for uid, p, t in zip(unit_ids, pred, true)
+        ),
     )
 
 
 def _write_metrics(path: Path, rmse_value: float, score_value: float) -> None:
-    _write_csv(path, ["rmse", "nasa_score"], [[_fmt(rmse_value), _fmt(score_value)]])
+    _write_csv(path, ["rmse", "nasa_score"], [[format_value(v) for v in (rmse_value, score_value)]])
 
 
 def _load_checkpoint_arg(path_text: str) -> LoadedCheckpoint:
@@ -419,7 +418,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         out_dir / "runs.csv",
         ["value", "seed", "rmse", "nasa_score", "seconds", "best_epoch", "n_epochs"],
         (
-            [value, seed, _fmt(r), _fmt(s), _fmt(sec), best, n]
+            [value, seed, format_value(r), format_value(s), format_value(sec), best, n]
             for value, seed, r, s, sec, best, n in rows
         ),
     )
@@ -427,7 +426,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     summary = []
     for value in values:
         ours = [row for row in rows if row[0] == value]
-        means = [_fmt(float(np.mean([r[k] for r in ours]))) for k in (2, 3, 4)]
+        means = [format_value(float(np.mean([r[k] for r in ours]))) for k in (2, 3, 4)]
         summary.append([value, len(ours), *means])
     _write_csv(
         out_dir / "summary.csv",
@@ -444,7 +443,7 @@ def _write_per_cycle_rows(path: Path, row_key: str, prefix: str, values: np.ndar
         path,
         ["cycle", row_key] + [f"{prefix}{i}" for i in range(1, n_cols + 1)],
         (
-            [j, row] + [_fmt(v) for v in line]
+            [j, row] + [format_value(v) for v in line]
             for j, block in enumerate(values, 1)
             for row, line in enumerate(block, 1)
         ),
@@ -475,7 +474,7 @@ def cmd_export_features(args: argparse.Namespace) -> int:
     _write_csv(
         out_dir / "attention.csv",
         ["cycle"] + [f"weight_{i}" for i in range(1, w + 1)],
-        ([j + 1] + [_fmt(v) for v in attention[j]] for j in range(n)),
+        ([j + 1] + [format_value(v) for v in attention[j]] for j in range(n)),
     )
 
     temporal = np.concatenate([t.temporal for t in traces])

@@ -13,9 +13,9 @@ import numpy as np
 
 from .cmapss import DatasetBundle, EngineTrajectory
 from .model import DegradationNetwork
-# apply_scaler is not called here; bench/ tracing looks it up as metrics.apply_scaler
+# only bench/ uses this: its metrics.apply_scaler span reads 0, since nothing here calls it
 from .preprocess import LabelPolicy, Scaler, SensorSelection, apply_scaler  # noqa: F401
-from .training import INFER_BATCH, build_window_bank, predict_windows
+from .training import build_window_bank, predict_windows
 
 
 def rmse(pred: np.ndarray, true: np.ndarray) -> float:
@@ -62,14 +62,13 @@ def predict_engine(
     scaler: Scaler,
     selection: SensorSelection,
     policy: LabelPolicy,
-    batch_size: int = INFER_BATCH,
 ) -> np.ndarray:
     """Predicted RUL for every cycle of one engine, clamped to [0, r_max].
 
     Clamping happens at inference only; training sees raw outputs.
     """
     bank = build_window_bank([trajectory], scaler, selection, policy, model.config.window)
-    return np.clip(predict_windows(model, bank, batch_size), 0.0, float(policy.r_max))
+    return np.clip(predict_windows(model, bank), 0.0, float(policy.r_max))
 
 
 def last_windows(

@@ -95,8 +95,20 @@ def select_columns(subset_id: str, include_sensor_14: bool = False) -> SensorSel
 
 
 def selection_matrix(trajectory: EngineTrajectory, selection: SensorSelection) -> np.ndarray:
-    """Extract the selected columns of a trajectory as an (n, m) matrix."""
-    return trajectory.values[:, selection.indices]
+    """Extract the selected columns of a trajectory as an (n, m) matrix.
+
+    A NaN or infinity in them is a ``ValueError`` naming the engine, the
+    1-based cycle, the column and the value.
+    """
+    matrix = trajectory.values[:, selection.indices]
+    finite = np.isfinite(matrix)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ValueError(
+            f"engine {trajectory.unit_id}, cycle {row + 1}: column "
+            f"{selection.columns[col]} is {matrix[row, col]}, not a finite number"
+        )
+    return matrix
 
 
 def fit_scaler(

@@ -142,19 +142,49 @@ def split_engines(
 # elements per pass of Adam.step: a block's six float64 operands (value,
 # grad, m, v, two scratch) take 1.5 MiB and stay in L2 between its ufuncs
 ADAM_BLOCK = 1 << 15
-# parameter count from which Adam.step splits its blocks between the caller
-# and one worker thread; in a train-step loop two lanes won 10/10 rounds
-# from 191k params up and gained nothing at 141k and below
+# parameter count from which Adam.step hands map_chunks one chunk per lane; in
+# a train-step loop two lanes won 10/10 rounds from 191k params up and gained
+# nothing at 141k and below
 ADAM_TWO_LANE_MIN = 5 * ADAM_BLOCK
 
 
 def cpu_lanes() -> int:
-    """Threads Adam.step and inference may use: one per CPU this process may run on, at most 2."""
+    """Threads ``map_chunks`` may use: one per CPU this process may run on, at most 2."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
         cpus = os.cpu_count() or 1
     return min(2, cpus)
+
+
+# windows per forward pass at inference; chunking decides which windows share
+# a matmul, so changing it can change the last bits of predictions
+INFER_BATCH = 256
+
+T = TypeVar("T")
+
+
+def map_chunks(fn: Callable[[slice], T], n: int, size: int = INFER_BATCH) -> list[T]:
+    """``fn`` of each ``size``-long slice of ``range(n)``, in order.
+
+    This is the package's one way to use a second core. With more than one
+    chunk and two usable CPUs, the caller runs the lower half of the chunks
+    while one worker thread, started for this call, runs the upper half; the
+    worker is joined before the call returns or re-raises, so no thread
+    outlives it. The chunks are those of the serial path, so ``fn`` sees the
+    same inputs either way; it must not write what the other lane's chunks
+    read (``DegradationNetwork.trace`` and ``predict`` write nothing, and
+    ``Adam.step``'s chunks are disjoint).
+    """
+    chunks = [slice(start, start + size) for start in range(0, n, size)]
+    half = len(chunks) // 2
+    if half == 0 or cpu_lanes() < 2:
+        return [fn(chunk) for chunk in chunks]
+    # leaving the block joins the worker, also when the lower half raises
+    with ThreadPoolExecutor(1, thread_name_prefix="tddn-lane") as worker:
+        upper = worker.submit(lambda: [fn(chunk) for chunk in chunks[half:]])
+        lower = [fn(chunk) for chunk in chunks[:half]]
+        return lower + upper.result()
 
 
 class Adam:
@@ -168,11 +198,12 @@ class Adam:
     g``), never rebind them: ``step`` raises ``ValueError`` naming a param
     whose arrays no longer view the buffers.
 
-    With at least ``ADAM_TWO_LANE_MIN`` parameters and two usable CPUs,
-    ``step`` runs the upper half of its blocks on one worker thread while
-    the caller runs the lower half. The update is element-wise, so the bits
-    are those of the serial path. The worker starts on the first such step
-    and exits once the optimizer is garbage-collected.
+    ``step`` updates the buffers in ``ADAM_BLOCK``-long blocks through
+    ``map_chunks``: from ``ADAM_TWO_LANE_MIN`` parameters up as two chunks
+    of whole blocks, which it may run on the caller and one worker thread
+    for the call, and below that size as one chunk on the caller. The
+    update is element-wise, so the bits are those of the serial path either
+    way. The optimizer holds no thread.
     """
 
     def __init__(
@@ -188,19 +219,9 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        size = self.value.size
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
+        self.m = np.zeros(self.value.size)
+        self.v = np.zeros(self.value.size)
         self._views = [(p.value, p.grad) for p in self.params]
-        n_blocks = -(-size // ADAM_BLOCK)
-        two_lane = size >= ADAM_TWO_LANE_MIN and n_blocks > 1 and cpu_lanes() > 1
-        # lane i updates [bounds[i], bounds[i + 1]) with its own scratch pair
-        self._bounds = (0, (n_blocks + 1) // 2 * ADAM_BLOCK, size) if two_lane else (0, size)
-        block = min(size, ADAM_BLOCK)
-        self._scratch = [
-            (np.empty(block), np.empty(block)) for _ in range(len(self._bounds) - 1)
-        ]
-        self._worker: ThreadPoolExecutor | None = None
 
     def step(self, lr: float) -> None:
         """Apply one update from the gradients currently in the params."""
@@ -213,50 +234,45 @@ class Adam:
                     "update params in place instead of rebinding them"
                 )
         self.step_count += 1
-        bc1 = 1.0 - self.beta1**self.step_count
-        bc2 = 1.0 - self.beta2**self.step_count
-        if len(self._bounds) == 2:
-            self._update(0, lr, bc1, bc2)
-            return
-        if self._worker is None:
-            self._worker = ThreadPoolExecutor(1, thread_name_prefix="tddn-adam")
-        upper = self._worker.submit(self._update, 1, lr, bc1, bc2)
-        try:
-            self._update(0, lr, bc1, bc2)
-        finally:
-            # the worker writes into the buffers until its lane is done
-            upper.result()
+        b1, b2, eps = self.beta1, self.beta2, self.eps
+        bc1 = 1.0 - b1**self.step_count
+        bc2 = 1.0 - b2**self.step_count
+        size = self.value.size
+        # from ADAM_TWO_LANE_MIN up, one chunk of whole blocks per lane (the
+        # caller's rounded up), so each lane allocates one scratch pair a step
+        lane = -(-size // (2 * ADAM_BLOCK)) * ADAM_BLOCK if size >= ADAM_TWO_LANE_MIN else size
 
-    def _update(self, lane: int, lr: float, bc1: float, bc2: float) -> None:
-        """Run the update over one lane's blocks, in place."""
-        b1, b2 = self.beta1, self.beta2
-        s1, s2 = self._scratch[lane]
-        # the element-wise order of the per-array formula
-        #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
-        #   value -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
-        # is kept exactly, so the bits match an unblocked update
-        lane_stop = self._bounds[lane + 1]
-        for start in range(self._bounds[lane], lane_stop, ADAM_BLOCK):
-            stop = min(start + ADAM_BLOCK, lane_stop)
-            g = self.grad[start:stop]
-            m = self.m[start:stop]
-            v = self.v[start:stop]
-            t1 = s1[: stop - start]
-            t2 = s2[: stop - start]
-            m *= b1
-            np.multiply(1.0 - b1, g, out=t1)
-            m += t1
-            v *= b2
-            np.multiply(g, g, out=t1)
-            np.multiply(1.0 - b2, t1, out=t1)
-            v += t1
-            np.divide(m, bc1, out=t1)
-            np.multiply(lr, t1, out=t1)
-            np.divide(v, bc2, out=t2)
-            np.sqrt(t2, out=t2)
-            t2 += self.eps
-            t1 /= t2
-            self.value[start:stop] -= t1
+        def update(chunk: slice) -> None:
+            stop = min(chunk.stop, size)
+            s1 = np.empty(min(ADAM_BLOCK, stop - chunk.start))
+            s2 = np.empty_like(s1)
+            # the element-wise order of the per-array formula
+            #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
+            #   value -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
+            # is kept exactly, so the bits match an unblocked update
+            for start in range(chunk.start, stop, ADAM_BLOCK):
+                block = slice(start, min(start + ADAM_BLOCK, stop))
+                g = self.grad[block]
+                m = self.m[block]
+                v = self.v[block]
+                t1 = s1[: g.size]
+                t2 = s2[: g.size]
+                m *= b1
+                np.multiply(1.0 - b1, g, out=t1)
+                m += t1
+                v *= b2
+                np.multiply(g, g, out=t1)
+                np.multiply(1.0 - b2, t1, out=t1)
+                v += t1
+                np.divide(m, bc1, out=t1)
+                np.multiply(lr, t1, out=t1)
+                np.divide(v, bc2, out=t2)
+                np.sqrt(t2, out=t2)
+                t2 += eps
+                t1 /= t2
+                self.value[block] -= t1
+
+        map_chunks(update, size, lane)
 
 
 class WindowBank:
@@ -333,38 +349,10 @@ def build_window_bank(
     return WindowBank(padded, labels, [t.unit_id for t in trajectories], window)
 
 
-# windows per forward pass at inference; chunking decides which windows share
-# a matmul, so changing it can change the last bits of predictions
-INFER_BATCH = 256
-
-T = TypeVar("T")
-
-
-def map_chunks(fn: Callable[[slice], T], n: int, size: int = INFER_BATCH) -> list[T]:
-    """``fn`` of each ``size``-long slice of ``range(n)``, in order.
-
-    With more than one chunk and two usable CPUs, the caller runs the lower
-    half of the chunks while one worker thread, started for this call and
-    joined before it returns, runs the upper half. The chunks are those of
-    the serial path, so ``fn`` sees the same inputs either way; it must not
-    write shared state (``DegradationNetwork.trace`` and ``predict`` do not).
-    """
-    chunks = [slice(start, start + size) for start in range(0, n, size)]
-    half = len(chunks) // 2
-    if half == 0 or cpu_lanes() < 2:
-        return [fn(chunk) for chunk in chunks]
-    with ThreadPoolExecutor(1, thread_name_prefix="tddn-infer") as worker:
-        upper = worker.submit(lambda: [fn(chunk) for chunk in chunks[half:]])
-        lower = [fn(chunk) for chunk in chunks[:half]]
-        return lower + upper.result()
-
-
-def predict_windows(
-    model: DegradationNetwork, bank: WindowBank, batch_size: int = INFER_BATCH
-) -> np.ndarray:
+def predict_windows(model: DegradationNetwork, bank: WindowBank) -> np.ndarray:
     """Unclamped model outputs for every window in the bank, in order."""
     return np.concatenate(
-        map_chunks(lambda chunk: model.predict(bank.gather(chunk)[0]), bank.n_windows, batch_size)
+        map_chunks(lambda chunk: model.predict(bank.gather(chunk)[0]), bank.n_windows)
     )
 
 

@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 
 from tddn import __version__, cli
 from tddn.cli import main
-from tddn.cmapss import SUBSET_IDS
+from tddn.cmapss import COLUMN_NAMES, SUBSET_IDS
 from tddn.model import ModelConfig
 from tddn.training import TrainConfig, TrainingError
 from _synth import make_bundle, write_bundle
@@ -23,6 +23,20 @@ TINY_FLAGS = ["--window", "8", "--depth", "2", "--epochs", "2", "--batch", "16"]
 
 def run(*argv: str) -> int:
     return main(list(argv))
+
+
+def copy_with_value(
+    data_dir: Path, to: Path, name: str, unit: int, cycle: int, column: str, token: str
+) -> Path:
+    """A copy of ``data_dir`` whose file ``name`` has ``token`` in one field."""
+    shutil.copytree(data_dir, to)
+    lines = (to / name).read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if line.split()[:2] == [str(unit), str(cycle)])
+    fields = lines[i].split()
+    fields[2 + COLUMN_NAMES.index(column)] = token
+    lines[i] = " ".join(fields)
+    (to / name).write_text("\n".join(lines) + "\n")
+    return to
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +126,30 @@ class TestTrainCommand:
         )
         assert code == 2
         assert "pool stage" in capsys.readouterr().err
+
+
+    def test_nan_in_a_selected_column_exits_1(self, synth_data_dir, tmp_path, capsys):
+        data = copy_with_value(
+            synth_data_dir, tmp_path / "data", "train_FD001.txt", 3, 7, "sensor_2", "nan"
+        )
+        code = run("train", "--data", str(data), "--out", str(tmp_path / "o"), *TINY_FLAGS)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "engine 3, cycle 7: column sensor_2 is nan" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o" / "model.ckpt").exists()
+
+    def test_nan_in_an_unselected_column_still_trains(self, trained, synth_data_dir, tmp_path):
+        data = copy_with_value(
+            synth_data_dir, tmp_path / "data", "train_FD001.txt", 3, 7, "sensor_1", "nan"
+        )
+        out = tmp_path / "o"
+        code = run(
+            "train", "--data", str(data), "--out", str(out),
+            "--subset", "FD001", "--seed", "1", *TINY_FLAGS,
+        )
+        assert code == 0
+        assert (out / "model.ckpt").read_bytes() == (trained / "model.ckpt").read_bytes()
 
 
 class TestConfigFile:
@@ -266,6 +304,20 @@ class TestEvaluateCommand:
         assert code == 1
         expected = f"line {first + 1}: unit id must be below 2**53, got '1e19'"
         assert expected in capsys.readouterr().err
+
+    def test_inf_in_a_selected_column_exits_1(self, trained, synth_data_dir, tmp_path, capsys):
+        data = copy_with_value(
+            synth_data_dir, tmp_path / "data", "test_FD001.txt", 2, 3, "setting_1", "inf"
+        )
+        code = run(
+            "evaluate", "--checkpoint", str(trained / "model.ckpt"),
+            "--data", str(data), "--out", str(tmp_path / "o"),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "engine 2, cycle 3: column setting_1 is inf" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o" / "metrics.csv").exists()
 
     def test_missing_checkpoint_exits_2(self, synth_data_dir, tmp_path):
         code = run(

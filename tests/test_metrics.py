@@ -148,7 +148,7 @@ class TestEvaluateTest:
         bundle, selection, scaler, model = setup
         traj = bundle.test[0]
         policy = LabelPolicy()
-        curve = predict_engine(model, traj, scaler, selection, policy, batch_size=7)
+        curve = predict_engine(model, traj, scaler, selection, policy)
         assert curve.shape == (traj.n_cycles,)
         assert (curve >= 0.0).all() and (curve <= 120.0).all()
         # last point agrees with the batched test-set path (after clamping)

@@ -136,6 +136,26 @@ class TestScaler:
         with pytest.raises(ValueError, match="mismatch"):
             apply_scaler(bundle.train[0], scaler, select_columns("FD002"))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_selected_value_is_named(self, value):
+        bundle = make_bundle(n_train=2, seed=9)
+        selection = select_columns("FD001")
+        scaler = fit_scaler(bundle.train, selection)
+        values = bundle.train[1].values.copy()
+        values[6, COLUMN_NAMES.index("sensor_7")] = value
+        values[9, COLUMN_NAMES.index("sensor_2")] = value
+        # the flat sensor_1 is not selected for FD001, so its NaNs are ignored
+        values[:, COLUMN_NAMES.index("sensor_1")] = np.nan
+        bad = EngineTrajectory(unit_id=2, values=values)
+        message = f"engine 2, cycle 7: column sensor_7 is {value}, not a finite number"
+        with pytest.raises(ValueError, match=message):
+            fit_scaler([bundle.train[0], bad], selection)
+        with pytest.raises(ValueError, match=message):
+            apply_scaler(bad, scaler, selection)
+        values[6, COLUMN_NAMES.index("sensor_7")] = 0.0
+        values[9, COLUMN_NAMES.index("sensor_2")] = 0.0
+        assert np.isfinite(apply_scaler(bad, scaler, selection)).all()
+
 
 def _traj_values(**columns) -> np.ndarray:
     """A values matrix with the named columns set and the rest zero."""

@@ -1,9 +1,9 @@
 from __future__ import annotations
 
-import gc
 import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -279,13 +279,28 @@ class ReferenceAdam:
             p.value -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
-def adam_workers() -> set[threading.Thread]:
-    return {t for t in threading.enumerate() if t.name.startswith("tddn-adam")}
+def lane_workers() -> set[threading.Thread]:
+    """Live worker threads of ``map_chunks``, the one place that starts threads."""
+    return {t for t in threading.enumerate() if t.name.startswith("tddn-lane")}
+
+
+@pytest.fixture
+def executors(monkeypatch) -> list[int]:
+    """One entry per worker ``map_chunks`` starts during the test."""
+    started: list[int] = []
+    executor = training.ThreadPoolExecutor
+
+    def spy(*args, **kwargs):
+        started.append(1)
+        return executor(*args, **kwargs)
+
+    monkeypatch.setattr(training, "ThreadPoolExecutor", spy)
+    return started
 
 
 @pytest.fixture(params=[1, 2], ids=["one-lane", "two-lane"])
 def lanes(request, monkeypatch):
-    """Adams built in the test take the serial path (1) or split every step (2)."""
+    """Adam steps in the test take the serial path (1) or split every step (2)."""
     monkeypatch.setattr(training, "cpu_lanes", lambda: request.param)
     if request.param == 2:
         monkeypatch.setattr(training, "ADAM_TWO_LANE_MIN", 0)
@@ -306,18 +321,19 @@ class TestAdamMatchesReference:
         np.testing.assert_array_equal(opt.m, np.concatenate([m.ravel() for m in ref.m]))
         np.testing.assert_array_equal(opt.v, np.concatenate([v.ravel() for v in ref.v]))
 
-    @staticmethod
-    def assert_lanes_used(lanes: int, workers_before: set) -> None:
-        assert len(adam_workers() - workers_before) == (lanes == 2)
+    @classmethod
+    def assert_lanes_used(cls, lanes: int, executors: list[int]) -> None:
+        # one worker per step with two lanes, none left running
+        assert len(executors) == (cls.N_STEPS if lanes == 2 else 0)
+        assert not lane_workers()
 
     @pytest.mark.parametrize("depth", [1, 3])
-    def test_network_training_steps(self, depth, lanes):
+    def test_network_training_steps(self, depth, lanes, executors):
         config = ModelConfig(
             window=16, n_features=15, conv_channels=conv_channels_for_depth(depth)
         )
         model = DegradationNetwork(config, np.random.default_rng(depth))
         twin = DegradationNetwork(config, np.random.default_rng(depth))
-        workers = adam_workers()
         opt = Adam(model.params())
         ref = ReferenceAdam(twin.params())
         assert opt.value.size > ADAM_BLOCK
@@ -333,9 +349,9 @@ class TestAdamMatchesReference:
             opt.step(self.lr(step))
             ref.step(self.lr(step))
             self.assert_same_state(opt, ref)
-        self.assert_lanes_used(lanes, workers)
+        self.assert_lanes_used(lanes, executors)
 
-    def test_params_spanning_several_blocks(self, lanes):
+    def test_params_spanning_several_blocks(self, lanes, executors):
         # 3 full blocks and a partial one; param edges fall inside blocks
         shapes = [(ADAM_BLOCK - 3,), (2, ADAM_BLOCK + 5), (7,), (3, 11, 5)]
         assert sum(np.prod(s) for s in shapes) % ADAM_BLOCK != 0
@@ -343,7 +359,6 @@ class TestAdamMatchesReference:
         values = [rng.normal(size=s) for s in shapes]
         params = packed_params(*(Param(f"p{i}", v) for i, v in enumerate(values)))
         twins = [Param(f"p{i}", v.copy()) for i, v in enumerate(values)]
-        workers = adam_workers()
         opt = Adam(params, beta1=0.8, beta2=0.99, eps=1e-6)
         ref = ReferenceAdam(twins, beta1=0.8, beta2=0.99, eps=1e-6)
         for step in range(1, self.N_STEPS + 1):
@@ -354,11 +369,11 @@ class TestAdamMatchesReference:
             opt.step(self.lr(step))
             ref.step(self.lr(step))
             self.assert_same_state(opt, ref)
-        self.assert_lanes_used(lanes, workers)
+        self.assert_lanes_used(lanes, executors)
 
 
 class TestTwoLaneAdam:
-    def test_lane_decision(self, monkeypatch):
+    def test_lane_decision(self, monkeypatch, executors):
         # the window-16 depth-1 model stays serial, the default model splits
         w16 = ModelConfig(window=16, conv_channels=conv_channels_for_depth(1))
         rng = np.random.default_rng(0)
@@ -366,37 +381,35 @@ class TestTwoLaneAdam:
         assert DegradationNetwork(w16, rng).n_parameters() < size
         assert DegradationNetwork(ModelConfig(), rng).n_parameters() >= size
         monkeypatch.setattr(training, "cpu_lanes", lambda: 2)
-        workers = adam_workers()
         small = Adam(packed_params(Param("p", np.zeros(size - 1))))
         small.step(lr=0.1)
-        assert not adam_workers() - workers
+        assert not executors
         opt = Adam(packed_params(Param("p", np.zeros(size))))
-        # no thread at construction, one on the first step
-        assert not adam_workers() - workers
+        # nothing at construction, one worker for each step
+        assert not executors
         opt.step(lr=0.1)
-        (worker,) = adam_workers() - workers
+        opt.step(lr=0.1)
+        assert len(executors) == 2
         monkeypatch.setattr(training, "cpu_lanes", lambda: 1)
-        one_cpu = Adam(packed_params(Param("p", np.zeros(size))))
-        one_cpu.step(lr=0.1)
-        assert adam_workers() - workers == {worker}
+        opt.step(lr=0.1)
+        assert len(executors) == 2
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity mask")
-    def test_lane_count_follows_the_affinity_mask(self):
+    def test_lane_count_follows_the_affinity_mask(self, executors):
         # not patched: under `taskset -c 0` this checks the serial decision for real
         lanes = min(2, len(os.sched_getaffinity(0)))
         assert training.cpu_lanes() == lanes
-        workers = adam_workers()
         opt = Adam(packed_params(Param("p", np.zeros(training.ADAM_TWO_LANE_MIN))))
         opt.step(lr=0.1)
-        assert len(adam_workers() - workers) == (1 if lanes == 2 else 0)
+        assert len(executors) == (1 if lanes == 2 else 0)
 
     def test_equals_serial_under_fast_thread_switching(self, monkeypatch):
-        config = ModelConfig()
-        opts = []
-        for lanes in (1, 2):
-            monkeypatch.setattr(training, "cpu_lanes", lambda n=lanes: n)
-            opts.append(Adam(DegradationNetwork(config, np.random.default_rng(5)).params()))
-        serial, two_lane = opts
+        lanes = [1]
+        monkeypatch.setattr(training, "cpu_lanes", lambda: lanes[0])
+        serial, two_lane = (
+            Adam(DegradationNetwork(ModelConfig(), np.random.default_rng(5)).params())
+            for _ in range(2)
+        )
         assert two_lane.value.size >= training.ADAM_TWO_LANE_MIN
         rng = np.random.default_rng(6)
         grad = rng.standard_normal(serial.grad.size)
@@ -408,7 +421,9 @@ class TestTwoLaneAdam:
                 for step in range(1, 21):
                     np.multiply(grad, 10.0 ** rng.uniform(-3, 1), out=serial.grad)
                     two_lane.grad[...] = serial.grad
+                    lanes[0] = 1
                     serial.step(1e-3)
+                    lanes[0] = 2
                     two_lane.step(1e-3)
                     for name in ("value", "m", "v"):
                         if not np.array_equal(getattr(serial, name), getattr(two_lane, name)):
@@ -430,19 +445,16 @@ class TestTwoLaneAdam:
             raise errors[0]
         assert steps_done == list(range(1, 21))
 
-    def test_worker_exits_with_its_optimizer(self, monkeypatch):
+    def test_no_thread_outlives_a_step(self, monkeypatch, executors):
         monkeypatch.setattr(training, "cpu_lanes", lambda: 2)
         before = threading.active_count()
-        workers = adam_workers()
+        alive = set(threading.enumerate())
         opt = Adam(packed_params(Param("p", np.ones(training.ADAM_TWO_LANE_MIN))))
-        opt.step(lr=0.1)
-        (worker,) = adam_workers() - workers
-        del opt
-        gc.collect()
-        worker.join(timeout=10.0)
-        assert not worker.is_alive()
-        # other optimizers' workers may have exited meanwhile, never started
-        assert threading.active_count() <= before
+        for step in range(1, 4):
+            opt.step(lr=0.1)
+            assert len(executors) == step
+            assert set(threading.enumerate()) <= alive and not lane_workers()
+            assert threading.active_count() <= before
 
 
 def window_oracle(matrix: np.ndarray, j: int, window: int) -> np.ndarray:
@@ -585,10 +597,6 @@ class TestWindowBank:
             )
 
 
-def infer_workers() -> set[threading.Thread]:
-    return {t for t in threading.enumerate() if t.name.startswith("tddn-infer")}
-
-
 class TestTwoLaneInference:
     @pytest.fixture(scope="class")
     def long_engines(self, tmp_path_factory):
@@ -647,6 +655,25 @@ class TestTwoLaneInference:
             assert training.map_chunks(fn, 1000) == want
             assert sorted(runs, key=lambda r: r[0].start) == [(c, c in lower) for c in want]
 
+    def test_error_in_the_lower_half_waits_for_the_worker(self, monkeypatch):
+        monkeypatch.setattr(training, "cpu_lanes", lambda: 2)
+        failed = threading.Event()
+        done: list[slice] = []
+
+        def fn(chunk: slice) -> None:
+            if chunk.start == 0:
+                failed.set()
+                raise KeyError("lower half")
+            # the worker's chunks are still running when the caller's raises
+            failed.wait(timeout=10.0)
+            time.sleep(0.05)
+            done.append(chunk)
+
+        with pytest.raises(KeyError, match="lower half"):
+            training.map_chunks(fn, 4, 1)
+        assert done == [slice(2, 3), slice(3, 4)]
+        assert not lane_workers()
+
     def test_threads_share_one_model_bit_for_bit(self):
         config = ModelConfig(window=16, conv_channels=(8, 16))
         model = DegradationNetwork(config, np.random.default_rng(9))
@@ -682,20 +709,21 @@ class TestTwoLaneInference:
             raise errors[0]
         assert rounds_done == [200, 200]
 
-    def test_inference_leaves_no_state_and_no_thread(self, long_engines, monkeypatch):
-        bundle, _, scaler, selection, model, _ = long_engines
+    def test_inference_leaves_no_state_and_no_thread(
+        self, long_engines, monkeypatch, executors, tmp_path
+    ):
+        bundle, data, scaler, selection, model, ckpt = long_engines
         policy = LabelPolicy()
         monkeypatch.setattr(training, "cpu_lanes", lambda: 2)
-        started: list[int] = []
-        executor = training.ThreadPoolExecutor
-
-        def spy(*args, **kwargs):
-            started.append(1)
-            return executor(*args, **kwargs)
-
-        monkeypatch.setattr(training, "ThreadPoolExecutor", spy)
         short = make_bundle(n_train=1, min_len=100, max_len=200, seed=32).train[0]
         bank = build_window_bank(bundle.train, scaler, selection, policy, SMALL_MODEL.window)
+
+        def export_features() -> None:
+            assert cli.main([
+                "export-features", "--checkpoint", str(ckpt), "--data", str(data),
+                "--out", str(tmp_path / "features"), "--engine", "1", "--split", "train",
+            ]) == 0
+
         before = threading.active_count()
         alive = set(threading.enumerate())
         calls = [
@@ -704,12 +732,13 @@ class TestTwoLaneInference:
             (lambda: model.trace(bank.gather(slice(0, 40))[0]), 0),
             (lambda: predict_engine(model, bundle.train[0], scaler, selection, policy), 1),
             (lambda: predict_windows(model, bank), 1),
+            (export_features, 1),
         ]
         for call, threads in calls:
-            del started[:]
+            del executors[:]
             call()
-            assert len(started) == threads
-            assert set(threading.enumerate()) <= alive and not infer_workers()
+            assert len(executors) == threads
+            assert set(threading.enumerate()) <= alive and not lane_workers()
             assert threading.active_count() <= before
         layers = [
             *model.conv_stack.children, model.flatten, model.expand, model.expand_act,
@@ -834,7 +863,7 @@ class TestTrain:
         monkeypatch.setattr(
             training,
             "predict_windows",
-            lambda model, bank, batch_size=256: np.full(bank.n_windows, np.nan),
+            lambda model, bank: np.full(bank.n_windows, np.nan),
         )
         with pytest.raises(TrainingError, match="validation RMSE nan in epoch 1"):
             train(bundle, SMALL_MODEL, small_train_config(max_epochs=2))
@@ -843,7 +872,7 @@ class TestTrain:
         monkeypatch.setattr(
             training,
             "predict_windows",
-            lambda model, bank, batch_size=256: np.full(bank.n_windows, np.nan),
+            lambda model, bank: np.full(bank.n_windows, np.nan),
         )
         code = cli.main([
             "train", "--data", str(synth_data_dir), "--out", str(tmp_path / "o"),
