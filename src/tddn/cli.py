@@ -25,11 +25,12 @@ import numpy as np
 from . import __version__
 from .checkpoint import CheckpointError, LoadedCheckpoint, load_checkpoint, save_checkpoint
 from .cmapss import CmapssError, DatasetBundle, _check_subset_id, format_value, load_subset
+from .lanes import map_chunks
 from .metrics import evaluate_test
 from .model import ModelConfig, conv_channels_for_depth
 from .preprocess import SensorSelection, select_columns
 from .training import (
-    TrainConfig, TrainingError, TrainResult, build_window_bank, lr_at, map_chunks, train
+    INFER_BATCH, TrainConfig, TrainingError, TrainResult, build_window_bank, lr_at, train
 )
 
 logger = logging.getLogger(__name__)
@@ -468,7 +469,7 @@ def cmd_export_features(args: argparse.Namespace) -> int:
     w = model.config.window
     n = trajectory.n_cycles
     bank = build_window_bank([trajectory], loaded.scaler, loaded.selection, loaded.policy, w)
-    traces = map_chunks(lambda chunk: model.trace(bank.gather(chunk)[0]), bank.n_windows)
+    traces = map_chunks(lambda c: model.trace(bank.gather(c)[0]), bank.n_windows, INFER_BATCH)
     attention = np.concatenate([t.attention for t in traces])
 
     _write_csv(

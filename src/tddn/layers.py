@@ -3,10 +3,11 @@
 Every layer computes in one stateless method, ``apply(x) -> (out,
 cache)``, which writes nothing to the module, so one layer can serve
 several threads. ``forward`` is ``apply`` that keeps the cache on the
-module for ``backward``, which accumulates parameter gradients into
-Param.grad. A backward call consumes the cache, so backward before
-forward (or twice per forward) is a programming error and raises.
-Batched inputs use the (batch, time, channels) layout.
+module for ``backward``, which writes (does not accumulate) every
+parameter gradient into Param.grad, so nothing needs zeroing between
+steps. A backward call consumes the cache, so backward before forward
+(or twice per forward) is a programming error and raises. Batched inputs
+use the (batch, time, channels) layout.
 """
 
 from __future__ import annotations
@@ -15,9 +16,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .lanes import map_chunks
+
 
 class Param:
-    """A trainable array with an accumulated gradient of the same shape.
+    """A trainable array and its gradient, which each ``backward`` overwrites.
 
     ``pack``, which every ``DegradationNetwork`` runs when it is built,
     rebinds ``value`` and ``grad`` to views into two flat buffers. After
@@ -102,6 +105,7 @@ class Module:
         return []
 
     def zero_grad(self) -> None:
+        """Set every gradient to zero; not needed between steps, as ``backward`` writes them all."""
         for p in self.params():
             p.grad[...] = 0.0
 
@@ -115,9 +119,6 @@ class Module:
 
     def backward(self, gout: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)
 
     def _take_cache(self):
         if self._cache is None:
@@ -152,6 +153,16 @@ class Sequential(Module):
         return gout
 
 
+# multiply-adds of the weight gradient (batch * n_in * n_out) from which
+# Linear.backward writes it on a second lane while the caller computes the
+# input gradient. Timed alone on a 2-core host with one BLAS thread, two lanes
+# won 11-15 of 15 rounds from 7.9M up (-11% to -44%), were mixed at 3.9M and
+# lost below 2M, where starting the worker costs more than it saves. The
+# window-16 model's expand at batch 32 (2.0M) stays serial; the default
+# model's (31.5M) splits
+LINEAR_TWO_LANE_MIN = 1 << 22
+
+
 class Linear(Module):
     """Affine map (B, n_in) -> (B, n_out)."""
 
@@ -169,9 +180,17 @@ class Linear(Module):
 
     def backward(self, gout: np.ndarray) -> np.ndarray:
         x = self._take_cache()
-        self.weight.grad += x.T @ gout
-        self.bias.grad += gout.sum(axis=0)
-        return gout @ self.weight.value.T
+
+        def write_grads() -> None:
+            # the worker's task makes NumPy calls only: wrappers that tracers put
+            # on a layer's forward or backward assume a single thread
+            np.matmul(x.T, gout, out=self.weight.grad)
+            np.sum(gout, axis=0, out=self.bias.grad)
+
+        tasks = (lambda: gout @ self.weight.value.T, write_grads)
+        # size 2 is one chunk, which the caller runs; size 1 gives each task a lane
+        size = 1 if x.shape[0] * self.weight.value.size >= LINEAR_TWO_LANE_MIN else 2
+        return map_chunks(lambda s: [task() for task in tasks[s]], 2, size)[0][0]
 
 
 class ReLU(Module):
@@ -242,8 +261,8 @@ class Conv1d(Module):
         k, c_in = self.kernel, self.c_in
         flat_patches = patches.reshape(batch * n_time, k * c_in)
         flat_g = gout.reshape(batch * n_time, self.c_out)
-        self.weight.grad += (flat_patches.T @ flat_g).reshape(self.weight.value.shape)
-        self.bias.grad += flat_g.sum(axis=0)
+        np.matmul(flat_patches.T, flat_g, out=self.weight.grad.reshape(k * c_in, self.c_out))
+        np.sum(flat_g, axis=0, out=self.bias.grad)
         flat_w = self.weight.value.reshape(k * c_in, self.c_out)
         gpatches = (flat_g @ flat_w.T).reshape(batch, n_time, k, c_in)
         gpadded = np.zeros((batch, n_time + k - 1, c_in))

@@ -153,12 +153,12 @@ class FeatureAttention(Module):
         gweights = np.einsum("bm,bwm->bw", gout, h)
         gh = weights[:, :, None] * gout[:, None, :]
         gscores = softmax_backward(weights, gweights, axis=1)
-        self.context.grad += np.einsum("bwd,bw->d", hidden, gscores)
+        np.einsum("bwd,bw->d", hidden, gscores, out=self.context.grad)
         gpre = gscores[:, :, None] * self.context.value * (1.0 - hidden * hidden)
         flat_aug = augmented.reshape(batch * n_rows, 4 * m)
         flat_gpre = gpre.reshape(batch * n_rows, self.hidden)
-        self.weight.grad += flat_aug.T @ flat_gpre
-        self.bias.grad += flat_gpre.sum(axis=0)
+        np.matmul(flat_aug.T, flat_gpre, out=self.weight.grad)
+        np.sum(flat_gpre, axis=0, out=self.bias.grad)
         gaug = (flat_gpre @ self.weight.value.T).reshape(batch, n_rows, 4 * m)
         g_row, g_first, g_diff, g_prod = np.split(gaug, 4, axis=2)
         first = h[:, :1, :]

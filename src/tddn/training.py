@@ -9,15 +9,14 @@ from __future__ import annotations
 
 import logging
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .cmapss import DatasetBundle, EngineTrajectory
+from .lanes import map_chunks
 from .model import DegradationNetwork, ModelConfig
 from .layers import mse_loss, packed
 from .preprocess import (
@@ -148,43 +147,9 @@ ADAM_BLOCK = 1 << 15
 ADAM_TWO_LANE_MIN = 5 * ADAM_BLOCK
 
 
-def cpu_lanes() -> int:
-    """Threads ``map_chunks`` may use: one per CPU this process may run on, at most 2."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        cpus = os.cpu_count() or 1
-    return min(2, cpus)
-
-
 # windows per forward pass at inference; chunking decides which windows share
 # a matmul, so changing it can change the last bits of predictions
 INFER_BATCH = 256
-
-T = TypeVar("T")
-
-
-def map_chunks(fn: Callable[[slice], T], n: int, size: int = INFER_BATCH) -> list[T]:
-    """``fn`` of each ``size``-long slice of ``range(n)``, in order.
-
-    This is the package's one way to use a second core. With more than one
-    chunk and two usable CPUs, the caller runs the lower half of the chunks
-    while one worker thread, started for this call, runs the upper half; the
-    worker is joined before the call returns or re-raises, so no thread
-    outlives it. The chunks are those of the serial path, so ``fn`` sees the
-    same inputs either way; it must not write what the other lane's chunks
-    read (``DegradationNetwork.trace`` and ``predict`` write nothing, and
-    ``Adam.step``'s chunks are disjoint).
-    """
-    chunks = [slice(start, start + size) for start in range(0, n, size)]
-    half = len(chunks) // 2
-    if half == 0 or cpu_lanes() < 2:
-        return [fn(chunk) for chunk in chunks]
-    # leaving the block joins the worker, also when the lower half raises
-    with ThreadPoolExecutor(1, thread_name_prefix="tddn-lane") as worker:
-        upper = worker.submit(lambda: [fn(chunk) for chunk in chunks[half:]])
-        lower = [fn(chunk) for chunk in chunks[:half]]
-        return lower + upper.result()
 
 
 class Adam:
@@ -352,7 +317,7 @@ def build_window_bank(
 def predict_windows(model: DegradationNetwork, bank: WindowBank) -> np.ndarray:
     """Unclamped model outputs for every window in the bank, in order."""
     return np.concatenate(
-        map_chunks(lambda chunk: model.predict(bank.gather(chunk)[0]), bank.n_windows)
+        map_chunks(lambda c: model.predict(bank.gather(c)[0]), bank.n_windows, INFER_BATCH)
     )
 
 
@@ -423,7 +388,6 @@ def train(
                 raise TrainingError(
                     f"non-finite loss {loss} in epoch {epoch}, batch {batch_no}"
                 )
-            model.zero_grad()
             model.backward(gpred)
             optimizer.step(lr)
             total_se += loss * idx.size

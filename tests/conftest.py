@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -51,3 +52,16 @@ def synth_data_dir(tmp_path_factory) -> Path:
     directory = tmp_path_factory.mktemp("synth_cmapss")
     write_bundle(make_bundle(), directory)
     return directory
+
+
+@pytest.fixture
+def executors(monkeypatch) -> list[int]:
+    """One entry per worker ``tddn.lanes.map_chunks`` starts during the test."""
+    started: list[int] = []
+
+    def spy(*args, **kwargs):
+        started.append(1)
+        return ThreadPoolExecutor(*args, **kwargs)
+
+    monkeypatch.setattr("tddn.lanes.ThreadPoolExecutor", spy)
+    return started

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from tddn import layers
 from tddn.layers import (
     Conv1d,
     Flatten,
@@ -19,6 +22,8 @@ from tddn.layers import (
     softmax,
     softmax_backward,
 )
+from tddn.model import DegradationNetwork, FeatureAttention, ModelConfig, conv_channels_for_depth
+from _lanes import lane_workers
 from gradcheck import TOL, check_module_gradients, max_rel_error, numeric_gradient
 
 
@@ -416,19 +421,29 @@ class TestModuleDiscipline:
         with pytest.raises(RuntimeError, match="without a pending forward"):
             layer.backward(np.zeros((1, 2)))
 
-    def test_gradients_accumulate_until_zeroed(self):
+    def test_backward_writes_every_gradient(self):
+        # NaN left in a gradient before backward must not survive it: every
+        # param is written, so a training step needs no zero_grad
         rng = np.random.default_rng(23)
-        layer = Linear(2, 2, rng)
-        x = rng.normal(size=(3, 2))
-        g = rng.normal(size=(3, 2))
-        layer.forward(x)
-        layer.backward(g)
-        once = layer.weight.grad.copy()
-        layer.forward(x)
-        layer.backward(g)
-        np.testing.assert_allclose(layer.weight.grad, 2.0 * once, atol=1e-15)
-        layer.zero_grad()
-        np.testing.assert_array_equal(layer.weight.grad, 0.0)
+        cases = [
+            (Linear(5, 3, rng), rng.normal(size=(4, 5))),
+            (Conv1d(3, 4, 2, rng), rng.normal(size=(4, 6, 3))),
+            (FeatureAttention(3, 5, rng), rng.normal(size=(4, 6, 3))),
+        ]
+        for depth in (1, 3):
+            config = ModelConfig(
+                window=16, n_features=3, conv_channels=conv_channels_for_depth(depth)
+            )
+            cases.append((DegradationNetwork(config, rng), rng.normal(size=(4, 16, 3))))
+        for module, x in cases:
+            runs = {}
+            for fill in (0.0, np.nan):
+                for p in module.params():
+                    p.grad[...] = fill
+                out = module.forward(x)
+                gin = module.backward(np.random.default_rng(1).normal(size=out.shape))
+                runs[fill] = [gin.tobytes()] + [p.grad.tobytes() for p in module.params()]
+            assert runs[np.nan] == runs[0.0], type(module).__name__
 
     def test_sequential_composes_and_lists_params(self):
         rng = np.random.default_rng(24)
@@ -455,6 +470,103 @@ class TestModuleDiscipline:
     def test_base_module_is_abstract(self):
         with pytest.raises(NotImplementedError):
             Module().forward(np.zeros(1))
+
+
+def all_modules(model: DegradationNetwork) -> list[Module]:
+    """The network and every module inside it."""
+    return [
+        model, model.conv_stack, *model.conv_stack.children, model.flatten, model.expand,
+        model.expand_act, model.reshape, model.attention, model.regressor,
+        *model.regressor.children,
+    ]
+
+
+class TestTwoLaneLinearBackward:
+    CONFIG = ModelConfig(window=16, conv_channels=(8, 16))
+
+    @pytest.fixture
+    def split_all(self, monkeypatch):
+        """Two lanes, and every Linear.backward splits, however small."""
+        monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda: 2)
+        monkeypatch.setattr(layers, "LINEAR_TWO_LANE_MIN", 0)
+
+    def test_lane_decision(self, monkeypatch, executors):
+        # the window-16 depth-1 model's expand stays serial, the default model's splits
+        monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda: 2)
+        rng = np.random.default_rng(30)
+        w16 = ModelConfig(window=16, conv_channels=conv_channels_for_depth(1))
+        for config, workers in ((w16, 0), (ModelConfig(), 1)):
+            model = DegradationNetwork(config, rng)
+            macs = 32 * model.expand.weight.value.size
+            assert (macs >= layers.LINEAR_TWO_LANE_MIN) == bool(workers)
+            pred = model.forward(rng.normal(size=(32, config.window, config.n_features)))
+            del executors[:]
+            model.backward(np.ones_like(pred))
+            assert len(executors) == workers
+        monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda: 1)
+        model.forward(rng.normal(size=(32, 64, 15)))
+        model.backward(np.ones(32))
+        assert len(executors) == 1
+
+    def test_one_and_two_lanes_give_the_same_bits(self, split_all, monkeypatch, executors):
+        model = DegradationNetwork(self.CONFIG, np.random.default_rng(31))
+        rng = np.random.default_rng(32)
+        x = rng.normal(size=(8, 16, 15))
+        gout = rng.normal(size=8)
+        runs = {}
+        for lanes in (1, 2):
+            monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda n=lanes: n)
+            del executors[:]
+            model.forward(x)
+            gin = model.backward(gout)
+            runs[lanes] = (gin.tobytes(), model.grad.tobytes())
+            # one worker for each of the three Linear layers, none left running
+            assert len(executors) == (3 if lanes == 2 else 0)
+            assert not lane_workers()
+        assert runs[1] == runs[2]
+
+    def test_worker_error_reaches_the_caller(self, split_all, executors):
+        layer = Linear(4, 3, np.random.default_rng(33))
+        # the worker writes the weight gradient, so only its lane can fail here
+        layer.weight.grad = np.zeros((4, 3))
+        layer.weight.grad.flags.writeable = False
+        layer.forward(np.ones((2, 4)))
+        with pytest.raises(ValueError, match="read-only"):
+            layer.backward(np.ones((2, 3)))
+        assert len(executors) == 1
+        assert not lane_workers()
+
+    def test_layer_calls_stay_on_the_calling_thread(self, split_all, executors):
+        # an instance-level wrapper, like a tracer's, must only see the caller
+        model = DegradationNetwork(self.CONFIG, np.random.default_rng(34))
+        seen: list[tuple[str, threading.Thread]] = []
+        for module in all_modules(model):
+            for attr in ("forward", "backward"):
+                def wrapper(*args, _fn=getattr(module, attr), _attr=attr):
+                    seen.append((_attr, threading.current_thread()))
+                    return _fn(*args)
+
+                setattr(module, attr, wrapper)
+        model.forward(np.ones((4, 16, 15)))
+        model.backward(np.ones(4))
+        assert len(executors) == 3
+        assert {attr for attr, _ in seen} == {"forward", "backward"}
+        assert {thread for _, thread in seen} == {threading.current_thread()}
+
+    def test_expand_backward_allocates_no_weight_sized_array(self, monkeypatch, executors):
+        monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda: 2)
+        model = DegradationNetwork(ModelConfig(), np.random.default_rng(35))
+        rng = np.random.default_rng(36)
+        model.forward(rng.normal(size=(32, 64, 15)))
+        gout = rng.normal(size=(32, 64 * 15))
+        tracemalloc.start()
+        try:
+            model.expand.backward(gout)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(executors) == 1
+        assert peak < model.expand.weight.grad.nbytes
 
 
 class TestInit:

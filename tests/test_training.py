@@ -10,6 +10,7 @@ import pytest
 
 from tddn import cli, training
 from tddn.checkpoint import save_checkpoint
+from tddn.lanes import cpu_lanes, map_chunks
 from tddn.layers import Param, mse_loss, pack
 from tddn.metrics import evaluate_test, predict_engine
 from tddn.model import DegradationNetwork, ModelConfig, conv_channels_for_depth
@@ -23,6 +24,7 @@ from tddn.preprocess import (
 )
 from tddn.training import (
     ADAM_BLOCK,
+    INFER_BATCH,
     Adam,
     TrainConfig,
     TrainingError,
@@ -33,6 +35,7 @@ from tddn.training import (
     split_engines,
     train,
 )
+from _lanes import lane_workers
 from _synth import make_bundle, write_bundle
 
 SMALL_MODEL = ModelConfig(window=8, n_features=15, conv_channels=(4, 8))
@@ -279,29 +282,10 @@ class ReferenceAdam:
             p.value -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
-def lane_workers() -> set[threading.Thread]:
-    """Live worker threads of ``map_chunks``, the one place that starts threads."""
-    return {t for t in threading.enumerate() if t.name.startswith("tddn-lane")}
-
-
-@pytest.fixture
-def executors(monkeypatch) -> list[int]:
-    """One entry per worker ``map_chunks`` starts during the test."""
-    started: list[int] = []
-    executor = training.ThreadPoolExecutor
-
-    def spy(*args, **kwargs):
-        started.append(1)
-        return executor(*args, **kwargs)
-
-    monkeypatch.setattr(training, "ThreadPoolExecutor", spy)
-    return started
-
-
 @pytest.fixture(params=[1, 2], ids=["one-lane", "two-lane"])
 def lanes(request, monkeypatch):
     """Adam steps in the test take the serial path (1) or split every step (2)."""
-    monkeypatch.setattr(training, "cpu_lanes", lambda: request.param)
+    monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda: request.param)
     if request.param == 2:
         monkeypatch.setattr(training, "ADAM_TWO_LANE_MIN", 0)
     return request.param
@@ -380,7 +364,7 @@ class TestTwoLaneAdam:
         size = training.ADAM_TWO_LANE_MIN
         assert DegradationNetwork(w16, rng).n_parameters() < size
         assert DegradationNetwork(ModelConfig(), rng).n_parameters() >= size
-        monkeypatch.setattr(training, "cpu_lanes", lambda: 2)
+        monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda: 2)
         small = Adam(packed_params(Param("p", np.zeros(size - 1))))
         small.step(lr=0.1)
         assert not executors
@@ -390,7 +374,7 @@ class TestTwoLaneAdam:
         opt.step(lr=0.1)
         opt.step(lr=0.1)
         assert len(executors) == 2
-        monkeypatch.setattr(training, "cpu_lanes", lambda: 1)
+        monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda: 1)
         opt.step(lr=0.1)
         assert len(executors) == 2
 
@@ -398,14 +382,14 @@ class TestTwoLaneAdam:
     def test_lane_count_follows_the_affinity_mask(self, executors):
         # not patched: under `taskset -c 0` this checks the serial decision for real
         lanes = min(2, len(os.sched_getaffinity(0)))
-        assert training.cpu_lanes() == lanes
+        assert cpu_lanes() == lanes
         opt = Adam(packed_params(Param("p", np.zeros(training.ADAM_TWO_LANE_MIN))))
         opt.step(lr=0.1)
         assert len(executors) == (1 if lanes == 2 else 0)
 
     def test_equals_serial_under_fast_thread_switching(self, monkeypatch):
         lanes = [1]
-        monkeypatch.setattr(training, "cpu_lanes", lambda: lanes[0])
+        monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda: lanes[0])
         serial, two_lane = (
             Adam(DegradationNetwork(ModelConfig(), np.random.default_rng(5)).params())
             for _ in range(2)
@@ -446,7 +430,7 @@ class TestTwoLaneAdam:
         assert steps_done == list(range(1, 21))
 
     def test_no_thread_outlives_a_step(self, monkeypatch, executors):
-        monkeypatch.setattr(training, "cpu_lanes", lambda: 2)
+        monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda: 2)
         before = threading.active_count()
         alive = set(threading.enumerate())
         opt = Adam(packed_params(Param("p", np.ones(training.ADAM_TWO_LANE_MIN))))
@@ -494,7 +478,7 @@ class TestWindowBank:
                     flat += 1
             np.testing.assert_array_equal(bank.ends, np.cumsum(lengths) - 1)
             # chunks walk the same flat order, engine boundaries included
-            chunks = training.map_chunks(lambda c: bank.gather(c)[0], bank.n_windows, 3)
+            chunks = map_chunks(lambda c: bank.gather(c)[0], bank.n_windows, 3)
             np.testing.assert_array_equal(np.concatenate(chunks), x)
 
     def test_gather_matches_brute_force_oracle(self):
@@ -627,7 +611,7 @@ class TestTwoLaneInference:
         monkeypatch.setattr(DegradationNetwork, "trace", spy)
         outputs = {}
         for lanes in (1, 2):
-            monkeypatch.setattr(training, "cpu_lanes", lambda n=lanes: n)
+            monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda n=lanes: n)
             threads.clear()
             out = tmp_path / f"features-{lanes}"
             assert cli.main([
@@ -645,18 +629,18 @@ class TestTwoLaneInference:
     def test_chunks_are_the_serial_ones_in_order(self, monkeypatch):
         want = [slice(0, 256), slice(256, 512), slice(512, 768), slice(768, 1024)]
         for lanes, lower in ((1, want), (2, want[:2])):
-            monkeypatch.setattr(training, "cpu_lanes", lambda n=lanes: n)
+            monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda n=lanes: n)
             runs: list[tuple[slice, bool]] = []
 
             def fn(chunk: slice) -> slice:
                 runs.append((chunk, threading.current_thread() is threading.main_thread()))
                 return chunk
 
-            assert training.map_chunks(fn, 1000) == want
+            assert map_chunks(fn, 1000, INFER_BATCH) == want
             assert sorted(runs, key=lambda r: r[0].start) == [(c, c in lower) for c in want]
 
     def test_error_in_the_lower_half_waits_for_the_worker(self, monkeypatch):
-        monkeypatch.setattr(training, "cpu_lanes", lambda: 2)
+        monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda: 2)
         failed = threading.Event()
         done: list[slice] = []
 
@@ -670,7 +654,7 @@ class TestTwoLaneInference:
             done.append(chunk)
 
         with pytest.raises(KeyError, match="lower half"):
-            training.map_chunks(fn, 4, 1)
+            map_chunks(fn, 4, 1)
         assert done == [slice(2, 3), slice(3, 4)]
         assert not lane_workers()
 
@@ -714,7 +698,7 @@ class TestTwoLaneInference:
     ):
         bundle, data, scaler, selection, model, ckpt = long_engines
         policy = LabelPolicy()
-        monkeypatch.setattr(training, "cpu_lanes", lambda: 2)
+        monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda: 2)
         short = make_bundle(n_train=1, min_len=100, max_len=200, seed=32).train[0]
         bank = build_window_bank(bundle.train, scaler, selection, policy, SMALL_MODEL.window)
 
