@@ -1,13 +1,11 @@
 """Minimal float64 layers with explicit forward and backward passes.
 
-Every layer computes in one stateless method, ``apply(x) -> (out,
-cache)``, which writes nothing to the module, so one layer can serve
-several threads. ``forward`` is ``apply`` that keeps the cache on the
-module for ``backward``, which writes (does not accumulate) every
-parameter gradient into Param.grad, so nothing needs zeroing between
-steps. A backward call consumes the cache, so backward before forward
-(or twice per forward) is a programming error and raises. Batched inputs
-use the (batch, time, channels) layout.
+Layers are stateless. ``forward(x) -> (out, cache)`` writes nothing to
+the layer, and ``backward(cache, gout) -> gin`` takes that cache back and
+writes (does not accumulate) every parameter gradient into Param.grad, so
+nothing needs zeroing between steps. Keeping the cache is the caller's
+business (``DegradationNetwork`` keeps one tape), so one layer can serve
+several threads. Batched inputs use the (batch, time, channels) layout.
 """
 
 from __future__ import annotations
@@ -97,41 +95,22 @@ def glorot_uniform(
 
 
 class Module:
-    """Base for layers: ``apply`` computes, ``forward`` keeps its cache, backward consumes it."""
-
-    _cache: object | None = None
+    """Base for layers: ``forward`` returns the output and a cache, ``backward`` takes the cache."""
 
     def params(self) -> list[Param]:
         return []
 
-    def zero_grad(self) -> None:
-        """Set every gradient to zero; not needed between steps, as ``backward`` writes them all."""
-        for p in self.params():
-            p.grad[...] = 0.0
-
-    def apply(self, x: np.ndarray) -> tuple[np.ndarray, object]:
-        """The output for ``x`` and what ``backward`` needs of it; the module is not written."""
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, object]:
+        """The output for ``x`` and what ``backward`` needs of it; the layer is not written."""
         raise NotImplementedError
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        out, self._cache = self.apply(x)
-        return out
-
-    def backward(self, gout: np.ndarray) -> np.ndarray:
+    def backward(self, cache: object, gout: np.ndarray) -> np.ndarray:
+        """The input gradient for ``gout``; every parameter gradient is written."""
         raise NotImplementedError
 
-    def _take_cache(self):
-        if self._cache is None:
-            raise RuntimeError(
-                f"{type(self).__name__}.backward called without a pending forward"
-            )
-        cache = self._cache
-        self._cache = None
-        return cache
 
-
-class Sequential(Module):
-    """Chains modules through their own ``forward``; backward runs them in reverse order."""
+class Sequential:
+    """A run of layers, in the order the network walks them, and their params."""
 
     def __init__(self, *children: Module):
         self.children = list(children)
@@ -141,16 +120,6 @@ class Sequential(Module):
         for child in self.children:
             out.extend(child.params())
         return out
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        for child in self.children:
-            x = child.forward(x)
-        return x
-
-    def backward(self, gout: np.ndarray) -> np.ndarray:
-        for child in reversed(self.children):
-            gout = child.backward(gout)
-        return gout
 
 
 # multiply-adds of the weight gradient (batch * n_in * n_out) from which
@@ -173,14 +142,12 @@ class Linear(Module):
     def params(self) -> list[Param]:
         return [self.weight, self.bias]
 
-    def apply(self, x: np.ndarray) -> tuple[np.ndarray, object]:
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, object]:
         out = x @ self.weight.value
         out += self.bias.value
         return out, x
 
-    def backward(self, gout: np.ndarray) -> np.ndarray:
-        x = self._take_cache()
-
+    def backward(self, x: np.ndarray, gout: np.ndarray) -> np.ndarray:
         def write_grads() -> None:
             # the worker's task makes NumPy calls only: wrappers that tracers put
             # on a layer's forward or backward assume a single thread
@@ -201,12 +168,11 @@ class ReLU(Module):
     NaN upstream gradient there comes out NaN instead of 0.
     """
 
-    def apply(self, x: np.ndarray) -> tuple[np.ndarray, object]:
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, object]:
         # fmax returns the non-NaN operand: bit for bit where(x > 0, x, 0.0)
         return np.fmax(x, 0.0), x > 0.0
 
-    def backward(self, gout: np.ndarray) -> np.ndarray:
-        mask = self._take_cache()
+    def backward(self, mask: np.ndarray, gout: np.ndarray) -> np.ndarray:
         return gout * mask
 
 
@@ -241,7 +207,7 @@ class Conv1d(Module):
     def params(self) -> list[Param]:
         return [self.weight, self.bias]
 
-    def apply(self, x: np.ndarray) -> tuple[np.ndarray, object]:
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, object]:
         batch, n_time, c_in = x.shape
         if c_in != self.c_in:
             raise ValueError(f"expected {self.c_in} input channels, got {c_in}")
@@ -255,8 +221,7 @@ class Conv1d(Module):
         out += self.bias.value
         return out, patches
 
-    def backward(self, gout: np.ndarray) -> np.ndarray:
-        patches = self._take_cache()
+    def backward(self, patches: np.ndarray, gout: np.ndarray) -> np.ndarray:
         batch, n_time, _ = gout.shape
         k, c_in = self.kernel, self.c_in
         flat_patches = patches.reshape(batch * n_time, k * c_in)
@@ -288,7 +253,7 @@ class MaxPool1d(Module):
             raise ValueError(f"pool must be >= 1, got {pool}")
         self.pool = pool
 
-    def apply(self, x: np.ndarray) -> tuple[np.ndarray, object]:
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, object]:
         batch, n_time, channels = x.shape
         if n_time < self.pool:
             raise ValueError(f"time axis {n_time} shorter than pool window {self.pool}")
@@ -305,8 +270,8 @@ class MaxPool1d(Module):
             out = np.maximum(cand, out)
         return (out.copy() if self.pool == 1 else out), (idx, x.shape)
 
-    def backward(self, gout: np.ndarray) -> np.ndarray:
-        idx, in_shape = self._take_cache()
+    def backward(self, cache: tuple[np.ndarray, tuple[int, ...]], gout: np.ndarray) -> np.ndarray:
+        idx, in_shape = cache
         batch, n_out, channels = gout.shape
         gin = np.zeros(in_shape)
         # windows are disjoint: each one routes its gradient to its winning tap
@@ -315,31 +280,6 @@ class MaxPool1d(Module):
         for tap in range(self.pool):
             np.multiply(gout, idx == tap, out=gwindows[:, :, tap])
         return gin
-
-
-class Flatten(Module):
-    """(B, T, C) -> (B, T*C)."""
-
-    def apply(self, x: np.ndarray) -> tuple[np.ndarray, object]:
-        return x.reshape(x.shape[0], -1), x.shape
-
-    def backward(self, gout: np.ndarray) -> np.ndarray:
-        shape = self._take_cache()
-        return gout.reshape(shape)
-
-
-class Reshape(Module):
-    """(B, n) -> (B, *shape) with n preserved."""
-
-    def __init__(self, *shape: int):
-        self.shape = shape
-
-    def apply(self, x: np.ndarray) -> tuple[np.ndarray, object]:
-        return x.reshape(x.shape[0], *self.shape), x.shape
-
-    def backward(self, gout: np.ndarray) -> np.ndarray:
-        shape = self._take_cache()
-        return gout.reshape(shape)
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -5,6 +5,12 @@ convolutions with ReLU and 2/2 max pooling, is expanded back to a
 (window, features) grid of abstract features by a dense layer, reduced
 to a single feature row by attention against the first (healthiest) row,
 and regressed to a scalar remaining-useful-life estimate.
+
+The layers are stateless, and the network walks them in one method,
+``_walk``. ``forward`` walks with a tape, which keeps every layer's cache
+for ``backward`` to pop in reverse; ``trace`` and ``predict`` walk
+without one, so each cache is dropped as its layer returns and nothing is
+written to the model.
 """
 
 from __future__ import annotations
@@ -15,13 +21,11 @@ import numpy as np
 
 from .layers import (
     Conv1d,
-    Flatten,
     Linear,
     MaxPool1d,
     Module,
     Param,
     ReLU,
-    Reshape,
     Sequential,
     glorot_uniform,
     pack,
@@ -114,7 +118,7 @@ class FeatureAttention(Module):
     vector [row, first, row - first, row * first], scored by a shared
     one-hidden-layer tanh MLP against a trainable context vector, and
     the softmax-weighted sum of the original rows is returned. The
-    weights are the last item of the cache ``apply`` returns.
+    weights are the last item of the cache ``forward`` returns.
     """
 
     def __init__(self, n_features: int, hidden: int, rng: np.random.Generator):
@@ -132,7 +136,7 @@ class FeatureAttention(Module):
     def params(self) -> list[Param]:
         return [self.weight, self.bias, self.context]
 
-    def apply(self, h: np.ndarray) -> tuple[np.ndarray, object]:
+    def forward(self, h: np.ndarray) -> tuple[np.ndarray, object]:
         m = h.shape[2]
         if m != self.n_features:
             raise ValueError(f"expected {self.n_features} features, got {m}")
@@ -147,8 +151,8 @@ class FeatureAttention(Module):
         pooled = np.einsum("bw,bwm->bm", weights, h)
         return pooled, (h, augmented, hidden, weights)
 
-    def backward(self, gout: np.ndarray) -> np.ndarray:
-        h, augmented, hidden, weights = self._take_cache()
+    def backward(self, cache: tuple[np.ndarray, ...], gout: np.ndarray) -> np.ndarray:
+        h, augmented, hidden, weights = cache
         batch, n_rows, m = h.shape
         gweights = np.einsum("bm,bwm->bw", gout, h)
         gh = weights[:, :, None] * gout[:, None, :]
@@ -168,14 +172,7 @@ class FeatureAttention(Module):
         return gh
 
 
-def _outputs(layers, x: np.ndarray) -> np.ndarray:
-    """``x`` through each layer's ``apply`` in turn; every cache is dropped at once."""
-    for layer in layers:
-        x = layer.apply(x)[0]
-    return x
-
-
-class DegradationNetwork(Module):
+class DegradationNetwork:
     """Full network: windows (B, w, m) in, RUL estimates (B,) out.
 
     Every param is a view into ``value`` and ``grad``, two flat buffers in
@@ -194,10 +191,8 @@ class DegradationNetwork(Module):
             c_in = c_out
         self.conv_stack = Sequential(*stages)
         n_flat = pooled_length(w, config.depth) * config.conv_channels[-1]
-        self.flatten = Flatten()
         self.expand = Linear(n_flat, w * m, rng, name="expand")
         self.expand_act = ReLU()
-        self.reshape = Reshape(w, m)
         self.attention = FeatureAttention(m, config.attention_hidden, rng)
         self.regressor = Sequential(
             Linear(m, config.regressor_hidden, rng, name="regress1"),
@@ -205,6 +200,8 @@ class DegradationNetwork(Module):
             Linear(config.regressor_hidden, 1, rng, name="regress2"),
         )
         self.value, self.grad = pack(self.params())
+        # the pending forward's prediction shape and its (layer, cache) entries
+        self._tape: tuple[tuple[int, ...], list] | None = None
 
     def params(self) -> list[Param]:
         return (
@@ -217,6 +214,10 @@ class DegradationNetwork(Module):
     def n_parameters(self) -> int:
         return self.value.size
 
+    def zero_grad(self) -> None:
+        """Set every gradient to zero; not needed between steps, as ``backward`` writes them all."""
+        self.grad[...] = 0.0
+
     def _check_input(self, x: np.ndarray) -> None:
         if x.ndim != 3 or x.shape[1:] != (self.config.window, self.config.n_features):
             raise ValueError(
@@ -224,36 +225,78 @@ class DegradationNetwork(Module):
                 f"got {x.shape}"
             )
 
-    def trace(self, x: np.ndarray) -> ModelTrace:
-        """The inference walk: every layer's ``apply``, each cache dropped as it returns.
+    def _walk(self, x: np.ndarray, tape: list | None) -> ModelTrace:
+        """Every layer in turn; with a ``tape``, each layer and its cache are appended to it.
 
-        Nothing is written to the model, so threads may share it, and a
-        following ``backward`` raises as if no forward had run.
+        A reshape tapes ``None`` and its input's shape. Without a tape, each
+        cache is dropped as its layer returns, and each layer's ``forward``
+        is looked up on its class, so that a wrapper put on an instance
+        (which a single-threaded tracer does) never runs on a thread that
+        shares the model.
         """
         self._check_input(x)
-        temporal = _outputs(self.conv_stack.children, x)
-        abstract = _outputs((self.flatten, self.expand, self.expand_act, self.reshape), temporal)
-        pooled, cache = self.attention.apply(abstract)
+
+        def run(layer: Module, h: np.ndarray) -> tuple[np.ndarray, object]:
+            if tape is None:
+                return type(layer).forward(layer, h)
+            out, cache = layer.forward(h)
+            tape.append((layer, cache))
+            return out, cache
+
+        def reshape(h: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+            if tape is not None:
+                tape.append((None, h.shape))
+            return h.reshape(shape)
+
+        h = x
+        for layer in self.conv_stack.children:
+            h = run(layer, h)[0]
+        temporal = h
+        h = run(self.expand_act, run(self.expand, reshape(temporal, (len(x), -1)))[0])[0]
+        abstract = reshape(h, x.shape)
+        h, cache = run(self.attention, abstract)
         weights = cache[-1]
         del cache
-        prediction = _outputs(self.regressor.children, pooled)[:, 0]
+        for layer in self.regressor.children:
+            h = run(layer, h)[0]
         return ModelTrace(
-            temporal=temporal, abstract=abstract, attention=weights, prediction=prediction
+            temporal=temporal, abstract=abstract, attention=weights,
+            prediction=reshape(h, (len(x),)),
         )
 
+    def trace(self, x: np.ndarray) -> ModelTrace:
+        """The walk without a tape: nothing is written to the model, so threads may share it."""
+        return self._walk(x, None)
+
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """The RUL estimates of ``forward``, bit for bit, by the inference walk."""
-        return self.trace(x).prediction
+        """The RUL estimates of ``forward``, bit for bit, by the walk without a tape."""
+        return self._walk(x, None).prediction
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Predictions, with every layer's cache kept for ``backward``."""
-        self._check_input(x)
-        h = self.conv_stack.forward(x)
-        h = self.expand_act.forward(self.expand.forward(self.flatten.forward(h)))
-        return self.regressor.forward(self.attention.forward(self.reshape.forward(h)))[:, 0]
+        """Predictions, with every layer's cache kept on the tape for ``backward``."""
+        # cleared first, so a walk that raises leaves no tape of an earlier batch
+        self._tape = None
+        tape: list = []
+        prediction = self._walk(x, tape).prediction
+        self._tape = (prediction.shape, tape)
+        return prediction
 
     def backward(self, gout: np.ndarray) -> np.ndarray:
-        g = self.regressor.backward(gout[:, None])
-        g = self.attention.backward(g)
-        g = self.flatten.backward(self.expand.backward(self.expand_act.backward(self.reshape.backward(g))))
-        return self.conv_stack.backward(g)
+        """The input gradient for ``gout``; pops the tape of the last ``forward`` in reverse.
+
+        Every parameter gradient is written. With no pending forward (none
+        yet, or its tape already taken) this raises ``RuntimeError``; with
+        ``gout`` not shaped like the predictions, ``ValueError``, and the
+        tape is kept.
+        """
+        if self._tape is None:
+            raise RuntimeError("DegradationNetwork.backward called without a pending forward")
+        shape, tape = self._tape
+        if gout.shape != shape:
+            raise ValueError(f"gradient of shape {gout.shape} for predictions of shape {shape}")
+        self._tape = None
+        g = gout
+        while tape:
+            layer, cache = tape.pop()
+            g = g.reshape(cache) if layer is None else layer.backward(cache, g)
+        return g

@@ -37,21 +37,33 @@ def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(err.max()) if err.size else 0.0
 
 
+def forward_backward(module, x: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """The output for ``x`` and the ``backward(gout)`` that goes with it.
+
+    A layer's ``forward`` returns ``(out, cache)`` and its ``backward``
+    takes the cache back; the network keeps its tape itself.
+    """
+    out = module.forward(x)
+    if isinstance(out, tuple):
+        out, cache = out
+        return out, lambda gout: module.backward(cache, gout)
+    return out, module.backward
+
+
 def check_module_gradients(module, x: np.ndarray, rng: np.random.Generator) -> float:
-    """Gradcheck one layer: input gradient and every parameter gradient.
+    """Gradcheck one layer or the network: input gradient and every parameter gradient.
 
     Returns the worst relative error seen. The module is forwarded once
-    per perturbation, so its own caching discipline is exercised too.
+    per perturbation.
     """
 
-    probe = rng.normal(size=module.forward(x).shape)
+    out, backward = forward_backward(module, x)
+    probe = rng.normal(size=out.shape)
+    gin = backward(probe)
 
     def loss() -> float:
-        return float(np.sum(module.forward(x) * probe))
+        return float(np.sum(forward_backward(module, x)[0] * probe))
 
-    module.zero_grad()
-    module.forward(x)
-    gin = module.backward(probe)
     worst = max_rel_error(gin, numeric_gradient(loss, x))
     for p in module.params():
         worst = max(worst, max_rel_error(p.grad, numeric_gradient(loss, p.value)))

@@ -7,15 +7,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tddn import layers
+from tddn import cli, layers
+from tddn.checkpoint import load_checkpoint, save_checkpoint
 from tddn.layers import (
     Conv1d,
-    Flatten,
     Linear,
     MaxPool1d,
     Module,
     ReLU,
-    Reshape,
     Sequential,
     glorot_uniform,
     mse_loss,
@@ -23,8 +22,11 @@ from tddn.layers import (
     softmax_backward,
 )
 from tddn.model import DegradationNetwork, FeatureAttention, ModelConfig, conv_channels_for_depth
+from tddn.preprocess import LabelPolicy, fit_scaler, select_columns
+from tddn.training import INFER_BATCH, build_window_bank, predict_windows
 from _lanes import lane_workers
-from gradcheck import TOL, check_module_gradients, max_rel_error, numeric_gradient
+from _synth import make_bundle, write_bundle
+from gradcheck import TOL, check_module_gradients, forward_backward, max_rel_error, numeric_gradient
 
 
 # The formulations ReLU and MaxPool1d used before their branch-free
@@ -71,7 +73,7 @@ class TestLinear:
         rng = np.random.default_rng(42)
         layer = Linear(4, 3, rng)
         x = rng.normal(size=(5, 4))
-        out = layer.forward(x)
+        out = layer.forward(x)[0]
         for b in range(5):
             for j in range(3):
                 expected = layer.bias.value[j] + sum(
@@ -92,10 +94,9 @@ class TestLinear:
         layer = Linear(3, 2, rng)
         x = rng.normal(size=(6, 3))
         y = rng.normal(size=(6, 2))
-        pred = layer.forward(x)
+        pred, cache = layer.forward(x)
         _, gpred = mse_loss(pred, y)
-        layer.zero_grad()
-        layer.backward(gpred)
+        layer.backward(cache, gpred)
         expected_w = 2.0 * x.T @ (pred - y) / pred.size
         expected_b = 2.0 * (pred - y).sum(axis=0) / pred.size
         np.testing.assert_allclose(layer.weight.grad, expected_w, atol=1e-14)
@@ -106,12 +107,12 @@ class TestActivations:
     def test_relu_forward(self):
         layer = ReLU()
         x = np.array([[-2.0, 0.0, 3.5]])
-        np.testing.assert_array_equal(layer.forward(x), [[0.0, 0.0, 3.5]])
+        np.testing.assert_array_equal(layer.forward(x)[0], [[0.0, 0.0, 3.5]])
 
     def test_relu_subgradient_zero_at_zero(self):
         layer = ReLU()
-        layer.forward(np.array([[0.0]]))
-        np.testing.assert_array_equal(layer.backward(np.array([[5.0]])), [[0.0]])
+        _, mask = layer.forward(np.array([[0.0]]))
+        np.testing.assert_array_equal(layer.backward(mask, np.array([[5.0]])), [[0.0]])
 
     def test_activation_gradchecks(self):
         rng = np.random.default_rng(4)
@@ -127,7 +128,7 @@ class TestConv1d:
         conv.weight.value[:] = np.ones((2, 1, 1))
         conv.bias.value[:] = 0.0
         x = np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 4, 1)
-        out = conv.forward(x)
+        out = conv.forward(x)[0]
         np.testing.assert_allclose(out[0, :, 0], [1.0, 3.0, 5.0, 7.0])
 
     def test_identity_filter_reproduces_input(self):
@@ -136,7 +137,7 @@ class TestConv1d:
         conv.weight.value[:] = np.array([0.0, 1.0]).reshape(2, 1, 1)
         conv.bias.value[:] = 0.0
         x = rng.normal(size=(2, 7, 1))
-        np.testing.assert_allclose(conv.forward(x), x)
+        np.testing.assert_allclose(conv.forward(x)[0], x)
 
     def test_forward_matches_brute_force(self):
         rng = np.random.default_rng(7)
@@ -147,7 +148,7 @@ class TestConv1d:
             t = int(rng.integers(k, 9))
             conv = Conv1d(c_in, c_out, kernel=k, rng=rng)
             x = rng.normal(size=(2, t, c_in))
-            out = conv.forward(x)
+            out = conv.forward(x)[0]
             assert out.shape == (2, t, c_out)
             padded = np.concatenate([np.zeros((2, k - 1, c_in)), x], axis=1)
             for b in range(2):
@@ -186,7 +187,7 @@ class TestMaxPool1d:
             c = int(rng.integers(1, 4))
             x = rng.normal(size=(2, t, c))
             pool = MaxPool1d(pool=2)
-            out = pool.forward(x)
+            out = pool.forward(x)[0]
             assert out.shape == (2, t // 2, c)
             for b in range(2):
                 for j in range(t // 2):
@@ -195,23 +196,23 @@ class TestMaxPool1d:
 
     def test_odd_tail_dropped(self):
         x = np.arange(7, dtype=np.float64).reshape(1, 7, 1)
-        out = MaxPool1d().forward(x)
+        out = MaxPool1d().forward(x)[0]
         np.testing.assert_array_equal(out[0, :, 0], [1.0, 3.0, 5.0])
 
     def test_tie_routes_gradient_to_earliest(self):
         pool = MaxPool1d()
         x = np.array([[[3.0], [3.0]]])
-        pool.forward(x)
-        gin = pool.backward(np.array([[[1.0]]]))
+        _, cache = pool.forward(x)
+        gin = pool.backward(cache, np.array([[[1.0]]]))
         np.testing.assert_array_equal(gin, [[[1.0], [0.0]]])
 
     def test_backward_scatters_to_argmax(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=(3, 8, 2))
         pool = MaxPool1d()
-        out = pool.forward(x)
+        out, cache = pool.forward(x)
         g = rng.normal(size=out.shape)
-        gin = pool.backward(g)
+        gin = pool.backward(cache, g)
         assert gin.shape == x.shape
         for b in range(3):
             for j in range(4):
@@ -241,8 +242,9 @@ class TestKernelOracles:
             gout = rng.normal(size=x.shape)
             want_out, want_gin = reference_relu(x, gout)
             layer = ReLU()
-            assert layer.forward(x).tobytes() == want_out.tobytes()
-            assert np.array_equal(layer.backward(gout), want_gin)
+            out, mask = layer.forward(x)
+            assert out.tobytes() == want_out.tobytes()
+            assert np.array_equal(layer.backward(mask, gout), want_gin)
 
     @pytest.mark.parametrize("pool", [1, 2, 3])
     @pytest.mark.parametrize("batch", [1, 32, 256])
@@ -253,12 +255,12 @@ class TestKernelOracles:
             for x in tie_heavy_inputs(rng, (batch, n_time, 4)):
                 gout = rng.normal(size=(batch, n_time // pool, 4))
                 layer = MaxPool1d(pool=pool)
-                assert layer.forward(x).tobytes() == reference_pool(x, pool, gout)[0].tobytes()
+                assert layer.forward(x)[0].tobytes() == reference_pool(x, pool, gout)[0].tobytes()
                 # a NaN routes by the strict-greater rule, not argmax's NaN-is-largest
                 # one (see TestNonFiniteContract), so routing is compared without NaN
                 x = np.where(np.isnan(x), 0.0, x)
-                layer.forward(x)
-                assert np.array_equal(layer.backward(gout), reference_pool(x, pool, gout)[1])
+                cache = layer.forward(x)[1]
+                assert np.array_equal(layer.backward(cache, gout), reference_pool(x, pool, gout)[1])
 
     def test_pool3_values_and_routing_brute_force(self):
         rng = np.random.default_rng(31)
@@ -266,9 +268,9 @@ class TestKernelOracles:
             t = int(rng.integers(3, 14))
             x = rng.integers(-2, 3, size=(2, t, 3)).astype(np.float64)
             layer = MaxPool1d(pool=3)
-            out = layer.forward(x)
+            out, cache = layer.forward(x)
             g = rng.normal(size=out.shape)
-            gin = layer.backward(g)
+            gin = layer.backward(cache, g)
             assert out.shape == (2, t // 3, 3)
             want = np.zeros_like(x)
             for b in range(2):
@@ -283,55 +285,39 @@ class TestKernelOracles:
 class TestNonFiniteContract:
     def test_relu(self):
         layer = ReLU()
-        out = layer.forward(np.array([[np.nan, -0.0, np.inf, -np.inf, 2.0]]))
+        out, mask = layer.forward(np.array([[np.nan, -0.0, np.inf, -np.inf, 2.0]]))
         assert out.tobytes() == np.array([[0.0, 0.0, np.inf, 0.0, 2.0]]).tobytes()
         with np.errstate(invalid="ignore"):
-            gin = layer.backward(np.array([[np.inf, -np.inf, np.inf, np.nan, 3.0]]))
+            gin = layer.backward(mask, np.array([[np.inf, -np.inf, np.inf, np.nan, 3.0]]))
         # inf * 0 at the masked-out positions surfaces as NaN
         np.testing.assert_array_equal(gin, [[np.nan, np.nan, np.inf, np.nan, 3.0]])
 
     def test_pool_propagates_nan_and_routes_before_it(self):
         x = np.array([1.0, np.nan, np.nan, 5.0, 1.0, 3.0]).reshape(1, 6, 1)
         layer = MaxPool1d(pool=2)
-        np.testing.assert_array_equal(layer.forward(x)[0, :, 0], [np.nan, np.nan, 3.0])
-        gin = layer.backward(np.array([[[1.0], [2.0], [4.0]]]))
+        out, cache = layer.forward(x)
+        np.testing.assert_array_equal(out[0, :, 0], [np.nan, np.nan, 3.0])
+        gin = layer.backward(cache, np.array([[[1.0], [2.0], [4.0]]]))
         # gradient to the earliest largest tap before the first NaN, else tap 0
         np.testing.assert_array_equal(gin[0, :, 0], [1.0, 0.0, 2.0, 0.0, 0.0, 4.0])
 
         layer = MaxPool1d(pool=3)
         x = np.array([1.0, 3.0, np.nan, 2.0, np.nan, 9.0]).reshape(1, 6, 1)
-        np.testing.assert_array_equal(layer.forward(x)[0, :, 0], [np.nan, np.nan])
-        gin = layer.backward(np.array([[[1.0], [2.0]]]))
+        out, cache = layer.forward(x)
+        np.testing.assert_array_equal(out[0, :, 0], [np.nan, np.nan])
+        gin = layer.backward(cache, np.array([[[1.0], [2.0]]]))
         np.testing.assert_array_equal(gin[0, :, 0], [0.0, 1.0, 0.0, 2.0, 0.0, 0.0])
 
         # which of two NaNs with different bits comes out is not fixed
         payloads = np.array([0x7FF8000000000000, 0xFFF8000000000000], dtype=np.uint64)
-        assert np.isnan(MaxPool1d(pool=2).forward(payloads.view(np.float64).reshape(1, 2, 1)))
+        assert np.isnan(MaxPool1d(pool=2).forward(payloads.view(np.float64).reshape(1, 2, 1))[0])
 
     def test_pool_backward_nonfinite_gradient_at_loser(self):
         layer = MaxPool1d(pool=2)
-        layer.forward(np.array([[[1.0], [2.0]]]))
+        _, cache = layer.forward(np.array([[[1.0], [2.0]]]))
         with np.errstate(invalid="ignore"):
-            gin = layer.backward(np.array([[[np.inf]]]))
+            gin = layer.backward(cache, np.array([[[np.inf]]]))
         np.testing.assert_array_equal(gin[0, :, 0], [np.nan, np.inf])
-
-
-class TestShapeOps:
-    def test_flatten_round_trip(self):
-        rng = np.random.default_rng(13)
-        x = rng.normal(size=(4, 3, 5))
-        layer = Flatten()
-        out = layer.forward(x)
-        assert out.shape == (4, 15)
-        np.testing.assert_array_equal(layer.backward(out), x)
-
-    def test_reshape_round_trip(self):
-        rng = np.random.default_rng(14)
-        x = rng.normal(size=(4, 15))
-        layer = Reshape(3, 5)
-        out = layer.forward(x)
-        assert out.shape == (4, 3, 5)
-        np.testing.assert_array_equal(layer.backward(out), x)
 
 
 class TestSoftmax:
@@ -406,20 +392,21 @@ class TestMseLoss:
             mse_loss(np.zeros(0), np.zeros(0))
 
 
+TINY = ModelConfig(window=8, n_features=3, conv_channels=(4, 8))
+
+
 class TestModuleDiscipline:
     def test_backward_before_forward_raises(self):
-        rng = np.random.default_rng(21)
-        layer = Linear(2, 2, rng)
+        net = DegradationNetwork(TINY, np.random.default_rng(21))
         with pytest.raises(RuntimeError, match="without a pending forward"):
-            layer.backward(np.zeros((1, 2)))
+            net.backward(np.zeros(1))
 
     def test_double_backward_raises(self):
-        rng = np.random.default_rng(22)
-        layer = Linear(2, 2, rng)
-        layer.forward(np.zeros((1, 2)))
-        layer.backward(np.zeros((1, 2)))
+        net = DegradationNetwork(TINY, np.random.default_rng(22))
+        net.forward(np.zeros((1, 8, 3)))
+        net.backward(np.zeros(1))
         with pytest.raises(RuntimeError, match="without a pending forward"):
-            layer.backward(np.zeros((1, 2)))
+            net.backward(np.zeros(1))
 
     def test_backward_writes_every_gradient(self):
         # NaN left in a gradient before backward must not survive it: every
@@ -440,45 +427,65 @@ class TestModuleDiscipline:
             for fill in (0.0, np.nan):
                 for p in module.params():
                     p.grad[...] = fill
-                out = module.forward(x)
-                gin = module.backward(np.random.default_rng(1).normal(size=out.shape))
+                out, backward = forward_backward(module, x)
+                gin = backward(np.random.default_rng(1).normal(size=out.shape))
                 runs[fill] = [gin.tobytes()] + [p.grad.tobytes() for p in module.params()]
             assert runs[np.nan] == runs[0.0], type(module).__name__
 
-    def test_sequential_composes_and_lists_params(self):
+    def test_sequential_lists_children_and_params(self):
         rng = np.random.default_rng(24)
         a = Linear(3, 4, rng)
+        relu = ReLU()
         b = Linear(4, 2, rng)
-        stack = Sequential(a, ReLU(), b)
+        stack = Sequential(a, relu, b)
+        assert stack.children == [a, relu, b]
         assert stack.params() == [a.weight, a.bias, b.weight, b.bias]
-        x = rng.normal(size=(5, 3))
-        assert check_module_gradients(stack, x, rng) < TOL
 
-    def test_apply_matches_forward_and_writes_nothing(self):
+    def test_layers_write_no_attribute(self):
         rng = np.random.default_rng(25)
         x = rng.normal(size=(3, 8, 4))
         layers = [
             (Conv1d(4, 5, 3, rng), x), (ReLU(), x), (MaxPool1d(pool=3), x),
-            (Flatten(), x), (Reshape(4, 8), x.reshape(3, 32)), (Linear(4, 2, rng), x[:, 0]),
+            (Linear(4, 2, rng), x[:, 0]), (FeatureAttention(4, 5, rng), x),
         ]
         for layer, inp in layers:
+            name = type(layer).__name__
             state = dict(vars(layer))
-            out, cache = layer.apply(inp)
-            assert vars(layer) == state and cache is not None, type(layer).__name__
-            assert out.tobytes() == layer.forward(inp).tobytes(), type(layer).__name__
+            arrays = [(p.value, p.grad) for p in layer.params()]
+            out, cache = layer.forward(inp)
+            assert vars(layer) == state and cache is not None, name
+            layer.backward(cache, np.ones_like(out))
+            assert vars(layer) == state, name
+            # gradients are written into the arrays, which stay bound
+            assert [(p.value, p.grad) for p in layer.params()] == arrays, name
 
     def test_base_module_is_abstract(self):
         with pytest.raises(NotImplementedError):
             Module().forward(np.zeros(1))
+        with pytest.raises(NotImplementedError):
+            Module().backward(None, np.zeros(1))
 
 
-def all_modules(model: DegradationNetwork) -> list[Module]:
-    """The network and every module inside it."""
+def all_layers(model: DegradationNetwork) -> list[Module]:
+    """Every layer of the network, in the order the walk runs them."""
     return [
-        model, model.conv_stack, *model.conv_stack.children, model.flatten, model.expand,
-        model.expand_act, model.reshape, model.attention, model.regressor,
+        *model.conv_stack.children, model.expand, model.expand_act, model.attention,
         *model.regressor.children,
     ]
+
+
+def wrap_layers(model: DegradationNetwork, seen: list) -> None:
+    """Instance wrappers, like a tracer's, on every layer's forward and backward.
+
+    Each call appends (layer position, method name, thread) to ``seen``.
+    """
+    for i, layer in enumerate(all_layers(model)):
+        for attr in ("forward", "backward"):
+            def wrapper(*args, _fn=getattr(layer, attr), _key=(i, attr)):
+                seen.append((*_key, threading.current_thread()))
+                return _fn(*args)
+
+            setattr(layer, attr, wrapper)
 
 
 class TestTwoLaneLinearBackward:
@@ -530,43 +537,78 @@ class TestTwoLaneLinearBackward:
         # the worker writes the weight gradient, so only its lane can fail here
         layer.weight.grad = np.zeros((4, 3))
         layer.weight.grad.flags.writeable = False
-        layer.forward(np.ones((2, 4)))
+        _, cache = layer.forward(np.ones((2, 4)))
         with pytest.raises(ValueError, match="read-only"):
-            layer.backward(np.ones((2, 3)))
+            layer.backward(cache, np.ones((2, 3)))
         assert len(executors) == 1
         assert not lane_workers()
 
     def test_layer_calls_stay_on_the_calling_thread(self, split_all, executors):
-        # an instance-level wrapper, like a tracer's, must only see the caller
+        # a training step calls every layer's forward and backward through the
+        # instance, once each, on the calling thread, while three splits run
         model = DegradationNetwork(self.CONFIG, np.random.default_rng(34))
-        seen: list[tuple[str, threading.Thread]] = []
-        for module in all_modules(model):
-            for attr in ("forward", "backward"):
-                def wrapper(*args, _fn=getattr(module, attr), _attr=attr):
-                    seen.append((_attr, threading.current_thread()))
-                    return _fn(*args)
-
-                setattr(module, attr, wrapper)
+        seen: list[tuple[int, str, threading.Thread]] = []
+        wrap_layers(model, seen)
         model.forward(np.ones((4, 16, 15)))
         model.backward(np.ones(4))
         assert len(executors) == 3
-        assert {attr for attr, _ in seen} == {"forward", "backward"}
-        assert {thread for _, thread in seen} == {threading.current_thread()}
+        n = len(all_layers(model))
+        assert sorted((i, attr) for i, attr, _ in seen) == sorted(
+            (i, attr) for i in range(n) for attr in ("forward", "backward")
+        )
+        assert {thread for *_, thread in seen} == {threading.current_thread()}
+
+    def test_inference_calls_no_layer_wrapper(self, monkeypatch, executors, tmp_path):
+        # inference may run on a worker, so it looks each layer's forward up on
+        # the class: instance wrappers, which assume one thread, never run
+        monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda: 2)
+        bundle = make_bundle(n_train=2, n_test=1, min_len=300, max_len=400, seed=37)
+        data = write_bundle(bundle, tmp_path / "data")
+        selection = select_columns("FD001")
+        scaler = fit_scaler(bundle.train, selection)
+        policy = LabelPolicy()
+        model = DegradationNetwork(self.CONFIG, np.random.default_rng(38))
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, model, scaler, selection, policy, "FD001")
+        bank = build_window_bank(bundle.train, scaler, selection, policy, self.CONFIG.window)
+        assert bank.n_windows > 2 * INFER_BATCH
+        seen: list[tuple[int, str, threading.Thread]] = []
+        models = [model]
+
+        def load_wrapped(path):
+            loaded = load_checkpoint(path)
+            wrap_layers(loaded.model, seen)
+            models.append(loaded.model)
+            return loaded
+
+        wrap_layers(model, seen)
+        monkeypatch.setattr(cli, "load_checkpoint", load_wrapped)
+        predict_windows(model, bank)
+        assert cli.main([
+            "export-features", "--checkpoint", str(ckpt), "--data", str(data),
+            "--out", str(tmp_path / "features"), "--engine", "1", "--split", "train",
+        ]) == 0
+        assert len(executors) == 2 and len(models) == 2
+        assert seen == []
+        # the wrappers are in place: a training forward calls them
+        for m in models:
+            m.forward(np.ones((1, 16, 15)))
+        assert len(seen) == 2 * len(all_layers(model))
 
     def test_expand_backward_allocates_no_weight_sized_array(self, monkeypatch, executors):
         monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda: 2)
-        model = DegradationNetwork(ModelConfig(), np.random.default_rng(35))
+        expand = DegradationNetwork(ModelConfig(), np.random.default_rng(35)).expand
         rng = np.random.default_rng(36)
-        model.forward(rng.normal(size=(32, 64, 15)))
+        _, cache = expand.forward(rng.normal(size=(32, expand.weight.value.shape[0])))
         gout = rng.normal(size=(32, 64 * 15))
         tracemalloc.start()
         try:
-            model.expand.backward(gout)
+            expand.backward(cache, gout)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(executors) == 1
-        assert peak < model.expand.weight.grad.nbytes
+        assert peak < expand.weight.grad.nbytes
 
 
 class TestInit:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -124,7 +126,7 @@ class TestFeatureAttention:
         net = _network(5, 4, rng, attention_hidden=6)
         trace = net.trace(rng.normal(size=(3, 5, 4)))
         expected_pooled, expected_weights = _attention_oracle(net.attention, trace.abstract)
-        pooled = net.attention.forward(trace.abstract)
+        pooled = net.attention.forward(trace.abstract)[0]
         np.testing.assert_allclose(pooled, expected_pooled, atol=1e-12)
         np.testing.assert_allclose(trace.attention, expected_weights, atol=1e-12)
 
@@ -144,7 +146,7 @@ class TestFeatureAttention:
         trace = net.trace(rng.normal(size=(2, 7, 3)))
         np.testing.assert_array_equal(trace.abstract, np.tile(row, (2, 7, 1)))
         np.testing.assert_allclose(trace.attention, 1.0 / 7.0, atol=1e-12)
-        pooled = net.attention.forward(trace.abstract)
+        pooled = net.attention.forward(trace.abstract)[0]
         np.testing.assert_allclose(pooled, np.tile(row, (2, 1)), atol=1e-12)
 
     def test_gradcheck_covers_first_row_coupling(self):
@@ -202,6 +204,25 @@ class TestDegradationNetwork:
         gx = net.backward(np.ones(4))
         assert gx.shape == x.shape
         assert np.isfinite(gx).all()
+
+    def test_failed_forward_leaves_no_tape(self):
+        net = DegradationNetwork(TINY, np.random.default_rng(15))
+        net.forward(np.ones((2, 8, 3)))
+        with pytest.raises(ValueError, match="expected input"):
+            net.forward(np.ones((5, 9, 3)))
+        # the tape of the batch of two is gone with the failed forward
+        with pytest.raises(RuntimeError, match="without a pending forward"):
+            net.backward(np.ones(2))
+
+    def test_backward_names_a_wrong_gradient_shape(self):
+        net = DegradationNetwork(TINY, np.random.default_rng(16))
+        x = np.random.default_rng(17).normal(size=(2, 8, 3))
+        net.forward(x)
+        for gout in (np.ones(5), np.ones((2, 1))):
+            with pytest.raises(ValueError, match=rf"{re.escape(str(gout.shape))}.*\(2,\)"):
+                net.backward(gout)
+        # the tape is kept: the right gradient still gets the batch's input gradient
+        assert net.backward(np.ones(2)).shape == x.shape
 
     def test_full_model_gradcheck_tiny_config(self):
         rng = np.random.default_rng(10)

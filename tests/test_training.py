@@ -708,6 +708,11 @@ class TestTwoLaneInference:
                 "--out", str(tmp_path / "features"), "--engine", "1", "--split", "train",
             ]) == 0
 
+        layers = [
+            *model.conv_stack.children, model.expand, model.expand_act, model.attention,
+            *model.regressor.children,
+        ]
+        states = [dict(vars(layer)) for layer in [model, *layers]]
         before = threading.active_count()
         alive = set(threading.enumerate())
         calls = [
@@ -724,13 +729,9 @@ class TestTwoLaneInference:
             assert len(executors) == threads
             assert set(threading.enumerate()) <= alive and not lane_workers()
             assert threading.active_count() <= before
-        layers = [
-            *model.conv_stack.children, model.flatten, model.expand, model.expand_act,
-            model.reshape, model.attention, *model.regressor.children,
-        ]
-        for layer in [model, *layers]:
-            with pytest.raises(RuntimeError, match="without a pending forward"):
-                layer.backward(np.ones(1))
+        assert [dict(vars(layer)) for layer in [model, *layers]] == states
+        with pytest.raises(RuntimeError, match="without a pending forward"):
+            model.backward(np.ones(1))
 
 
 class TestTrain:
