@@ -7,21 +7,30 @@ columns:
 
     unit  cycle  setting_1..setting_3  sensor_1..sensor_21
 
-Parsing is fail-fast: a malformed line raises ParseError with its
-1-based line number, counting blank lines. Fields may be space- or
-tab-separated and blank lines are skipped, since copies of the dataset
-in the wild vary. Unit ids and cycles are positive integers below
-2**53, so a float64 holds each exactly. Rows may come in any order; a
-data file parses into one (n, 26) float64 matrix in file order, and
-grouping sorts it by (unit, cycle) and requires each engine's cycles to
-be exactly 1..n, raising StructureError otherwise.
+A data file parses in one NumPy pass: ``np.loadtxt`` with no comment
+character reads the whole file, and vectorized checks require 26 columns
+and unit ids and cycles that are integers in [1, 2**53), so a float64
+holds each exactly. Only when that pass refuses the input does the
+per-line loop run. The loop is fail-fast: a malformed line raises ParseError
+with its 1-based line number, counting blank lines. It also accepts the
+forms ``float()`` reads and NumPy does not (``1_0``, non-ASCII digits),
+so a stream parses, or fails, as the loop alone would have it, with the
+same bits. Fields may be separated by any whitespace ``str.split()``
+splits on, and blank lines are skipped, since copies of the dataset in
+the wild vary; ``#`` and quotes are plain non-numeric tokens. Rows may
+come in any order; a data file parses into one (n, 26) float64 matrix in
+file order, and grouping sorts it by (unit, cycle) and requires each
+engine's cycles to be exactly 1..n, raising StructureError otherwise.
+
+``load_subset`` reads ASCII files and puts the file name in front of
+every ParseError and StructureError, and of a non-ASCII byte's line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -37,6 +46,8 @@ SENSOR_NAMES = tuple(f"sensor_{i}" for i in range(1, N_SENSORS + 1))
 COLUMN_NAMES = SETTING_NAMES + SENSOR_NAMES
 # integer fields (unit id, cycle, RUL) stay below this, so a float64 holds each exactly
 _INT_LIMIT = 2**53
+
+_T = TypeVar("_T")
 
 
 class CmapssError(Exception):
@@ -108,8 +119,27 @@ def parse_data_file(lines: Iterable[str]) -> np.ndarray:
 
     Raises ParseError naming the offending 1-based line number on a wrong
     column count, a non-numeric token, or a unit id or cycle that is not
-    an integer in [1, 2**53).
+    an integer in [1, 2**53). NumPy reads valid input in one pass; the
+    per-line loop runs only when that pass refuses the input.
     """
+    lines = list(lines)
+    if not any(map(str.strip, lines)):
+        # loadtxt warns on input with no data
+        return np.empty((0, N_FIELDS))
+    try:
+        rows = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return _parse_lines(lines)
+    ids = rows[:, :2]
+    if rows.shape[1] != N_FIELDS or not np.all(
+        (ids >= 1) & (ids < _INT_LIMIT) & (ids == np.trunc(ids))
+    ):
+        return _parse_lines(lines)
+    return rows
+
+
+def _parse_lines(lines: Iterable[str]) -> np.ndarray:
+    """parse_data_file one line at a time: names the first bad line."""
     flat: list[float] = []
     for line_no, line in enumerate(lines, start=1):
         fields = line.split()
@@ -187,6 +217,28 @@ def subset_file_names(subset_id: str) -> tuple[str, str, str]:
     return (f"train_{sid}.txt", f"test_{sid}.txt", f"RUL_{sid}.txt")
 
 
+def _read(path: Path, parse: Callable[[IO[str]], _T]) -> _T:
+    """``parse`` of an ASCII text file; a dataset error names the file first."""
+    try:
+        with open(path, encoding="ascii") as fh:
+            return parse(fh)
+    except UnicodeDecodeError:
+        raise ParseError(f"{path.name}: {_first_non_ascii(path)}") from None
+    except CmapssError as exc:
+        raise type(exc)(f"{path.name}: {exc}") from None
+
+
+def _first_non_ascii(path: Path) -> str:
+    """'line N: non-ASCII byte 0xXX' for the first such byte of ``path``."""
+    # surrogateescape reads byte b >= 0x80 as chr(0xDC00 + b), counting lines as parsing does
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.isascii():
+                byte = next(ord(ch) - 0xDC00 for ch in line if not ch.isascii())
+                return f"line {line_no}: non-ASCII byte 0x{byte:02x}"
+    return "non-ASCII byte"
+
+
 def load_subset(directory: str | Path, subset_id: str) -> DatasetBundle:
     """Load one subset from a directory holding the NASA-named text files."""
     sid = _check_subset_id(subset_id)
@@ -195,12 +247,12 @@ def load_subset(directory: str | Path, subset_id: str) -> DatasetBundle:
         if not path.is_file():
             raise FileNotFoundError(f"missing C-MAPSS file: {path}")
 
-    with open(paths[0], encoding="ascii") as fh:
-        train = group_by_engine(parse_data_file(fh))
-    with open(paths[1], encoding="ascii") as fh:
-        test = group_by_engine(parse_data_file(fh))
-    with open(paths[2], encoding="ascii") as fh:
-        test_rul = parse_rul_file(fh)
+    def engines(fh: IO[str]) -> list[EngineTrajectory]:
+        return group_by_engine(parse_data_file(fh))
+
+    train = _read(paths[0], engines)
+    test = _read(paths[1], engines)
+    test_rul = _read(paths[2], parse_rul_file)
 
     if len(test_rul) != len(test):
         raise StructureError(

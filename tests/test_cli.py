@@ -139,6 +139,20 @@ class TestTrainCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "o" / "model.ckpt").exists()
 
+    def test_non_ascii_byte_exits_1_naming_file_and_line(self, synth_data_dir, tmp_path, capsys):
+        data = copy_with_value(
+            synth_data_dir, tmp_path / "data", "train_FD001.txt", 3, 7, "sensor_2", "5x"
+        )
+        path = data / "train_FD001.txt"
+        text = path.read_bytes()
+        line_no = text[: text.index(b"5x")].count(b"\n") + 1
+        path.write_bytes(text.replace(b"5x", "5\u00e9".encode("utf-8")))
+        code = run("train", "--data", str(data), "--out", str(tmp_path / "o"), *TINY_FLAGS)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: train_FD001.txt: line {line_no}: non-ASCII byte 0xc3" in err
+        assert "Traceback" not in err
+
     def test_nan_in_an_unselected_column_still_trains(self, trained, synth_data_dir, tmp_path):
         data = copy_with_value(
             synth_data_dir, tmp_path / "data", "train_FD001.txt", 3, 7, "sensor_1", "nan"
@@ -302,7 +316,7 @@ class TestEvaluateCommand:
             "--data", str(data), "--out", str(tmp_path / "o"),
         )
         assert code == 1
-        expected = f"line {first + 1}: unit id must be below 2**53, got '1e19'"
+        expected = f"test_FD001.txt: line {first + 1}: unit id must be below 2**53, got '1e19'"
         assert expected in capsys.readouterr().err
 
     def test_inf_in_a_selected_column_exits_1(self, trained, synth_data_dir, tmp_path, capsys):

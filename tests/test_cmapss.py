@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import warnings
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tddn import cmapss
 from tddn.cmapss import (
     COLUMN_NAMES,
     N_FIELDS,
@@ -154,6 +156,24 @@ class TestParseDataFile:
         rows = parse_data_file([_line(2**53 - 1, 1)])
         assert int(rows[0, 0]) == 2**53 - 1
 
+    @pytest.mark.parametrize("lines", [[], [""], ["", "   ", "\t\x0c", "\r\n"]],
+                             ids=["empty", "one-blank", "blanks"])
+    def test_no_data_gives_an_empty_matrix_without_a_warning(self, lines):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = parse_data_file(lines)
+            assert rows.shape == (0, N_FIELDS)
+            assert rows.dtype == np.float64
+            assert group_by_engine(rows) == []
+
+    def test_forms_only_float_accepts_parse_through_the_line_loop(self, monkeypatch):
+        calls = []
+        loop = cmapss._parse_lines
+        monkeypatch.setattr(cmapss, "_parse_lines", lambda lines: calls.append(1) or loop(lines))
+        rows = parse_data_file([_line(1, 1, ["1_0", "\u0661"] + [0.0] * 22)])
+        assert rows[0, 2:4].tolist() == [10.0, 1.0]
+        assert calls == [1]
+
     def test_field_count_constant(self):
         assert N_FIELDS == 26
         assert len(COLUMN_NAMES) == 24
@@ -239,6 +259,25 @@ class TestLoadSubset:
         with pytest.raises(StructureError, match=r"RUL"):
             load_subset(tmp_path, "FD001")
 
+    @pytest.mark.parametrize("name, edit, error, message", [
+        ("train_FD001.txt", lambda b: b.replace(b"\n", b"\n1 2 3\n", 1),
+         ParseError, "train_FD001.txt: line 2: expected 26 columns, got 3"),
+        ("test_FD001.txt", lambda b: b[b.index(b"\n") + 1:],
+         StructureError, "test_FD001.txt: unit 1: missing cycle 1"),
+        ("RUL_FD001.txt", lambda b: b"7\n-2\n" + b,
+         ParseError, "RUL_FD001.txt: line 2: RUL must be >= 0, got -2"),
+        # lines are counted as parsing counts them: \r\n is one line end, a lone \r one
+        ("test_FD001.txt", lambda b: b"\r\n\r\n\r1 1\xc3\xa9\n" + b,
+         ParseError, "test_FD001.txt: line 4: non-ASCII byte 0xc3"),
+    ], ids=["parse", "structure", "rul", "non-ascii"])
+    def test_errors_name_the_file(self, tmp_path, name, edit, error, message):
+        write_bundle(make_bundle(n_train=2, n_test=2, seed=3), tmp_path)
+        path = tmp_path / name
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(error) as caught:
+            load_subset(tmp_path, "FD001")
+        assert str(caught.value) == message
+
     def test_unknown_subset(self):
         with pytest.raises(ValueError, match=r"unknown subset"):
             subset_file_names("FD009")
@@ -255,13 +294,19 @@ class TestLoadSubset:
 # float() accepts: signed zero, non-finite values, underscores, exponents.
 _VALUE_FORMATS = (repr, "{:.4f}".format, "{:.6e}".format, lambda x: str(int(x)))
 _ODD_VALUES = ("-0.0", "nan", "inf", "-inf", "1_0", "1e-320", "+7", ".5", "5.")
-_SEPARATORS = (" ", "\t", "  ", " \t ")
-_BLANKS = ("", "   ", "\t")
+# str.split() and NumPy's reader both split on \x0b, \x0c and \x1c; a trailing
+# \r gives the line a \r\n end
+_SEPARATORS = (" ", "\t", "  ", " \t ", "\x0b", "\x0c", "\x1c")
+_BLANKS = ("", "   ", "\t", "\r", "\x0c \x1c")
+_LINE_ENDS = ("", "\r")
 
 
 @st.composite
-def data_lines(draw) -> list[str]:
-    """Valid data lines of a few engines in shuffled order, with blank lines."""
+def data_lines(draw, odd_values: tuple[str, ...] = _ODD_VALUES) -> list[str]:
+    """Valid data lines of a few engines in shuffled order, with blank lines.
+
+    A few values are drawn from ``odd_values``.
+    """
     unit_ids = draw(
         st.lists(
             st.one_of(st.integers(1, 50), st.integers(1, 2**53 - 1)),
@@ -274,11 +319,12 @@ def data_lines(draw) -> list[str]:
     for unit, cycle in draw(st.permutations(keys)):
         tokens = [str(unit), str(cycle)]
         for x in rng.normal(0.0, 10.0 ** rng.integers(-3, 5), 24).tolist():
-            if rng.random() < 0.05:
-                tokens.append(_ODD_VALUES[rng.integers(len(_ODD_VALUES))])
+            if odd_values and rng.random() < 0.05:
+                tokens.append(odd_values[rng.integers(len(odd_values))])
             else:
                 tokens.append(_VALUE_FORMATS[rng.integers(len(_VALUE_FORMATS))](x))
-        lines.append(draw(st.sampled_from(_SEPARATORS)).join(tokens))
+        line = draw(st.sampled_from(_SEPARATORS)).join(tokens)
+        lines.append(line + draw(st.sampled_from(_LINE_ENDS)))
     for _ in range(draw(st.integers(0, 3))):
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_BLANKS)))
     return lines
@@ -304,10 +350,45 @@ class TestMatchesReference:
         assert_same_trajectories(got, want)
 
 
+def _loop_must_not_run(lines):
+    raise AssertionError("valid input fell back to the per-line loop")
+
+
+class TestOnePass:
+    """Valid input is parsed by NumPy alone; the line loop would be ~3x slower."""
+
+    def test_bench_shaped_file(self, monkeypatch, tmp_path):
+        bundle = make_bundle(n_train=5, n_test=2, seed=9)
+        line = "%d %d " + " ".join(["%.4f"] * 24)
+        path = tmp_path / "train_FD001.txt"
+        path.write_text("".join(
+            line % (t.unit_id, i + 1, *row) + "\n"
+            for t in bundle.train for i, row in enumerate(t.values.tolist())
+        ))
+        with open(path, encoding="ascii") as fh:
+            want = reference_group(reference_parse(fh))
+        monkeypatch.setattr(cmapss, "_parse_lines", _loop_must_not_run)
+        with open(path, encoding="ascii") as fh:
+            got = group_by_engine(parse_data_file(fh))
+        assert_same_trajectories(got, want)
+
+    @given(lines=data_lines(odd_values=()))
+    def test_generated_lines(self, lines):
+        want = reference_group(reference_parse(_as_stream(lines)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cmapss, "_parse_lines", _loop_must_not_run)
+            got = group_by_engine(parse_data_file(_as_stream(lines)))
+        assert_same_trajectories(got, want)
+
+
 _BAD_TOKENS = (
     "abc", "1e19", "-1e19", "9007199254740992", "1e400", "-3", "0", "-0",
     "2.5", "nan", "inf", "-inf", "0x10", "1,5", "--1", "1e",
     "\u0661",  # ARABIC-INDIC DIGIT ONE: float() reads it as 1.0
+    # comments and quotes are not part of the format; NumPy's reader would
+    # skip or strip them if asked to
+    "#", "#1", "1#", '"2"', "'2'",
+    "1\r2",  # a lone \r splits the field for str.split() and ends a line for NumPy
 )
 
 
@@ -317,12 +398,19 @@ def mutated_lines(draw) -> list[str]:
     lines = draw(data_lines())
     for _ in range(draw(st.integers(1, 3))):
         op = draw(st.sampled_from(
-            ("drop_field", "dup_field", "dup_line", "drop_line", "blank_line", "tabs")
+            ("drop_field", "dup_field", "dup_line", "drop_line", "blank_line", "tabs",
+             "comment_line", "blank_stream")
             + ("swap_token",) * 6
         ))
         i = draw(st.integers(0, len(lines)))
         if op == "blank_line":
             lines.insert(i, draw(st.sampled_from(_BLANKS)))
+            continue
+        if op == "blank_stream":  # nothing but blank lines, or no lines at all
+            lines = draw(st.lists(st.sampled_from(_BLANKS), max_size=3))
+            continue
+        if op == "comment_line":  # a whole-line comment, or a data line commented out
+            lines.insert(i, "# " + (lines[i] if i < len(lines) else "unit cycle"))
             continue
         if not lines:
             continue
