@@ -237,7 +237,6 @@ def _build_configs(settings: dict) -> tuple[SensorSelection, ModelConfig, TrainC
             batch_size=settings["batch"],
             max_epochs=settings["epochs"],
             lr_initial=settings["lr"],
-            lr_reduced=settings["lr"] / 10.0,
             seed=settings["seed"],
             patience=settings["patience"],
             r_max=settings["rmax"],

@@ -23,7 +23,8 @@ file order, and grouping sorts it by (unit, cycle) and requires each
 engine's cycles to be exactly 1..n, raising StructureError otherwise.
 
 ``load_subset`` reads ASCII files and puts the file name in front of
-every ParseError and StructureError, and of a non-ASCII byte's line.
+every ParseError and StructureError, and of a non-ASCII byte's line. A
+train or test file with no data rows is a StructureError (``no engines``).
 """
 
 from __future__ import annotations
@@ -248,7 +249,10 @@ def load_subset(directory: str | Path, subset_id: str) -> DatasetBundle:
             raise FileNotFoundError(f"missing C-MAPSS file: {path}")
 
     def engines(fh: IO[str]) -> list[EngineTrajectory]:
-        return group_by_engine(parse_data_file(fh))
+        trajectories = group_by_engine(parse_data_file(fh))
+        if not trajectories:
+            raise StructureError("no engines")
+        return trajectories
 
     train = _read(paths[0], engines)
     test = _read(paths[1], engines)

@@ -237,48 +237,34 @@ class Conv1d(Module):
 
 
 class MaxPool1d(Module):
-    """Non-overlapping max pooling over time with floor semantics; a
-    trailing partial window is dropped. Ties go to the earliest position.
+    """2/2 max pooling over time: each disjoint pair of steps gives its larger
+    value. An odd last step is dropped, and a tie goes to the earlier step.
 
-    Non-finite values: a window holding a NaN gives NaN (which NaN, when it
-    holds several with different bits, is not fixed), and +-inf pools like
-    any other value. In a window holding a NaN, the gradient goes to the
-    earliest largest tap before its first NaN, or to tap 0 if that is the
-    NaN. In backward, a tap that lost its window gets ``gout * 0``, so an
+    Non-finite values: a pair holding a NaN gives NaN (which NaN, when it
+    holds two with different bits, is not fixed), and +-inf pools like any
+    other value. The gradient goes to the later step only when it is
+    strictly greater, so a pair holding a NaN routes it to the earlier one.
+    In backward, the step that lost its pair gets ``gout * 0``, so an
     infinite or NaN upstream gradient there comes out NaN instead of 0.
     """
 
-    def __init__(self, pool: int = 2):
-        if pool < 1:
-            raise ValueError(f"pool must be >= 1, got {pool}")
-        self.pool = pool
-
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, object]:
         batch, n_time, channels = x.shape
-        if n_time < self.pool:
-            raise ValueError(f"time axis {n_time} shorter than pool window {self.pool}")
-        n_out = n_time // self.pool
-        windows = x[:, : n_out * self.pool].reshape(batch, n_out, self.pool, channels)
-        out = windows[:, :, 0]
-        idx = np.zeros(out.shape, dtype=np.min_scalar_type(self.pool - 1))
-        for tap in range(1, self.pool):
-            cand = windows[:, :, tap]
-            # a later tap takes over only when strictly greater, and taps grow,
-            # so max(idx, tap or 0) records the earliest winner without a select
-            np.maximum(idx, (cand > out) * idx.dtype.type(tap), out=idx)
-            # maximum returns its second operand on a +-0 tie: keep the earlier
-            out = np.maximum(cand, out)
-        return (out.copy() if self.pool == 1 else out), (idx, x.shape)
+        if n_time < 2:
+            raise ValueError(f"time axis {n_time} shorter than pool window 2")
+        pairs = x[:, : n_time // 2 * 2].reshape(batch, n_time // 2, 2, channels)
+        first, second = pairs[:, :, 0], pairs[:, :, 1]
+        # maximum returns its second operand on a +-0 tie: the earlier step
+        return np.maximum(second, first), (second > first, x.shape)
 
     def backward(self, cache: tuple[np.ndarray, tuple[int, ...]], gout: np.ndarray) -> np.ndarray:
-        idx, in_shape = cache
+        second_wins, in_shape = cache
         batch, n_out, channels = gout.shape
         gin = np.zeros(in_shape)
-        # windows are disjoint: each one routes its gradient to its winning tap
-        # only; splitting the time axis keeps the reshape a view into gin
-        gwindows = gin[:, : n_out * self.pool].reshape(batch, n_out, self.pool, channels)
-        for tap in range(self.pool):
-            np.multiply(gout, idx == tap, out=gwindows[:, :, tap])
+        # splitting the time axis keeps the reshape a view into gin
+        pairs = gin[:, : 2 * n_out].reshape(batch, n_out, 2, channels)
+        np.multiply(gout, ~second_wins, out=pairs[:, :, 0])
+        np.multiply(gout, second_wins, out=pairs[:, :, 1])
         return gin
 
 

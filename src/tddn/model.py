@@ -64,7 +64,7 @@ class ModelConfig:
 
     window: int = 64
     n_features: int = 15
-    conv_channels: tuple[int, ...] = (32, 64, 128)
+    conv_channels: tuple[int, ...] = CONV_CHANNEL_LADDER[:3]
     kernel: int = 2
     attention_hidden: int | None = None
     regressor_hidden: int = 8
@@ -187,7 +187,7 @@ class DegradationNetwork:
         for i, c_out in enumerate(config.conv_channels, start=1):
             stages.append(Conv1d(c_in, c_out, config.kernel, rng, name=f"conv{i}"))
             stages.append(ReLU())
-            stages.append(MaxPool1d(pool=2))
+            stages.append(MaxPool1d())
             c_in = c_out
         self.conv_stack = Sequential(*stages)
         n_flat = pooled_length(w, config.depth) * config.conv_channels[-1]

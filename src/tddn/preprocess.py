@@ -3,8 +3,10 @@
 The pipeline per engine is: pick the informative columns for the subset,
 min-max scale them with statistics fitted on the training split only,
 attach piecewise-linear RUL labels, and left-pad with the first cycle so
-every cycle owns a full window. Cutting the padded rows into moving
-windows is ``training.WindowBank``'s job.
+every cycle owns a full window. Labels are those of a run to failure,
+the only kind of engine trained on; a test engine is scored at its last
+cycle against the RUL file (``metrics.evaluate_test``). Cutting the
+padded rows into moving windows is ``training.WindowBank``'s job.
 """
 
 from __future__ import annotations
@@ -158,20 +160,14 @@ def apply_scaler(
     return scaled
 
 
-def assign_rul_labels(
-    n_cycles: int, policy: LabelPolicy, terminal_rul: int = 0
-) -> np.ndarray:
-    """Labels for cycles 1..n: label(j) = min(r_max, terminal_rul + n - j).
+def assign_rul_labels(n_cycles: int, policy: LabelPolicy) -> np.ndarray:
+    """Labels for cycles 1..n of a run to failure: label(j) = min(r_max, n - j).
 
-    Run-to-failure training engines have terminal_rul = 0 (the last cycle
-    is the failure). Test engines pass the RUL remaining after their last
-    recorded cycle, extending the same capped countdown backwards.
+    The last cycle is the failure, so its label is 0.
     """
     if n_cycles < 1:
         raise ValueError(f"need at least one cycle, got {n_cycles}")
-    if terminal_rul < 0:
-        raise ValueError(f"terminal RUL must be >= 0, got {terminal_rul}")
-    countdown = terminal_rul + n_cycles - np.arange(1, n_cycles + 1)
+    countdown = n_cycles - np.arange(1, n_cycles + 1)
     return np.minimum(countdown, policy.r_max).astype(np.float64)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -39,42 +39,47 @@ class TrainingError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimization hyperparameters."""
+    """Optimization hyperparameters.
+
+    The fields are the values a run sets. The protocol fixes the rest, as
+    class constants: Adam's moments, a learning rate that drops to a tenth
+    of ``lr_initial`` (``lr_reduced``) after epoch ``lr_drop_after``, and
+    the share of training engines held out for validation.
+    """
+
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    eps: ClassVar[float] = 1e-8
+    lr_drop_after: ClassVar[int] = 100
+    val_fraction: ClassVar[float] = 0.2
 
     batch_size: int = 32
     max_epochs: int = 200
     lr_initial: float = 1e-4
-    lr_reduced: float = 1e-5
-    lr_drop_after: int = 100
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     patience: int = 10
-    val_fraction: float = 0.2
     seed: int = 0
-    r_max: int = 120
+    r_max: int = LabelPolicy.r_max
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        # a NaN fails both comparisons
-        if not (0.0 < self.lr_initial < math.inf and 0.0 < self.lr_reduced < math.inf):
+        # a NaN fails every comparison, and the tenth of a subnormal rate rounds to 0
+        if not (self.lr_initial < math.inf and self.lr_reduced > 0.0):
             raise ValueError(
                 f"learning rates must be positive and finite, got {self.lr_initial} "
-                f"and {self.lr_reduced}"
+                f"and its tenth {self.lr_reduced}"
             )
-        if self.lr_drop_after < 0:
-            raise ValueError(f"lr_drop_after must be >= 0, got {self.lr_drop_after}")
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ValueError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
-        if self.r_max < 1:
-            raise ValueError(f"r_max must be >= 1, got {self.r_max}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        LabelPolicy(self.r_max)  # refuses a cap below 1
+
+    @property
+    def lr_reduced(self) -> float:
+        return self.lr_initial / 10.0
 
     @property
     def label_policy(self) -> LabelPolicy:
@@ -174,9 +179,9 @@ class Adam:
     def __init__(
         self,
         params: Sequence,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
+        beta1: float = TrainConfig.beta1,
+        beta2: float = TrainConfig.beta2,
+        eps: float = TrainConfig.eps,
     ):
         self.params = list(params)
         self.value, self.grad = packed(self.params)
@@ -293,24 +298,17 @@ def build_window_bank(
     selection: SensorSelection,
     policy: LabelPolicy,
     window: int,
-    terminal_ruls: Sequence[int] | None = None,
 ) -> WindowBank:
     """Scale, label and pad a set of trajectories into a WindowBank.
 
-    ``terminal_ruls`` gives the RUL after each trajectory's last cycle;
-    omitted means run-to-failure (zero for all).
+    Each trajectory is labelled as a run to failure: its last cycle has RUL 0.
     """
-    if terminal_ruls is not None and len(terminal_ruls) != len(trajectories):
-        raise ValueError(
-            f"{len(terminal_ruls)} terminal RULs for {len(trajectories)} trajectories"
-        )
     padded: list[np.ndarray] = []
     labels: list[np.ndarray] = []
-    for i, traj in enumerate(trajectories):
+    for traj in trajectories:
         scaled = apply_scaler(traj, scaler, selection)
         padded.append(pad_series(scaled, window))
-        terminal = 0 if terminal_ruls is None else int(terminal_ruls[i])
-        labels.append(assign_rul_labels(traj.n_cycles, policy, terminal))
+        labels.append(assign_rul_labels(traj.n_cycles, policy))
     return WindowBank(padded, labels, [t.unit_id for t in trajectories], window)
 
 
@@ -361,9 +359,7 @@ def train(
     )
 
     model = DegradationNetwork(model_config, np.random.default_rng(train_config.seed))
-    optimizer = Adam(
-        model.params(), train_config.beta1, train_config.beta2, train_config.eps
-    )
+    optimizer = Adam(model.params())
 
     train_losses: list[float] = []
     val_curve: list[float] = []

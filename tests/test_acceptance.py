@@ -70,7 +70,7 @@ class TestCriterion1Gradients:
                 (Linear(4, 3, rng), rng.normal(size=(3, 4))),
                 (ReLU(), rng.normal(size=(3, 5)) + 0.05),
                 (Conv1d(2, 3, 2, rng), rng.normal(size=(2, 6, 2))),
-                (MaxPool1d(pool=2), rng.normal(size=(2, 6, 3))),
+                (MaxPool1d(), rng.normal(size=(2, 6, 3))),
                 (FeatureAttention(3, 5, rng), rng.normal(size=(2, 4, 3))),
             )
             for module, x in cases:

@@ -39,6 +39,13 @@ def copy_with_value(
     return to
 
 
+def copy_with_empty(data_dir: Path, to: Path, name: str) -> Path:
+    """A copy of ``data_dir`` whose file ``name`` holds no data rows."""
+    shutil.copytree(data_dir, to)
+    (to / name).write_text("\n")
+    return to
+
+
 @pytest.fixture(scope="module")
 def trained(synth_data_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("trained_run")
@@ -153,6 +160,15 @@ class TestTrainCommand:
         assert f"error: train_FD001.txt: line {line_no}: non-ASCII byte 0xc3" in err
         assert "Traceback" not in err
 
+    def test_empty_train_file_exits_1_naming_it(self, synth_data_dir, tmp_path, capsys):
+        data = copy_with_empty(synth_data_dir, tmp_path / "data", "train_FD001.txt")
+        out = tmp_path / "o"
+        assert run("train", "--data", str(data), "--out", str(out), *TINY_FLAGS) == 1
+        err = capsys.readouterr().err
+        assert "error: train_FD001.txt: no engines" in err
+        assert "Traceback" not in err
+        assert not (out / "model.ckpt").exists()
+
     def test_nan_in_an_unselected_column_still_trains(self, trained, synth_data_dir, tmp_path):
         data = copy_with_value(
             synth_data_dir, tmp_path / "data", "train_FD001.txt", 3, 7, "sensor_1", "nan"
@@ -251,6 +267,19 @@ class TestEvaluateCommand:
         reported_rmse = float(metrics[1].split(",")[0])
         assert reported_rmse == pytest.approx(expected_rmse, abs=1e-12)
         assert "rmse" in capsys.readouterr().out
+
+    def test_empty_test_file_exits_1_naming_it(self, trained, synth_data_dir, tmp_path, capsys):
+        data = copy_with_empty(synth_data_dir, tmp_path / "data", "test_FD001.txt")
+        out = tmp_path / "o"
+        code = run(
+            "evaluate", "--checkpoint", str(trained / "model.ckpt"),
+            "--data", str(data), "--out", str(out),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: test_FD001.txt: no engines" in err
+        assert "Traceback" not in err
+        assert not (out / "metrics.csv").exists()
 
     def test_subset_mismatch_exits_2(self, trained, synth_data_dir, tmp_path, capsys):
         code = run(
@@ -364,6 +393,17 @@ class TestSweepCommand:
             assert (run_dir / "training_log.csv").is_file()
             assert (run_dir / "metrics.csv").is_file()
             assert not (run_dir / "model.ckpt").exists()
+
+    def test_empty_test_file_exits_1_before_any_run(self, synth_data_dir, tmp_path, capsys):
+        data = copy_with_empty(synth_data_dir, tmp_path / "data", "test_FD001.txt")
+        out = tmp_path / "o"
+        code = run(
+            "sweep", "--data", str(data), "--out", str(out),
+            "--dim", "window", "--values", "8", "--repeats", "1", "--epochs", "1",
+        )
+        assert code == 1
+        assert "error: test_FD001.txt: no engines" in capsys.readouterr().err
+        assert not (out / "window_8_seed_0").exists()
 
     def test_invalid_window_value_exits_2(self, synth_data_dir, tmp_path):
         code = run(
@@ -540,9 +580,11 @@ class TestRefusedSettings:
             ("--lr=nan", "learning rates must be positive and finite"),
             ("--lr=inf", "learning rates must be positive and finite"),
             ("--lr=-inf", "learning rates must be positive and finite"),
+            ("--lr=5e-324", "got 5e-324 and its tenth 0.0"),
             ("--seed=-1", "seed must be >= 0, got -1"),
+            ("--rmax=0", "r_max must be positive, got 0"),
         ],
-        ids=["lr-nan", "lr-inf", "lr-minus-inf", "seed-minus-1"],
+        ids=["lr-nan", "lr-inf", "lr-minus-inf", "lr-tenth-zero", "seed-minus-1", "rmax-0"],
     )
     def test_exits_2_without_manifest(
         self, command, flag, message, synth_data_dir, tmp_path, capsys

@@ -269,7 +269,9 @@ class TestLoadSubset:
         # lines are counted as parsing counts them: \r\n is one line end, a lone \r one
         ("test_FD001.txt", lambda b: b"\r\n\r\n\r1 1\xc3\xa9\n" + b,
          ParseError, "test_FD001.txt: line 4: non-ASCII byte 0xc3"),
-    ], ids=["parse", "structure", "rul", "non-ascii"])
+        ("train_FD001.txt", lambda b: b"", StructureError, "train_FD001.txt: no engines"),
+        ("test_FD001.txt", lambda b: b"\n \n", StructureError, "test_FD001.txt: no engines"),
+    ], ids=["parse", "structure", "rul", "non-ascii", "empty-train", "blank-test"])
     def test_errors_name_the_file(self, tmp_path, name, edit, error, message):
         write_bundle(make_bundle(n_train=2, n_test=2, seed=3), tmp_path)
         path = tmp_path / name

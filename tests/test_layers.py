@@ -37,18 +37,16 @@ def reference_relu(x: np.ndarray, gout: np.ndarray) -> tuple[np.ndarray, np.ndar
     return np.where(mask, x, 0.0), np.where(mask, gout, 0.0)
 
 
-def reference_pool(
-    x: np.ndarray, pool: int, gout: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def reference_pool(x: np.ndarray, gout: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     batch, n_time, channels = x.shape
-    n_out = n_time // pool
-    windows = x[:, : n_out * pool].reshape(batch, n_out, pool, channels)
+    n_out = n_time // 2
+    windows = x[:, : n_out * 2].reshape(batch, n_out, 2, channels)
     idx = windows.argmax(axis=2)
     out = np.take_along_axis(windows, idx[:, :, None], axis=2).squeeze(axis=2)
-    taps = np.arange(pool)[:, None]
+    taps = np.arange(2)[:, None]
     gwindows = np.where(taps == idx[:, :, None], gout[:, :, None], 0.0)
     gin = np.zeros(x.shape)
-    gin[:, : n_out * pool] = gwindows.reshape(batch, n_out * pool, channels)
+    gin[:, : n_out * 2] = gwindows.reshape(batch, n_out * 2, channels)
     return out, gin
 
 
@@ -186,7 +184,7 @@ class TestMaxPool1d:
             t = int(rng.integers(2, 12))
             c = int(rng.integers(1, 4))
             x = rng.normal(size=(2, t, c))
-            pool = MaxPool1d(pool=2)
+            pool = MaxPool1d()
             out = pool.forward(x)[0]
             assert out.shape == (2, t // 2, c)
             for b in range(2):
@@ -230,8 +228,8 @@ class TestMaxPool1d:
             assert check_module_gradients(MaxPool1d(), x, rng) < TOL
 
     def test_too_short_input_rejected(self):
-        with pytest.raises(ValueError, match="shorter than pool"):
-            MaxPool1d(pool=4).forward(np.zeros((1, 3, 1)))
+        with pytest.raises(ValueError, match="time axis 1 shorter than pool window 2"):
+            MaxPool1d().forward(np.zeros((1, 1, 1)))
 
 
 class TestKernelOracles:
@@ -246,40 +244,20 @@ class TestKernelOracles:
             assert out.tobytes() == want_out.tobytes()
             assert np.array_equal(layer.backward(mask, gout), want_gin)
 
-    @pytest.mark.parametrize("pool", [1, 2, 3])
     @pytest.mark.parametrize("batch", [1, 32, 256])
-    def test_pool_matches_reference(self, pool, batch):
-        rng = np.random.default_rng([pool, batch])
-        # an exact multiple of the pool, and one with a trailing partial window
-        for n_time in (4 * pool, 4 * pool + max(pool - 1, 1)):
+    def test_pool_matches_reference(self, batch):
+        rng = np.random.default_rng([2, batch])
+        # whole pairs, and an odd last step that is dropped
+        for n_time in (8, 9):
             for x in tie_heavy_inputs(rng, (batch, n_time, 4)):
-                gout = rng.normal(size=(batch, n_time // pool, 4))
-                layer = MaxPool1d(pool=pool)
-                assert layer.forward(x)[0].tobytes() == reference_pool(x, pool, gout)[0].tobytes()
+                gout = rng.normal(size=(batch, n_time // 2, 4))
+                layer = MaxPool1d()
+                assert layer.forward(x)[0].tobytes() == reference_pool(x, gout)[0].tobytes()
                 # a NaN routes by the strict-greater rule, not argmax's NaN-is-largest
                 # one (see TestNonFiniteContract), so routing is compared without NaN
                 x = np.where(np.isnan(x), 0.0, x)
                 cache = layer.forward(x)[1]
-                assert np.array_equal(layer.backward(cache, gout), reference_pool(x, pool, gout)[1])
-
-    def test_pool3_values_and_routing_brute_force(self):
-        rng = np.random.default_rng(31)
-        for _ in range(10):
-            t = int(rng.integers(3, 14))
-            x = rng.integers(-2, 3, size=(2, t, 3)).astype(np.float64)
-            layer = MaxPool1d(pool=3)
-            out, cache = layer.forward(x)
-            g = rng.normal(size=out.shape)
-            gin = layer.backward(cache, g)
-            assert out.shape == (2, t // 3, 3)
-            want = np.zeros_like(x)
-            for b in range(2):
-                for j in range(t // 3):
-                    for ch in range(3):
-                        window = [x[b, 3 * j + k, ch] for k in range(3)]
-                        assert out[b, j, ch] == max(window)
-                        want[b, 3 * j + window.index(max(window)), ch] = g[b, j, ch]
-            np.testing.assert_array_equal(gin, want)
+                assert np.array_equal(layer.backward(cache, gout), reference_pool(x, gout)[1])
 
 
 class TestNonFiniteContract:
@@ -294,26 +272,19 @@ class TestNonFiniteContract:
 
     def test_pool_propagates_nan_and_routes_before_it(self):
         x = np.array([1.0, np.nan, np.nan, 5.0, 1.0, 3.0]).reshape(1, 6, 1)
-        layer = MaxPool1d(pool=2)
+        layer = MaxPool1d()
         out, cache = layer.forward(x)
         np.testing.assert_array_equal(out[0, :, 0], [np.nan, np.nan, 3.0])
         gin = layer.backward(cache, np.array([[[1.0], [2.0], [4.0]]]))
-        # gradient to the earliest largest tap before the first NaN, else tap 0
+        # a pair holding a NaN routes its gradient to the earlier step
         np.testing.assert_array_equal(gin[0, :, 0], [1.0, 0.0, 2.0, 0.0, 0.0, 4.0])
-
-        layer = MaxPool1d(pool=3)
-        x = np.array([1.0, 3.0, np.nan, 2.0, np.nan, 9.0]).reshape(1, 6, 1)
-        out, cache = layer.forward(x)
-        np.testing.assert_array_equal(out[0, :, 0], [np.nan, np.nan])
-        gin = layer.backward(cache, np.array([[[1.0], [2.0]]]))
-        np.testing.assert_array_equal(gin[0, :, 0], [0.0, 1.0, 0.0, 2.0, 0.0, 0.0])
 
         # which of two NaNs with different bits comes out is not fixed
         payloads = np.array([0x7FF8000000000000, 0xFFF8000000000000], dtype=np.uint64)
-        assert np.isnan(MaxPool1d(pool=2).forward(payloads.view(np.float64).reshape(1, 2, 1))[0])
+        assert np.isnan(MaxPool1d().forward(payloads.view(np.float64).reshape(1, 2, 1))[0])
 
     def test_pool_backward_nonfinite_gradient_at_loser(self):
-        layer = MaxPool1d(pool=2)
+        layer = MaxPool1d()
         _, cache = layer.forward(np.array([[[1.0], [2.0]]]))
         with np.errstate(invalid="ignore"):
             gin = layer.backward(cache, np.array([[[np.inf]]]))
@@ -445,7 +416,7 @@ class TestModuleDiscipline:
         rng = np.random.default_rng(25)
         x = rng.normal(size=(3, 8, 4))
         layers = [
-            (Conv1d(4, 5, 3, rng), x), (ReLU(), x), (MaxPool1d(pool=3), x),
+            (Conv1d(4, 5, 3, rng), x), (ReLU(), x), (MaxPool1d(), x),
             (Linear(4, 2, rng), x[:, 0]), (FeatureAttention(4, 5, rng), x),
         ]
         for layer, inp in layers:

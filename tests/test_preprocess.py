@@ -169,9 +169,9 @@ def _traj_values(**columns) -> np.ndarray:
 class TestRulLabels:
     def test_matches_piecewise_formula(self):
         policy = LabelPolicy(r_max=120)
-        for n, terminal in [(1, 0), (50, 0), (250, 0), (30, 17), (200, 140)]:
-            labels = assign_rul_labels(n, policy, terminal)
-            expected = [min(120, terminal + n - j) for j in range(1, n + 1)]
+        for n in (1, 50, 120, 121, 250):
+            labels = assign_rul_labels(n, policy)
+            expected = [min(120, n - j) for j in range(1, n + 1)]
             np.testing.assert_array_equal(labels, expected)
 
     def test_run_to_failure_ends_at_zero(self):
@@ -187,8 +187,6 @@ class TestRulLabels:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="at least one cycle"):
             assign_rul_labels(0, LabelPolicy())
-        with pytest.raises(ValueError, match="terminal RUL"):
-            assign_rul_labels(5, LabelPolicy(), terminal_rul=-1)
         with pytest.raises(ValueError, match="r_max"):
             LabelPolicy(r_max=0)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import os
 import sys
 import threading
@@ -11,7 +12,7 @@ import pytest
 from tddn import cli, training
 from tddn.checkpoint import save_checkpoint
 from tddn.lanes import cpu_lanes, map_chunks
-from tddn.layers import Param, mse_loss, pack
+from tddn.layers import MaxPool1d, Param, mse_loss, pack
 from tddn.metrics import evaluate_test, predict_engine
 from tddn.model import DegradationNetwork, ModelConfig, conv_channels_for_depth
 from tddn.preprocess import (
@@ -47,6 +48,29 @@ def small_train_config(**overrides) -> TrainConfig:
     return TrainConfig(**base)
 
 
+# values the protocol fixes, each with a call that passes it as a keyword
+FIXED_OPTIONS = {
+    **{
+        f"TrainConfig-{name}": (TrainConfig, name, getattr(TrainConfig, name))
+        for name in ("lr_reduced", "lr_drop_after", "beta1", "beta2", "eps", "val_fraction")
+    },
+    "MaxPool1d-pool": (MaxPool1d, "pool", 2),
+    "assign_rul_labels-terminal_rul": (
+        lambda **kw: assign_rul_labels(5, LabelPolicy(), **kw), "terminal_rul", 0
+    ),
+    "build_window_bank-terminal_ruls": (
+        lambda **kw: build_window_bank([], None, None, LabelPolicy(), 4, **kw),
+        "terminal_ruls", None,
+    ),
+}
+
+
+@pytest.mark.parametrize("call, keyword, value", FIXED_OPTIONS.values(), ids=list(FIXED_OPTIONS))
+def test_fixed_options_are_not_keywords(call, keyword, value):
+    with pytest.raises(TypeError, match=rf"'{keyword}'|MaxPool1d\(\) takes no arguments"):
+        call(**{keyword: value})
+
+
 class TestTrainConfig:
     def test_defaults_follow_protocol(self):
         config = TrainConfig()
@@ -59,11 +83,14 @@ class TestTrainConfig:
         assert config.val_fraction == 0.2
         assert config.r_max == 120
 
+    def test_settable_fields(self):
+        assert [f.name for f in dataclasses.fields(TrainConfig)] == [
+            "batch_size", "max_epochs", "lr_initial", "patience", "seed", "r_max",
+        ]
+
     def test_invariants(self):
-        with pytest.raises(ValueError, match="val_fraction"):
-            TrainConfig(val_fraction=0.0)
-        with pytest.raises(ValueError, match="val_fraction"):
-            TrainConfig(val_fraction=1.0)
+        with pytest.raises(ValueError, match="r_max must be positive, got 0"):
+            TrainConfig(r_max=0)
         with pytest.raises(ValueError, match="patience"):
             TrainConfig(patience=0)
         with pytest.raises(ValueError, match="batch_size"):
@@ -71,11 +98,17 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="learning rates"):
             TrainConfig(lr_initial=0.0)
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-    @pytest.mark.parametrize("field", ["lr_initial", "lr_reduced"])
-    def test_refuses_non_finite_learning_rate(self, field, value):
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf")], ids=lambda v: f"lr_initial-{v}"
+    )
+    def test_refuses_non_finite_learning_rate(self, value):
         with pytest.raises(ValueError, match="learning rates must be positive and finite"):
-            TrainConfig(**{field: value})
+            TrainConfig(lr_initial=value)
+
+    def test_refuses_a_rate_whose_tenth_is_zero(self):
+        assert 5e-324 / 10.0 == 0.0
+        with pytest.raises(ValueError, match="got 5e-324 and its tenth 0.0"):
+            TrainConfig(lr_initial=5e-324)
 
     def test_refuses_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
@@ -553,18 +586,6 @@ class TestWindowBank:
             abstract.reshape(-1, abstract.shape[2]),
         )
 
-    def test_terminal_ruls_shift_labels(self):
-        bundle = make_bundle(n_train=1, n_test=2, seed=22)
-        selection = select_columns("FD001")
-        scaler = fit_scaler(bundle.train, selection)
-        bank = build_window_bank(
-            bundle.test, scaler, selection, LabelPolicy(), 4,
-            terminal_ruls=[int(r) for r in bundle.test_rul],
-        )
-        # last window of each engine carries exactly its file RUL (below cap)
-        ends = np.cumsum([t.n_cycles for t in bundle.test]) - 1
-        np.testing.assert_array_equal(bank.labels[ends], bundle.test_rul.astype(float))
-
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError, match="lengths differ"):
             WindowBank([np.zeros((5, 2))], [], [], window=3)
@@ -572,13 +593,6 @@ class TestWindowBank:
             WindowBank([], [], [], window=3)
         with pytest.raises(ValueError, match="does not fit"):
             WindowBank([np.zeros((5, 2))], [np.zeros(5)], [1], window=3)
-        bundle = make_bundle(n_train=2, seed=23)
-        selection = select_columns("FD001")
-        scaler = fit_scaler(bundle.train, selection)
-        with pytest.raises(ValueError, match="terminal RULs"):
-            build_window_bank(
-                bundle.train, scaler, selection, LabelPolicy(), 4, terminal_ruls=[1]
-            )
 
 
 class TestTwoLaneInference:
@@ -737,7 +751,7 @@ class TestTwoLaneInference:
 class TestTrain:
     def test_smoke_training_reduces_loss(self):
         bundle = make_bundle(n_train=3, n_test=1, min_len=30, max_len=45, seed=30)
-        config = small_train_config(max_epochs=20, lr_initial=1e-3, lr_reduced=1e-4)
+        config = small_train_config(max_epochs=20, lr_initial=1e-3)
         result = train(bundle, SMALL_MODEL, config)
         assert result.report.train_loss[19] < result.report.train_loss[0]
 
@@ -772,7 +786,7 @@ class TestTrain:
 
     def test_best_epoch_is_argmin_and_restored(self):
         bundle = make_bundle(n_train=4, seed=33)
-        config = small_train_config(max_epochs=6, lr_initial=1e-3, lr_reduced=1e-4)
+        config = small_train_config(max_epochs=6, lr_initial=1e-3)
         result = train(bundle, SMALL_MODEL, config)
         report = result.report
         best = report.best_epoch
@@ -783,7 +797,7 @@ class TestTrain:
 
     def test_earlier_best_epoch_is_restored(self):
         bundle = make_bundle(n_train=4, seed=33)
-        config = small_train_config(max_epochs=8, lr_initial=1e-2, lr_reduced=1e-3, patience=3)
+        config = small_train_config(max_epochs=8, lr_initial=1e-2, patience=3)
         result = train(bundle, SMALL_MODEL, config)
         report = result.report
         # the last epochs moved the weights away from the best ones
@@ -798,7 +812,7 @@ class TestTrain:
         model_config = ModelConfig(
             window=16, n_features=15, conv_channels=conv_channels_for_depth(1)
         )
-        config = small_train_config(max_epochs=5, lr_initial=3e-3, val_fraction=0.25)
+        config = small_train_config(max_epochs=5, lr_initial=3e-3)
         result = train(bundle, model_config, config)
         by_id = {t.unit_id: t for t in bundle.train}
         val_bank = build_window_bank(
@@ -838,7 +852,7 @@ class TestTrain:
 
     def test_non_finite_loss_aborts_naming_batch(self):
         bundle = make_bundle(n_train=3, seed=37)
-        config = small_train_config(max_epochs=1, lr_initial=1e160, lr_reduced=1e159)
+        config = small_train_config(max_epochs=1, lr_initial=1e160)
         with np.errstate(all="ignore"):
             with pytest.raises(TrainingError, match=r"epoch 1, batch \d+"):
                 train(bundle, SMALL_MODEL, config)
