@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import sys
 import threading
@@ -98,12 +99,15 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="learning rates"):
             TrainConfig(lr_initial=0.0)
 
-    @pytest.mark.parametrize(
-        "value", [float("nan"), float("inf"), float("-inf")], ids=lambda v: f"lr_initial-{v}"
-    )
-    def test_refuses_non_finite_learning_rate(self, value):
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["lr_initial", "lr_reduced"])
+    def test_refuses_non_finite_learning_rate(self, field, value):
+        # lr_reduced is the tenth of lr_initial, so it is reached through ten times the value
+        lr_initial = value if field == "lr_initial" else 10.0 * value
+        reduced = lr_initial / 10.0
+        assert reduced == value or (math.isnan(reduced) and math.isnan(value))
         with pytest.raises(ValueError, match="learning rates must be positive and finite"):
-            TrainConfig(lr_initial=value)
+            TrainConfig(lr_initial=lr_initial)
 
     def test_refuses_a_rate_whose_tenth_is_zero(self):
         assert 5e-324 / 10.0 == 0.0
