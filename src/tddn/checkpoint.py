@@ -6,9 +6,12 @@ parameter buffer (``DegradationNetwork.value``), then the scaler's
 ``min`` and ``max``. The header carries the model shape, the data subset
 and column selection, the label cap and each payload array's name and
 shape (``arrays``), so a checkpoint can be evaluated without the
-training-time configuration. The payload is hashed; loading verifies the
-digest before touching any array, and refuses an ``arrays`` table that is
-not the one the header's model config produces.
+training-time configuration. The header's ``config`` holds the three
+``ModelConfig`` fields and the three values the architecture fixes
+(``kernel``, ``attention_hidden``, ``regressor_hidden``). The payload is
+hashed; loading verifies the digest before touching any array, builds the
+config from its three fields, and refuses a ``config`` or an ``arrays``
+table that is not the one that config produces.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,13 +52,15 @@ def _int(value: object, field: str) -> int:
     return value
 
 
-def _config_fields(source: dict, sequence: type) -> dict:
-    """``ModelConfig``'s fields from ``source``: ints, and ``conv_channels`` as a ``sequence``."""
+def _config_table(config: ModelConfig) -> dict:
+    """The header's ``config``: the three fields a run sets, then the values they fix."""
     return {
-        f.name: sequence(_int(v, f.name) for v in source[f.name])
-        if isinstance(f.default, tuple)
-        else _int(source[f.name], f.name)
-        for f in fields(ModelConfig)
+        "window": _int(config.window, "window"),
+        "n_features": _int(config.n_features, "n_features"),
+        "conv_channels": [_int(c, "conv_channels") for c in config.conv_channels],
+        "kernel": config.kernel,
+        "attention_hidden": config.attention_hidden,
+        "regressor_hidden": config.regressor_hidden,
     }
 
 
@@ -93,7 +98,7 @@ def save_checkpoint(
         "subset_id": subset_id,
         "columns": list(selection.columns),
         "r_max": _int(policy.r_max, "r_max"),
-        "config": _config_fields(vars(model.config), list),
+        "config": _config_table(model.config),
         "arrays": _arrays_table(model, scaler.col_min.size),
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
@@ -151,9 +156,18 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
     columns = tuple(columns)
 
     try:
-        config = ModelConfig(**_config_fields(header.get("config", {}), tuple))
+        source = header["config"]
+        config = ModelConfig(
+            window=_int(source["window"], "window"),
+            n_features=_int(source["n_features"], "n_features"),
+            conv_channels=tuple(_int(c, "conv_channels") for c in source["conv_channels"]),
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad model config in header: {exc}") from exc
+    # compared as JSON text, so an unknown key, or a fixed value other than the model's, is refused
+    expected = json.dumps(_config_table(config), sort_keys=True)
+    if json.dumps(source, sort_keys=True) != expected:
+        raise CheckpointError(f"{path}: header config is not {expected}")
     try:
         # "fd001" from a config file was saved as given; it loads as "FD001"
         subset_id = _check_subset_id(subset_id)

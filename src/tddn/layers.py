@@ -177,30 +177,20 @@ class ReLU(Module):
 
 
 class Conv1d(Module):
-    """Causal 1-D convolution over time, output length equal to input.
+    """Causal width-2 convolution over time, output length equal to input.
 
-    Zeros are prepended on the past side, so tap k-1 of the kernel reads
-    the current step and earlier taps reach back in time. Input
-    (B, T, c_in) maps to (B, T, c_out); the kernel is applied as one
-    matmul over unrolled patches.
+    Step t reads steps t-1 and t, with zeros before the first step:
+    ``weight[0]`` applies to the previous step and ``weight[1]`` to the
+    current one. Input (B, T, c_in) maps to (B, T, c_out) by one matmul
+    over the (B, T, 2 * c_in) patches, each the previous step beside the
+    current one.
     """
 
-    def __init__(
-        self,
-        c_in: int,
-        c_out: int,
-        kernel: int,
-        rng: np.random.Generator,
-        name: str = "conv",
-    ):
-        if kernel < 1:
-            raise ValueError(f"kernel width must be >= 1, got {kernel}")
+    def __init__(self, c_in: int, c_out: int, rng: np.random.Generator, name: str = "conv"):
         self.c_in = c_in
         self.c_out = c_out
-        self.kernel = kernel
         self.weight = Param(
-            f"{name}.weight",
-            glorot_uniform(rng, kernel * c_in, kernel * c_out, (kernel, c_in, c_out)),
+            f"{name}.weight", glorot_uniform(rng, 2 * c_in, 2 * c_out, (2, c_in, c_out))
         )
         self.bias = Param(f"{name}.bias", np.zeros(c_out))
 
@@ -211,29 +201,27 @@ class Conv1d(Module):
         batch, n_time, c_in = x.shape
         if c_in != self.c_in:
             raise ValueError(f"expected {self.c_in} input channels, got {c_in}")
-        k = self.kernel
-        padded = np.concatenate([np.zeros((batch, k - 1, c_in)), x], axis=1)
-        # patches[b, t, tap, c] = padded[b, t + tap, c]
-        patches = np.stack([padded[:, tap : tap + n_time] for tap in range(k)], axis=2)
-        patches = patches.reshape(batch, n_time, k * c_in)
-        flat_w = self.weight.value.reshape(k * c_in, self.c_out)
-        out = patches @ flat_w
+        patches = np.zeros((batch, n_time, 2 * c_in))
+        patches[:, 1:, :c_in] = x[:, :-1]
+        patches[:, :, c_in:] = x
+        out = patches @ self.weight.value.reshape(2 * c_in, self.c_out)
         out += self.bias.value
         return out, patches
 
     def backward(self, patches: np.ndarray, gout: np.ndarray) -> np.ndarray:
         batch, n_time, _ = gout.shape
-        k, c_in = self.kernel, self.c_in
-        flat_patches = patches.reshape(batch * n_time, k * c_in)
+        c_in = self.c_in
+        flat_patches = patches.reshape(batch * n_time, 2 * c_in)
         flat_g = gout.reshape(batch * n_time, self.c_out)
-        np.matmul(flat_patches.T, flat_g, out=self.weight.grad.reshape(k * c_in, self.c_out))
+        np.matmul(flat_patches.T, flat_g, out=self.weight.grad.reshape(2 * c_in, self.c_out))
         np.sum(flat_g, axis=0, out=self.bias.grad)
-        flat_w = self.weight.value.reshape(k * c_in, self.c_out)
-        gpatches = (flat_g @ flat_w.T).reshape(batch, n_time, k, c_in)
-        gpadded = np.zeros((batch, n_time + k - 1, c_in))
-        for tap in range(k):
-            gpadded[:, tap : tap + n_time] += gpatches[:, :, tap]
-        return gpadded[:, k - 1 :]
+        flat_w = self.weight.value.reshape(2 * c_in, self.c_out)
+        gpatches = (flat_g @ flat_w.T).reshape(batch, n_time, 2 * c_in)
+        # added onto zeros, previous-step tap first, so -0.0 comes out as +0.0
+        gin = np.zeros((batch, n_time, c_in))
+        gin[:, :-1] += gpatches[:, 1:, :c_in]
+        gin += gpatches[:, :, c_in:]
+        return gin
 
 
 class MaxPool1d(Module):

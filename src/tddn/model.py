@@ -16,6 +16,7 @@ written to the model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -59,15 +60,18 @@ def pooled_length(window: int, n_stages: int) -> int:
 class ModelConfig:
     """Shape hyperparameters of the network.
 
-    ``attention_hidden`` defaults to the window length when omitted.
+    The fields are the values a run sets. The architecture fixes the rest,
+    as class constants: width-2 causal convolutions (``kernel``) and an
+    8-unit regressor (``regressor_hidden``). The attention's hidden size,
+    ``attention_hidden``, is the window length.
     """
+
+    kernel: ClassVar[int] = 2
+    regressor_hidden: ClassVar[int] = 8
 
     window: int = 64
     n_features: int = 15
     conv_channels: tuple[int, ...] = CONV_CHANNEL_LADDER[:3]
-    kernel: int = 2
-    attention_hidden: int | None = None
-    regressor_hidden: int = 8
 
     def __post_init__(self) -> None:
         if self.window < 4:
@@ -76,16 +80,12 @@ class ModelConfig:
             raise ValueError(f"n_features must be >= 1, got {self.n_features}")
         if not self.conv_channels or any(c < 1 for c in self.conv_channels):
             raise ValueError(f"bad conv channels {self.conv_channels}")
-        if self.kernel < 1:
-            raise ValueError(f"kernel must be >= 1, got {self.kernel}")
-        if self.regressor_hidden < 1:
-            raise ValueError(f"regressor_hidden must be >= 1, got {self.regressor_hidden}")
-        if self.attention_hidden is None:
-            object.__setattr__(self, "attention_hidden", self.window)
-        if self.attention_hidden < 1:
-            raise ValueError(f"attention_hidden must be >= 1, got {self.attention_hidden}")
         # raises when the window is too short for the conv/pool stack
         pooled_length(self.window, len(self.conv_channels))
+
+    @property
+    def attention_hidden(self) -> int:
+        return self.window
 
     @property
     def depth(self) -> int:
@@ -185,7 +185,7 @@ class DegradationNetwork:
         stages: list[Module] = []
         c_in = m
         for i, c_out in enumerate(config.conv_channels, start=1):
-            stages.append(Conv1d(c_in, c_out, config.kernel, rng, name=f"conv{i}"))
+            stages.append(Conv1d(c_in, c_out, rng, name=f"conv{i}"))
             stages.append(ReLU())
             stages.append(MaxPool1d())
             c_in = c_out

@@ -255,15 +255,9 @@ class WindowBank:
     is one fancy index into the view.
     """
 
-    def __init__(
-        self,
-        padded: list[np.ndarray],
-        labels: list[np.ndarray],
-        unit_ids: Sequence[int],
-        window: int,
-    ):
-        if not (len(padded) == len(labels) == len(unit_ids)):
-            raise ValueError("padded/labels/unit_ids lengths differ")
+    def __init__(self, padded: list[np.ndarray], labels: list[np.ndarray], window: int):
+        if len(padded) != len(labels):
+            raise ValueError("padded/labels lengths differ")
         if not padded:
             raise ValueError("a window bank needs at least one engine")
         for p, l in zip(padded, labels):
@@ -272,7 +266,6 @@ class WindowBank:
                     f"padded length {p.shape[0]} does not fit {l.shape[0]} labels"
                 )
         self.window = window
-        self.unit_ids = tuple(unit_ids)
         self.labels = np.concatenate(labels)
         offsets = np.cumsum([0] + [p.shape[0] for p in padded[:-1]])
         self.starts = np.concatenate(
@@ -309,7 +302,7 @@ def build_window_bank(
         scaled = apply_scaler(traj, scaler, selection)
         padded.append(pad_series(scaled, window))
         labels.append(assign_rul_labels(traj.n_cycles, policy))
-    return WindowBank(padded, labels, [t.unit_id for t in trajectories], window)
+    return WindowBank(padded, labels, window)
 
 
 def predict_windows(model: DegradationNetwork, bank: WindowBank) -> np.ndarray:

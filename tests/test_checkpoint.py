@@ -254,9 +254,9 @@ def _with_field(key, value):
     return edit
 
 
-def _with_config_field(key, value):
+def _with_config(**fields):
     def edit(header):
-        header["config"][key] = value
+        header["config"].update(fields)
         return header
 
     return edit
@@ -308,11 +308,11 @@ class TestMalformedHeader:
             _with_field("r_max", 110.0),
             _with_field("r_max", True),
             _with_field("r_max", "110"),
-            _with_config_field("window", 8.0),
-            _with_config_field("kernel", True),
-            _with_config_field("regressor_hidden", "8"),
-            _with_config_field("conv_channels", "48"),
-            _with_config_field("conv_channels", [4, 8.0]),
+            _with_config(window=8.0),
+            _with_config(kernel=True),
+            _with_config(regressor_hidden="8"),
+            _with_config(conv_channels="48"),
+            _with_config(conv_channels=[4, 8.0]),
             _with_first_shape([2.0, 15, 4]),
             _with_first_shape(["2", 15, 4]),
             _with_field("format_version", True),
@@ -358,10 +358,33 @@ class TestMalformedHeader:
         with pytest.raises(CheckpointError, match=r"model\.ckpt: header arrays are not those"):
             load_checkpoint(path)
 
-    def test_payload_size_is_checked_before_building(self, saved):
-        # a 2.4e14-parameter model is refused without allocating it
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            _with_config(dropout=0.5),
+            _with_config(kernel_size=7),
+            _with_config(kernel=3),
+            _with_config(attention_hidden=4),
+            _with_config(regressor_hidden=16),
+            _with_field("config", {"window": 8, "n_features": 15, "conv_channels": [4, 8]}),
+        ],
+        ids=[
+            "unknown-key", "unknown-kernel_size", "kernel", "attention_hidden",
+            "regressor_hidden", "fixed-keys-missing",
+        ],
+    )
+    def test_config_table_must_match(self, saved, edit):
         path, *_ = saved
-        _rewrite_header(path, _with_config_field("window", 10**6))
+        _rewrite_header(path, edit)
+        message = r'model\.ckpt: header config is not \{"attention_hidden": 8, '
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+
+    def test_payload_size_is_checked_before_building(self, saved):
+        # a 2.4e14-parameter model is refused without allocating it; the
+        # attention's hidden size is the window, so both keys are edited
+        path, *_ = saved
+        _rewrite_header(path, _with_config(window=10**6, attention_hidden=10**6))
         with pytest.raises(CheckpointError, match=r"model\.ckpt: payload of 23192 bytes"):
             load_checkpoint(path)
 

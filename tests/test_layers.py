@@ -31,7 +31,8 @@ from gradcheck import TOL, check_module_gradients, forward_backward, max_rel_err
 
 # The formulations ReLU and MaxPool1d used before their branch-free
 # kernels, kept as oracles: forward outputs must match them byte for byte
-# and backward gradients by value.
+# and backward gradients by value. Conv1d's general-width formulation, run
+# at width 2, must match its fixed-width one byte for byte both ways.
 def reference_relu(x: np.ndarray, gout: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mask = x > 0.0
     return np.where(mask, x, 0.0), np.where(mask, gout, 0.0)
@@ -48,6 +49,24 @@ def reference_pool(x: np.ndarray, gout: np.ndarray) -> tuple[np.ndarray, np.ndar
     gin = np.zeros(x.shape)
     gin[:, : n_out * 2] = gwindows.reshape(batch, n_out * 2, channels)
     return out, gin
+
+
+def reference_conv(layer: Conv1d, x: np.ndarray, gout: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Output, input gradient, weight and bias gradients, by the tap loops of any width."""
+    k, (batch, n_time, c_in) = layer.weight.value.shape[0], x.shape
+    padded = np.concatenate([np.zeros((batch, k - 1, c_in)), x], axis=1)
+    patches = np.stack([padded[:, tap : tap + n_time] for tap in range(k)], axis=2)
+    patches = patches.reshape(batch, n_time, k * c_in)
+    flat_w = layer.weight.value.reshape(k * c_in, -1)
+    out = patches @ flat_w
+    out += layer.bias.value
+    flat_g = gout.reshape(batch * n_time, -1)
+    gweight = (patches.reshape(batch * n_time, -1).T @ flat_g).reshape(layer.weight.value.shape)
+    gpatches = (flat_g @ flat_w.T).reshape(batch, n_time, k, c_in)
+    gpadded = np.zeros((batch, n_time + k - 1, c_in))
+    for tap in range(k):
+        gpadded[:, tap : tap + n_time] += gpatches[:, :, tap]
+    return out, gpadded[:, k - 1 :], gweight, flat_g.sum(axis=0)
 
 
 SPECIALS = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan])
@@ -122,7 +141,7 @@ class TestActivations:
 class TestConv1d:
     def test_known_filter_sums_adjacent_steps(self):
         rng = np.random.default_rng(5)
-        conv = Conv1d(1, 1, kernel=2, rng=rng)
+        conv = Conv1d(1, 1, rng=rng)
         conv.weight.value[:] = np.ones((2, 1, 1))
         conv.bias.value[:] = 0.0
         x = np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 4, 1)
@@ -131,7 +150,7 @@ class TestConv1d:
 
     def test_identity_filter_reproduces_input(self):
         rng = np.random.default_rng(6)
-        conv = Conv1d(1, 1, kernel=2, rng=rng)
+        conv = Conv1d(1, 1, rng=rng)
         conv.weight.value[:] = np.array([0.0, 1.0]).reshape(2, 1, 1)
         conv.bias.value[:] = 0.0
         x = rng.normal(size=(2, 7, 1))
@@ -142,18 +161,17 @@ class TestConv1d:
         for _ in range(5):
             c_in = int(rng.integers(1, 4))
             c_out = int(rng.integers(1, 4))
-            k = int(rng.integers(1, 4))
-            t = int(rng.integers(k, 9))
-            conv = Conv1d(c_in, c_out, kernel=k, rng=rng)
+            t = int(rng.integers(1, 9))
+            conv = Conv1d(c_in, c_out, rng=rng)
             x = rng.normal(size=(2, t, c_in))
             out = conv.forward(x)[0]
             assert out.shape == (2, t, c_out)
-            padded = np.concatenate([np.zeros((2, k - 1, c_in)), x], axis=1)
+            padded = np.concatenate([np.zeros((2, 1, c_in)), x], axis=1)
             for b in range(2):
                 for step in range(t):
                     for o in range(c_out):
                         acc = conv.bias.value[o]
-                        for tap in range(k):
+                        for tap in range(2):
                             for i in range(c_in):
                                 acc += (
                                     padded[b, step + tap, i]
@@ -164,17 +182,14 @@ class TestConv1d:
     def test_gradcheck(self):
         rng = np.random.default_rng(8)
         for _ in range(5):
-            conv = Conv1d(2, 3, kernel=2, rng=rng)
+            conv = Conv1d(2, 3, rng=rng)
             x = rng.normal(size=(2, 5, 2))
             assert check_module_gradients(conv, x, rng) < TOL
 
-    def test_rejects_wrong_channels_and_kernel(self):
-        rng = np.random.default_rng(9)
-        conv = Conv1d(2, 3, kernel=2, rng=rng)
+    def test_rejects_wrong_channels(self):
+        conv = Conv1d(2, 3, rng=np.random.default_rng(9))
         with pytest.raises(ValueError, match="input channels"):
             conv.forward(np.zeros((1, 4, 5)))
-        with pytest.raises(ValueError, match="kernel"):
-            Conv1d(1, 1, kernel=0, rng=rng)
 
 
 class TestMaxPool1d:
@@ -258,6 +273,24 @@ class TestKernelOracles:
                 x = np.where(np.isnan(x), 0.0, x)
                 cache = layer.forward(x)[1]
                 assert np.array_equal(layer.backward(cache, gout), reference_pool(x, gout)[1])
+
+    @pytest.mark.parametrize("batch", [1, 32, 256])
+    def test_conv_matches_reference(self, batch):
+        rng = np.random.default_rng([3, batch])
+        layer = Conv1d(3, 4, rng)
+        for n_time in (1, 2, 9):
+            shape = (batch, n_time, 3)
+            # a salted upstream gradient, and one of -0.0 only
+            gouts = [tie_heavy_inputs(rng, shape[:2] + (4,))[2], np.full(shape[:2] + (4,), -0.0)]
+            for x in tie_heavy_inputs(rng, shape):
+                for gout in gouts:
+                    with np.errstate(invalid="ignore"):
+                        out, cache = layer.forward(x)
+                        gin = layer.backward(cache, gout)
+                        want = reference_conv(layer, x, gout)
+                    got = (out, gin, layer.weight.grad, layer.bias.grad)
+                    for name, a, b in zip(("out", "gin", "weight", "bias"), got, want):
+                        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 class TestNonFiniteContract:
@@ -385,7 +418,7 @@ class TestModuleDiscipline:
         rng = np.random.default_rng(23)
         cases = [
             (Linear(5, 3, rng), rng.normal(size=(4, 5))),
-            (Conv1d(3, 4, 2, rng), rng.normal(size=(4, 6, 3))),
+            (Conv1d(3, 4, rng), rng.normal(size=(4, 6, 3))),
             (FeatureAttention(3, 5, rng), rng.normal(size=(4, 6, 3))),
         ]
         for depth in (1, 3):
@@ -416,7 +449,7 @@ class TestModuleDiscipline:
         rng = np.random.default_rng(25)
         x = rng.normal(size=(3, 8, 4))
         layers = [
-            (Conv1d(4, 5, 3, rng), x), (ReLU(), x), (MaxPool1d(), x),
+            (Conv1d(4, 5, rng), x), (ReLU(), x), (MaxPool1d(), x),
             (Linear(4, 2, rng), x[:, 0]), (FeatureAttention(4, 5, rng), x),
         ]
         for layer, inp in layers:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import re
 
 import numpy as np
@@ -33,7 +34,11 @@ class TestModelConfig:
 
     def test_attention_hidden_defaults_to_window(self):
         assert ModelConfig(window=16).attention_hidden == 16
-        assert ModelConfig(window=16, attention_hidden=5).attention_hidden == 5
+
+    def test_settable_fields(self):
+        assert [f.name for f in dataclasses.fields(ModelConfig)] == [
+            "window", "n_features", "conv_channels",
+        ]
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError, match="window"):
@@ -59,10 +64,10 @@ class TestModelConfig:
             TINY,
             ModelConfig(),
             ModelConfig(window=16, conv_channels=(32,)),
-            ModelConfig(window=33, n_features=24, conv_channels=(5, 6, 7, 9), kernel=3),
-            ModelConfig(window=9, n_features=2, attention_hidden=3, regressor_hidden=1),
+            ModelConfig(window=33, n_features=24, conv_channels=(5, 6, 7, 9)),
+            ModelConfig(window=9, n_features=2),
         ],
-        ids=["tiny", "default", "w16", "deep-k3", "hidden"],
+        ids=["tiny", "default", "w16", "deep", "narrow"],
     )
     def test_n_parameters_counts_without_building(self, config):
         net = DegradationNetwork(config, np.random.default_rng(0))
@@ -114,16 +119,16 @@ def _attention_oracle(att: FeatureAttention, h: np.ndarray):
     return pooled, weights
 
 
-def _network(window: int, n_features: int, rng, **config) -> DegradationNetwork:
+def _network(window: int, n_features: int, rng) -> DegradationNetwork:
     """A one-stage network, so its attention sees ``window`` abstract rows."""
-    config = ModelConfig(window=window, n_features=n_features, conv_channels=(4,), **config)
+    config = ModelConfig(window=window, n_features=n_features, conv_channels=(4,))
     return DegradationNetwork(config, rng)
 
 
 class TestFeatureAttention:
     def test_matches_row_by_row_oracle(self):
         rng = np.random.default_rng(1)
-        net = _network(5, 4, rng, attention_hidden=6)
+        net = _network(5, 4, rng)
         trace = net.trace(rng.normal(size=(3, 5, 4)))
         expected_pooled, expected_weights = _attention_oracle(net.attention, trace.abstract)
         pooled = net.attention.forward(trace.abstract)[0]
@@ -132,13 +137,13 @@ class TestFeatureAttention:
 
     def test_weights_form_a_distribution(self):
         rng = np.random.default_rng(2)
-        trace = _network(9, 3, rng, attention_hidden=4).trace(rng.normal(size=(6, 9, 3)))
+        trace = _network(9, 3, rng).trace(rng.normal(size=(6, 9, 3)))
         np.testing.assert_allclose(trace.attention.sum(axis=1), 1.0, atol=1e-12)
         assert (trace.attention > 0.0).all()
 
     def test_identical_rows_get_uniform_weights(self):
         rng = np.random.default_rng(3)
-        net = _network(7, 3, rng, attention_hidden=4)
+        net = _network(7, 3, rng)
         # a zero expand weight makes every abstract row the (positive) bias row
         row = rng.uniform(0.5, 1.5, size=3)
         net.expand.weight.value[...] = 0.0

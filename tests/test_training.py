@@ -13,7 +13,7 @@ import pytest
 from tddn import cli, training
 from tddn.checkpoint import save_checkpoint
 from tddn.lanes import cpu_lanes, map_chunks
-from tddn.layers import MaxPool1d, Param, mse_loss, pack
+from tddn.layers import Conv1d, MaxPool1d, Param, mse_loss, pack
 from tddn.metrics import evaluate_test, predict_engine
 from tddn.model import DegradationNetwork, ModelConfig, conv_channels_for_depth
 from tddn.preprocess import (
@@ -49,13 +49,23 @@ def small_train_config(**overrides) -> TrainConfig:
     return TrainConfig(**base)
 
 
-# values the protocol fixes, each with a call that passes it as a keyword
+# values the protocol or the architecture fixes, and an argument nothing read,
+# each with a call that passes it as a keyword
 FIXED_OPTIONS = {
     **{
         f"TrainConfig-{name}": (TrainConfig, name, getattr(TrainConfig, name))
         for name in ("lr_reduced", "lr_drop_after", "beta1", "beta2", "eps", "val_fraction")
     },
     "MaxPool1d-pool": (MaxPool1d, "pool", 2),
+    **{
+        f"ModelConfig-{name}": (ModelConfig, name, getattr(ModelConfig(), name))
+        for name in ("kernel", "attention_hidden", "regressor_hidden")
+    },
+    "Conv1d-kernel": (lambda **kw: Conv1d(2, 3, np.random.default_rng(0), **kw), "kernel", 2),
+    "WindowBank-unit_ids": (
+        lambda **kw: WindowBank([np.zeros((5, 2))], [np.zeros(3)], window=3, **kw),
+        "unit_ids", [1],
+    ),
     "assign_rul_labels-terminal_rul": (
         lambda **kw: assign_rul_labels(5, LabelPolicy(), **kw), "terminal_rul", 0
     ),
@@ -501,9 +511,7 @@ class TestWindowBank:
             lengths = [1, window, window + 3, 2, int(rng.integers(1, 30))]
             matrices = [rng.normal(size=(n, 4)) for n in lengths]
             labels = [rng.normal(size=n) for n in lengths]
-            bank = WindowBank(
-                [pad_series(m, window) for m in matrices], labels, range(5), window
-            )
+            bank = WindowBank([pad_series(m, window) for m in matrices], labels, window)
             assert bank.n_windows == sum(lengths)
             x, y = bank.gather(np.arange(bank.n_windows))
             assert x.shape == (bank.n_windows, window, 4)
@@ -592,11 +600,11 @@ class TestWindowBank:
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError, match="lengths differ"):
-            WindowBank([np.zeros((5, 2))], [], [], window=3)
+            WindowBank([np.zeros((5, 2))], [], window=3)
         with pytest.raises(ValueError, match="at least one engine"):
-            WindowBank([], [], [], window=3)
+            WindowBank([], [], window=3)
         with pytest.raises(ValueError, match="does not fit"):
-            WindowBank([np.zeros((5, 2))], [np.zeros(5)], [1], window=3)
+            WindowBank([np.zeros((5, 2))], [np.zeros(5)], window=3)
 
 
 class TestTwoLaneInference:
