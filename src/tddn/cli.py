@@ -3,7 +3,9 @@
 Every setting is one row of ``SETTINGS``, which gives its flag, its
 config-file key, its parser, its default, the commands that take it and
 whether the manifest records it. Every command resolves its settings as
-flags > config file > defaults, writes a manifest into the output directory before any compute, and
+flags > config file > defaults, writes a manifest into the output directory
+before any training or inference (``evaluate`` and ``export-features`` only
+once their inputs have loaded, so input they cannot read leaves none), and
 emits CSV artifacts with header rows and '.' decimals. Exit status is
 0 on success, 1 on a runtime failure, 2 on a usage error.
 """
@@ -24,7 +26,9 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import CheckpointError, LoadedCheckpoint, load_checkpoint, save_checkpoint
-from .cmapss import CmapssError, DatasetBundle, _check_subset_id, format_value, load_subset
+from .cmapss import (
+    CmapssError, DatasetBundle, _check_subset_id, format_value, load_split, load_subset, load_test
+)
 from .lanes import map_chunks
 from .metrics import evaluate_test
 from .model import ModelConfig, conv_channels_for_depth
@@ -350,8 +354,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     _require(settings, "out")
     out_dir = Path(settings["out"])
     cap_true_rul = not settings["no_cap_true_rul"]
+    # scoring needs no train engines: the checkpoint carries the scaler
+    bundle = load_test(data_dir, loaded.subset_id)
     _write_manifest(out_dir, _manifest("evaluate", settings, cap_true_rul=cap_true_rul))
-    bundle = load_subset(data_dir, loaded.subset_id)
     result = evaluate_test(
         loaded.model,
         bundle,
@@ -457,8 +462,7 @@ def cmd_export_features(args: argparse.Namespace) -> int:
     _require(settings, "out")
     out_dir = Path(settings["out"])
     engine, split = settings["engine"], settings["split"]
-    bundle = load_subset(data_dir, loaded.subset_id)
-    trajectories = bundle.train if split == "train" else bundle.test
+    trajectories = load_split(data_dir, loaded.subset_id, split)
     trajectory = next((t for t in trajectories if t.unit_id == engine), None)
     if trajectory is None:
         raise UsageError(f"engine {engine} not in the {split} split of {loaded.subset_id}")

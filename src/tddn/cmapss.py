@@ -22,16 +22,21 @@ come in any order; a data file parses into one (n, 26) float64 matrix in
 file order, and grouping sorts it by (unit, cycle) and requires each
 engine's cycles to be exactly 1..n, raising StructureError otherwise.
 
-``load_subset`` reads ASCII files and puts the file name in front of
-every ParseError and StructureError, and of a non-ASCII byte's line. A
-train or test file with no data rows is a StructureError (``no engines``).
+``load_split`` reads the engines of one data file, train or test;
+``load_test`` adds the RUL targets to the test engines, in a bundle with
+no train engines, which is all that scoring a trained model needs; and
+``load_subset`` checks that all three files exist, then reads the train
+split and ``load_test``'s two files. Each reads ASCII files and puts the
+file name in front of every ParseError and StructureError, and of a
+non-ASCII byte's line. A train or test file with no data rows is a
+StructureError (``no engines``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import IO, Callable, Iterable, Sequence, TypeVar
+from typing import IO, Callable, Iterable, TypeVar
 
 import numpy as np
 
@@ -218,6 +223,16 @@ def subset_file_names(subset_id: str) -> tuple[str, str, str]:
     return (f"train_{sid}.txt", f"test_{sid}.txt", f"RUL_{sid}.txt")
 
 
+def _existing(directory: str | Path, sid: str, *kinds: str) -> list[Path]:
+    """Paths of the subset's ``kinds`` files; the first one missing is a FileNotFoundError."""
+    names = dict(zip(("train", "test", "RUL"), subset_file_names(sid)))
+    paths = [Path(directory) / names[kind] for kind in kinds]
+    for path in paths:
+        if not path.is_file():
+            raise FileNotFoundError(f"missing C-MAPSS file: {path}")
+    return paths
+
+
 def _read(path: Path, parse: Callable[[IO[str]], _T]) -> _T:
     """``parse`` of an ASCII text file; a dataset error names the file first."""
     try:
@@ -240,55 +255,48 @@ def _first_non_ascii(path: Path) -> str:
     return "non-ASCII byte"
 
 
-def load_subset(directory: str | Path, subset_id: str) -> DatasetBundle:
-    """Load one subset from a directory holding the NASA-named text files."""
+def _engines(fh: IO[str]) -> list[EngineTrajectory]:
+    trajectories = group_by_engine(parse_data_file(fh))
+    if not trajectories:
+        raise StructureError("no engines")
+    return trajectories
+
+
+def load_split(directory: str | Path, subset_id: str, split: str) -> tuple[EngineTrajectory, ...]:
+    """The engines of one data file, ``train_FDxxx.txt`` or ``test_FDxxx.txt``."""
+    if split not in ("train", "test"):
+        raise ValueError(f"unknown split {split!r}; expected 'train' or 'test'")
+    (path,) = _existing(directory, _check_subset_id(subset_id), split)
+    return tuple(_read(path, _engines))
+
+
+def load_test(directory: str | Path, subset_id: str) -> DatasetBundle:
+    """The test split and its RUL targets, as a bundle with no train engines."""
     sid = _check_subset_id(subset_id)
-    paths = [Path(directory) / name for name in subset_file_names(sid)]
-    for path in paths:
-        if not path.is_file():
-            raise FileNotFoundError(f"missing C-MAPSS file: {path}")
-
-    def engines(fh: IO[str]) -> list[EngineTrajectory]:
-        trajectories = group_by_engine(parse_data_file(fh))
-        if not trajectories:
-            raise StructureError("no engines")
-        return trajectories
-
-    train = _read(paths[0], engines)
-    test = _read(paths[1], engines)
-    test_rul = _read(paths[2], parse_rul_file)
-
+    rul_path = _existing(directory, sid, "test", "RUL")[1]
+    test = load_split(directory, sid, "test")
+    test_rul = _read(rul_path, parse_rul_file)
     if len(test_rul) != len(test):
         raise StructureError(
             f"{sid}: {len(test)} test engines but {len(test_rul)} RUL lines"
         )
     return DatasetBundle(
-        subset_id=sid,
-        train=tuple(train),
-        test=tuple(test),
-        test_rul=np.asarray(test_rul, dtype=np.int64),
+        subset_id=sid, train=(), test=test, test_rul=np.asarray(test_rul, dtype=np.int64)
     )
+
+
+def load_subset(directory: str | Path, subset_id: str) -> DatasetBundle:
+    """Load one subset from a directory holding the NASA-named text files.
+
+    All three files must exist before any is read; then the train file is
+    parsed, and ``load_test`` reads the other two.
+    """
+    sid = _check_subset_id(subset_id)
+    _existing(directory, sid, "train", "test", "RUL")
+    train = load_split(directory, sid, "train")
+    return replace(load_test(directory, sid), train=train)
 
 
 def format_value(x: float) -> str:
     """Shortest decimal form that round-trips the exact float64 value."""
     return repr(float(x))
-
-
-def write_data_file(trajectories: Iterable[EngineTrajectory], stream: IO[str]) -> None:
-    """Write trajectories back to the 26-column text layout.
-
-    Values are emitted with round-trip precision, so parse -> write ->
-    parse is bit-exact.
-    """
-    for traj in trajectories:
-        for idx in range(traj.n_cycles):
-            row = traj.values[idx]
-            fields = [str(traj.unit_id), str(idx + 1)]
-            fields.extend(format_value(v) for v in row)
-            stream.write(" ".join(fields) + "\n")
-
-
-def write_rul_file(ruls: Sequence[int], stream: IO[str]) -> None:
-    for rul in ruls:
-        stream.write(f"{int(rul)}\n")

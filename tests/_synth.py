@@ -10,16 +10,11 @@ recorded as their RUL.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from tddn.cmapss import (
-    DatasetBundle,
-    EngineTrajectory,
-    subset_file_names,
-    write_data_file,
-    write_rul_file,
-)
+from tddn.cmapss import DatasetBundle, EngineTrajectory, format_value, subset_file_names
 from tddn.preprocess import TREND_SENSORS
 
 # per-sensor slope over one full life, in raw sensor units
@@ -73,6 +68,25 @@ def make_bundle(
         test=tuple(test),
         test_rul=np.asarray(ruls, dtype=np.int64),
     )
+
+
+def write_data_file(trajectories: Iterable[EngineTrajectory], stream: IO[str]) -> None:
+    """Write trajectories back to the 26-column text layout.
+
+    Values are emitted with round-trip precision, so parse -> write ->
+    parse is bit-exact.
+    """
+    for traj in trajectories:
+        for idx in range(traj.n_cycles):
+            row = traj.values[idx]
+            fields = [str(traj.unit_id), str(idx + 1)]
+            fields.extend(format_value(v) for v in row)
+            stream.write(" ".join(fields) + "\n")
+
+
+def write_rul_file(ruls: Sequence[int], stream: IO[str]) -> None:
+    for rul in ruls:
+        stream.write(f"{int(rul)}\n")
 
 
 def write_bundle(bundle: DatasetBundle, directory: Path) -> Path:

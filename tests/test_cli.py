@@ -281,6 +281,48 @@ class TestEvaluateCommand:
         assert "Traceback" not in err
         assert not (out / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda data: (data / "test_FD001.txt").write_text("1 1 0.5\n"),
+         "error: test_FD001.txt: line 1: expected 26 columns, got 3"),
+        (lambda data: (data / "RUL_FD001.txt").unlink(), "RUL_FD001.txt"),
+    ], ids=["malformed-test", "missing-rul"])
+    def test_unreadable_input_writes_no_manifest(
+        self, edit, message, trained, synth_data_dir, tmp_path, capsys
+    ):
+        data, out = tmp_path / "data", tmp_path / "o"
+        shutil.copytree(synth_data_dir, data)
+        edit(data)
+        code = run(
+            "evaluate", "--checkpoint", str(trained / "model.ckpt"),
+            "--data", str(data), "--out", str(out),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda path: path.unlink(),
+        lambda path: path.write_text("1 1 not-a-number\n"),
+    ], ids=["deleted", "malformed"])
+    def test_reads_no_train_file(self, edit, trained, synth_data_dir, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(synth_data_dir, data)
+        edit(data / "train_FD001.txt")
+        outs = {}
+        for name, data_dir in (("full", synth_data_dir), ("no-train", data)):
+            outs[name] = tmp_path / name
+            code = run(
+                "evaluate", "--checkpoint", str(trained / "model.ckpt"),
+                "--data", str(data_dir), "--out", str(outs[name]),
+            )
+            assert code == 0
+        for file_name in ("predictions.csv", "metrics.csv"):
+            assert (outs["no-train"] / file_name).read_bytes() == (
+                outs["full"] / file_name
+            ).read_bytes()
+
     def test_subset_mismatch_exits_2(self, trained, synth_data_dir, tmp_path, capsys):
         code = run(
             "evaluate", "--checkpoint", str(trained / "model.ckpt"),
@@ -472,6 +514,29 @@ class TestExportFeaturesCommand:
         )
         assert code == 2
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("split, unused", [
+        ("train", ("test_FD001.txt", "RUL_FD001.txt")),
+        ("test", ("train_FD001.txt",)),
+    ], ids=["train", "test"])
+    def test_reads_only_its_split(self, split, unused, trained, synth_data_dir, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(synth_data_dir, data)
+        for name in unused:
+            (data / name).unlink()
+        outs = {}
+        for name, data_dir in (("full", synth_data_dir), ("one-file", data)):
+            outs[name] = tmp_path / name
+            code = run(
+                "export-features", "--checkpoint", str(trained / "model.ckpt"),
+                "--data", str(data_dir), "--out", str(outs[name]),
+                "--engine", "2", "--split", split,
+            )
+            assert code == 0
+        for file_name in ("attention.csv", "temporal_features.csv", "abstract_features.csv"):
+            assert (outs["one-file"] / file_name).read_bytes() == (
+                outs["full"] / file_name
+            ).read_bytes()
 
     def test_deterministic_bytes(self, trained, synth_data_dir, tmp_path):
         outs = []

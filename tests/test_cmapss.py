@@ -20,14 +20,14 @@ from tddn.cmapss import (
     StructureError,
     format_value,
     group_by_engine,
+    load_split,
     load_subset,
+    load_test,
     parse_data_file,
     parse_rul_file,
     subset_file_names,
-    write_data_file,
-    write_rul_file,
 )
-from _synth import make_bundle, write_bundle
+from _synth import make_bundle, write_bundle, write_data_file, write_rul_file
 
 
 # The per-line record parser and grouping loop the matrix path replaced,
@@ -259,30 +259,89 @@ class TestLoadSubset:
         with pytest.raises(StructureError, match=r"RUL"):
             load_subset(tmp_path, "FD001")
 
-    @pytest.mark.parametrize("name, edit, error, message", [
+    def test_every_file_must_exist_before_any_is_parsed(self, tmp_path):
+        write_bundle(make_bundle(n_train=2, n_test=2, seed=3), tmp_path)
+        (tmp_path / "train_FD001.txt").write_text("1 2 3\n")
+        (tmp_path / "RUL_FD001.txt").unlink()
+        with pytest.raises(FileNotFoundError, match=r"RUL_FD001\.txt"):
+            load_subset(tmp_path, "FD001")
+
+    @pytest.mark.parametrize("name, edit, error, message, load", [
         ("train_FD001.txt", lambda b: b.replace(b"\n", b"\n1 2 3\n", 1),
-         ParseError, "train_FD001.txt: line 2: expected 26 columns, got 3"),
+         ParseError, "train_FD001.txt: line 2: expected 26 columns, got 3", load_subset),
         ("test_FD001.txt", lambda b: b[b.index(b"\n") + 1:],
-         StructureError, "test_FD001.txt: unit 1: missing cycle 1"),
+         StructureError, "test_FD001.txt: unit 1: missing cycle 1", load_subset),
         ("RUL_FD001.txt", lambda b: b"7\n-2\n" + b,
-         ParseError, "RUL_FD001.txt: line 2: RUL must be >= 0, got -2"),
+         ParseError, "RUL_FD001.txt: line 2: RUL must be >= 0, got -2", load_subset),
         # lines are counted as parsing counts them: \r\n is one line end, a lone \r one
         ("test_FD001.txt", lambda b: b"\r\n\r\n\r1 1\xc3\xa9\n" + b,
-         ParseError, "test_FD001.txt: line 4: non-ASCII byte 0xc3"),
-        ("train_FD001.txt", lambda b: b"", StructureError, "train_FD001.txt: no engines"),
-        ("test_FD001.txt", lambda b: b"\n \n", StructureError, "test_FD001.txt: no engines"),
-    ], ids=["parse", "structure", "rul", "non-ascii", "empty-train", "blank-test"])
-    def test_errors_name_the_file(self, tmp_path, name, edit, error, message):
+         ParseError, "test_FD001.txt: line 4: non-ASCII byte 0xc3", load_subset),
+        ("train_FD001.txt", lambda b: b"",
+         StructureError, "train_FD001.txt: no engines", load_subset),
+        ("test_FD001.txt", lambda b: b"\n \n",
+         StructureError, "test_FD001.txt: no engines", load_subset),
+        # the split loaders name the file the same way
+        ("train_FD001.txt", lambda b: b.replace(b"\n", b"\n1 2 3\n", 1),
+         ParseError, "train_FD001.txt: line 2: expected 26 columns, got 3",
+         lambda d, sid: load_split(d, sid, "train")),
+        ("test_FD001.txt", lambda b: b[b.index(b"\n") + 1:],
+         StructureError, "test_FD001.txt: unit 1: missing cycle 1",
+         lambda d, sid: load_split(d, sid, "test")),
+        ("test_FD001.txt", lambda b: b"\r\n\r\n\r1 1\xc3\xa9\n" + b,
+         ParseError, "test_FD001.txt: line 4: non-ASCII byte 0xc3",
+         lambda d, sid: load_split(d, sid, "test")),
+        ("train_FD001.txt", lambda b: b"",
+         StructureError, "train_FD001.txt: no engines", lambda d, sid: load_split(d, sid, "train")),
+        ("test_FD001.txt", lambda b: b"\n \n", StructureError, "test_FD001.txt: no engines", load_test),
+        ("RUL_FD001.txt", lambda b: b"7\n-2\n" + b,
+         ParseError, "RUL_FD001.txt: line 2: RUL must be >= 0, got -2", load_test),
+        ("RUL_FD001.txt", lambda b: b"7\n",
+         StructureError, "FD001: 2 test engines but 1 RUL lines", load_test),
+    ], ids=[
+        "parse", "structure", "rul", "non-ascii", "empty-train", "blank-test",
+        "split-parse", "split-structure", "split-non-ascii", "split-empty-train",
+        "test-blank-test", "test-rul", "test-rul-count",
+    ])
+    def test_errors_name_the_file(self, tmp_path, name, edit, error, message, load):
         write_bundle(make_bundle(n_train=2, n_test=2, seed=3), tmp_path)
         path = tmp_path / name
         path.write_bytes(edit(path.read_bytes()))
         with pytest.raises(error) as caught:
-            load_subset(tmp_path, "FD001")
+            load(tmp_path, "FD001")
         assert str(caught.value) == message
 
     def test_unknown_subset(self):
         with pytest.raises(ValueError, match=r"unknown subset"):
             subset_file_names("FD009")
+
+    def test_split_loaders_read_what_load_subset_reads(self, synth_data_dir):
+        bundle = load_subset(synth_data_dir, "fd001")
+        test = load_test(synth_data_dir, "fd001")
+        assert (test.subset_id, test.train) == ("FD001", ())
+        np.testing.assert_array_equal(test.test_rul, bundle.test_rul)
+        assert test.test_rul.dtype == np.int64
+        for split, engines in (("train", bundle.train), ("test", bundle.test)):
+            loaded = load_split(synth_data_dir, "FD001", split)
+            assert [t.unit_id for t in loaded] == [t.unit_id for t in engines]
+            for ours, theirs in zip(loaded, engines):
+                np.testing.assert_array_equal(ours.values, theirs.values)
+        for ours, theirs in zip(test.test, bundle.test):
+            np.testing.assert_array_equal(ours.values, theirs.values)
+
+    def test_split_loaders_need_only_their_files(self, tmp_path):
+        write_bundle(make_bundle(n_train=2, n_test=2, seed=3), tmp_path)
+        (tmp_path / "train_FD001.txt").unlink()
+        assert len(load_test(tmp_path, "FD001").test) == 2
+        with pytest.raises(FileNotFoundError, match=r"train_FD001\.txt"):
+            load_split(tmp_path, "FD001", "train")
+        (tmp_path / "RUL_FD001.txt").unlink()
+        assert len(load_split(tmp_path, "FD001", "test")) == 2
+        with pytest.raises(FileNotFoundError, match=r"RUL_FD001\.txt"):
+            load_test(tmp_path, "FD001")
+
+    def test_unknown_split(self, synth_data_dir):
+        with pytest.raises(ValueError, match=r"unknown split 'RUL'"):
+            load_split(synth_data_dir, "FD001", "RUL")
 
     def test_file_names(self):
         assert subset_file_names("FD003") == (
