@@ -42,7 +42,6 @@ class LoadedCheckpoint:
     scaler: Scaler
     selection: SensorSelection
     policy: LabelPolicy
-    subset_id: str
 
 
 def _int(value: object, field: str) -> int:
@@ -84,7 +83,10 @@ def save_checkpoint(
     A header integer that is not an ``int`` (``r_max=125.0``) is a
     ``TypeError`` here, and a selection or scaler whose column count is not
     the model's feature count a ``ValueError``, since ``load_checkpoint``
-    would refuse the file; neither writes to ``path``.
+    would refuse the file. A ``subset_id`` that does not normalize to
+    ``selection.subset_id`` (``fd001`` does to ``FD001``) is a ``ValueError``
+    too: the file would load, and ``tddn evaluate`` would score that subset
+    with a scaler fitted on another. None of these writes to ``path``.
     """
     n_features = model.config.n_features
     if not selection.n_columns == scaler.col_min.size == scaler.col_max.size == n_features:
@@ -92,6 +94,8 @@ def save_checkpoint(
             f"{selection.n_columns} selected columns and a scaler over "
             f"{scaler.col_min.size}/{scaler.col_max.size} for {n_features} model features"
         )
+    if not isinstance(subset_id, str) or _check_subset_id(subset_id) != selection.subset_id:
+        raise ValueError(f"subset {subset_id!r} is not the selection's {selection.subset_id!r}")
     payload = np.concatenate([model.value, scaler.col_min, scaler.col_max]).astype("<f8").tobytes()
     header = {
         "format_version": FORMAT_VERSION,
@@ -198,5 +202,4 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
         scaler=scaler,
         selection=selection,
         policy=policy,
-        subset_id=subset_id,
     )

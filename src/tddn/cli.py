@@ -2,12 +2,14 @@
 
 Every setting is one row of ``SETTINGS``, which gives its flag, its
 config-file key, its parser, its default, the commands that take it and
-whether the manifest records it. Every command resolves its settings as
-flags > config file > defaults, writes a manifest into the output directory
-before any training or inference (``evaluate`` and ``export-features`` only
-once their inputs have loaded, so input they cannot read leaves none), and
-emits CSV artifacts with header rows and '.' decimals. Exit status is
-0 on success, 1 on a runtime failure, 2 on a usage error.
+whether the manifest records it. Every command runs in one order: it
+resolves its settings as flags > config file > defaults and checks
+``--data`` and ``--out``; it reads exactly the inputs it uses (its
+checkpoint, and the data files of its split); it writes ``manifest.json``
+into the output directory; and only then does it train or infer. So input
+a command cannot read leaves no file behind. Artifacts are CSV files with
+header rows and '.' decimals. Exit status is 0 on success, 1 on a runtime
+failure, 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -208,12 +210,15 @@ def _require(settings: dict, key: str) -> None:
         raise UsageError(f"--{key.replace('_', '-')} is required")
 
 
-def _data_dir(settings: dict) -> Path:
+def _start(args: argparse.Namespace, command: str, **defaults: object) -> tuple[dict, Path, Path]:
+    """Every command's prologue: its settings, data directory and output directory."""
+    settings = _resolve(args, command, **defaults)
     _require(settings, "data")
     data_dir = Path(settings["data"])
     if not data_dir.is_dir():
         raise UsageError(f"data directory does not exist: {data_dir}")
-    return data_dir
+    _require(settings, "out")
+    return settings, data_dir, Path(settings["out"])
 
 
 def _write_manifest(out_dir: Path, payload: dict) -> None:
@@ -280,37 +285,22 @@ def _write_training_log(path: Path, result: TrainResult, config: TrainConfig) ->
     )
 
 
-def _run_training(
-    bundle: DatasetBundle,
-    selection: SensorSelection,
-    model_config: ModelConfig,
-    train_config: TrainConfig,
-    out_dir: Path,
-    save_model: bool = True,
-) -> TrainResult:
-    result = train(bundle, model_config, train_config, selection)
-    if save_model:
-        save_checkpoint(
-            out_dir / "model.ckpt",
-            result.model,
-            result.scaler,
-            result.selection,
-            train_config.label_policy,
-            result.selection.subset_id,
-        )
-    _write_training_log(out_dir / "training_log.csv", result, train_config)
-    return result
-
-
 def cmd_train(args: argparse.Namespace) -> int:
-    settings = _resolve(args, "train")
-    data_dir = _data_dir(settings)
-    _require(settings, "out")
-    configs = _build_configs(settings)
-    out_dir = Path(settings["out"])
-    _write_manifest(out_dir, _manifest("train", settings, **_derived(*configs)))
-    bundle = load_subset(data_dir, settings["subset"])
-    result = _run_training(bundle, *configs, out_dir)
+    settings, data_dir, out_dir = _start(args, "train")
+    selection, model_config, train_config = _build_configs(settings)
+    subset = selection.subset_id
+    # fitting needs no test engines, as scoring a checkpoint needs no train engines
+    bundle = DatasetBundle(
+        subset, load_split(data_dir, subset, "train"), (), np.empty(0, dtype=np.int64)
+    )
+    derived = _derived(selection, model_config, train_config)
+    _write_manifest(out_dir, _manifest("train", settings, **derived))
+    result = train(bundle, model_config, train_config, selection)
+    save_checkpoint(
+        out_dir / "model.ckpt", result.model, result.scaler, selection,
+        train_config.label_policy, subset,
+    )
+    _write_training_log(out_dir / "training_log.csv", result, train_config)
     report = result.report
     print(
         f"best epoch {report.best_epoch}/{report.n_epochs} ({report.stop_reason}): "
@@ -343,19 +333,15 @@ def _load_checkpoint_arg(path_text: str) -> LoadedCheckpoint:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     # an unstated subset is the checkpoint's
-    settings = _resolve(args, "evaluate", subset=None)
+    settings, data_dir, out_dir = _start(args, "evaluate", subset=None)
     loaded = _load_checkpoint_arg(settings["checkpoint"])
-    if settings["subset"] not in (None, loaded.subset_id):
-        raise UsageError(
-            f"checkpoint was trained on {loaded.subset_id}, not {settings['subset']}"
-        )
-    settings["subset"] = loaded.subset_id
-    data_dir = _data_dir(settings)
-    _require(settings, "out")
-    out_dir = Path(settings["out"])
+    subset = loaded.selection.subset_id
+    if settings["subset"] not in (None, subset):
+        raise UsageError(f"checkpoint was trained on {subset}, not {settings['subset']}")
+    settings["subset"] = subset
     cap_true_rul = not settings["no_cap_true_rul"]
     # scoring needs no train engines: the checkpoint carries the scaler
-    bundle = load_test(data_dir, loaded.subset_id)
+    bundle = load_test(data_dir, subset)
     _write_manifest(out_dir, _manifest("evaluate", settings, cap_true_rul=cap_true_rul))
     result = evaluate_test(
         loaded.model,
@@ -372,9 +358,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    settings = _resolve(args, "sweep")
-    data_dir = _data_dir(settings)
-    _require(settings, "out")
+    settings, data_dir, out_dir = _start(args, "sweep")
     if settings["repeats"] < 1:
         raise UsageError(f"--repeats must be >= 1, got {settings['repeats']}")
     dim, values = settings["dim"], settings["values"]
@@ -387,26 +371,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for value in values
         for seed in seeds
     ]
-
-    out_dir = Path(settings["out"])
     cap_true_rul = not settings["no_cap_true_rul"]
     derived = _derived(*_build_configs(settings))
-    _write_manifest(out_dir, _manifest("sweep", settings, cap_true_rul=cap_true_rul, **derived))
     bundle = load_subset(data_dir, settings["subset"])
+    _write_manifest(out_dir, _manifest("sweep", settings, cap_true_rul=cap_true_rul, **derived))
 
     rows: list[tuple] = []
-    for value, seed, configs in runs:
+    for value, seed, (selection, model_config, train_config) in runs:
         run_dir = out_dir / f"{dim}_{value}_seed_{seed}"
         run_dir.mkdir(parents=True, exist_ok=True)
         started = time.perf_counter()
-        result = _run_training(bundle, *configs, run_dir, save_model=False)
+        result = train(bundle, model_config, train_config, selection)
+        _write_training_log(run_dir / "training_log.csv", result, train_config)
         seconds = time.perf_counter() - started
         eval_result = evaluate_test(
             result.model,
             bundle,
             result.scaler,
-            result.selection,
-            configs[2].label_policy,
+            selection,
+            train_config.label_policy,
             cap_true_rul=cap_true_rul,
         )
         _write_metrics(run_dir / "metrics.csv", eval_result.rmse, eval_result.nasa_score)
@@ -456,17 +439,15 @@ def _write_per_cycle_rows(path: Path, row_key: str, prefix: str, values: np.ndar
 
 
 def cmd_export_features(args: argparse.Namespace) -> int:
-    settings = _resolve(args, "export-features")
+    settings, data_dir, out_dir = _start(args, "export-features")
     loaded = _load_checkpoint_arg(settings["checkpoint"])
-    data_dir = _data_dir(settings)
-    _require(settings, "out")
-    out_dir = Path(settings["out"])
+    subset = loaded.selection.subset_id
     engine, split = settings["engine"], settings["split"]
-    trajectories = load_split(data_dir, loaded.subset_id, split)
+    trajectories = load_split(data_dir, subset, split)
     trajectory = next((t for t in trajectories if t.unit_id == engine), None)
     if trajectory is None:
-        raise UsageError(f"engine {engine} not in the {split} split of {loaded.subset_id}")
-    _write_manifest(out_dir, _manifest("export-features", settings, subset=loaded.subset_id))
+        raise UsageError(f"engine {engine} not in the {split} split of {subset}")
+    _write_manifest(out_dir, _manifest("export-features", settings, subset=subset))
 
     model = loaded.model
     w = model.config.window
@@ -486,7 +467,7 @@ def cmd_export_features(args: argparse.Namespace) -> int:
     abstract = np.concatenate([t.abstract for t in traces])
     _write_per_cycle_rows(out_dir / "abstract_features.csv", "row", "feat_", abstract)
 
-    print(f"exported {n} windows for engine {engine} ({loaded.subset_id})")
+    print(f"exported {n} windows for engine {engine} ({subset})")
     return 0
 
 

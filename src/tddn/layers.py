@@ -256,16 +256,16 @@ class MaxPool1d(Module):
         return gin
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Stable softmax; the max is subtracted before exponentiation."""
-    shifted = x - x.max(axis=axis, keepdims=True)
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Stable softmax over the last axis; the max is subtracted before exponentiation."""
+    shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_backward(y: np.ndarray, gout: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Pull a gradient back through y = softmax(x)."""
-    dot = (gout * y).sum(axis=axis, keepdims=True)
+def softmax_backward(y: np.ndarray, gout: np.ndarray) -> np.ndarray:
+    """Pull a gradient back through y = softmax(x), taken over the last axis."""
+    dot = (gout * y).sum(axis=-1, keepdims=True)
     return y * (gout - dot)
 
 

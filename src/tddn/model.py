@@ -147,7 +147,7 @@ class FeatureAttention(Module):
         hidden += self.bias.value
         np.tanh(hidden, out=hidden)
         scores = hidden @ self.context.value
-        weights = softmax(scores, axis=1)
+        weights = softmax(scores)
         pooled = np.einsum("bw,bwm->bm", weights, h)
         return pooled, (h, augmented, hidden, weights)
 
@@ -156,7 +156,7 @@ class FeatureAttention(Module):
         batch, n_rows, m = h.shape
         gweights = np.einsum("bm,bwm->bw", gout, h)
         gh = weights[:, :, None] * gout[:, None, :]
-        gscores = softmax_backward(weights, gweights, axis=1)
+        gscores = softmax_backward(weights, gweights)
         np.einsum("bwd,bw->d", hidden, gscores, out=self.context.grad)
         gpre = gscores[:, :, None] * self.context.value * (1.0 - hidden * hidden)
         flat_aug = augmented.reshape(batch * n_rows, 4 * m)

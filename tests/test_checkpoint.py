@@ -41,7 +41,7 @@ class TestRoundTrip:
     def test_model_and_context_survive(self, saved):
         path, model, scaler, selection = saved
         loaded = load_checkpoint(path)
-        assert loaded.subset_id == "FD001"
+        assert loaded.selection.subset_id == "FD001"
         assert loaded.policy == LabelPolicy(r_max=110)
         assert loaded.selection.columns == selection.columns
         np.testing.assert_array_equal(loaded.scaler.col_min, scaler.col_min)
@@ -82,6 +82,19 @@ class TestRoundTrip:
             with pytest.raises(ValueError, match="for 15 model features"):
                 save_checkpoint(path, model, sc, sel, LabelPolicy(), "FD004")
             assert not path.exists()
+
+    def test_subset_other_than_the_selection_is_refused_on_save(self, saved, tmp_path):
+        # such a file would load, and evaluate would score FD003 with an FD001 scaler
+        _, model, scaler, selection = saved
+        path = tmp_path / "other.ckpt"
+        for subset_id in ("FD003", "fd003", "FD009", 1):
+            with pytest.raises(ValueError):
+                save_checkpoint(path, model, scaler, selection, LabelPolicy(), subset_id)
+            assert not path.exists()
+        with pytest.raises(ValueError, match="subset 'FD003' is not the selection's 'FD001'"):
+            save_checkpoint(path, model, scaler, selection, LabelPolicy(), "FD003")
+        save_checkpoint(path, model, scaler, selection, LabelPolicy(), "fd001")
+        assert load_checkpoint(path).selection.subset_id == "FD001"
 
     def test_header_is_compact_sorted_json(self, saved):
         path, _, _, _ = saved
@@ -392,7 +405,7 @@ class TestMalformedHeader:
         # a config file's "fd001" reaches save_checkpoint as written
         path, *_ = saved
         _rewrite_header(path, _with_field("subset_id", "fd001"))
-        assert load_checkpoint(path).subset_id == "FD001"
+        assert load_checkpoint(path).selection.subset_id == "FD001"
 
 
 # any JSON value, plus values close to the real ones so that some edits still load

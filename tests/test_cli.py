@@ -169,6 +169,18 @@ class TestTrainCommand:
         assert "Traceback" not in err
         assert not (out / "model.ckpt").exists()
 
+    def test_reads_only_the_train_file(self, trained, synth_data_dir, tmp_path):
+        data, out = tmp_path / "data", tmp_path / "o"
+        data.mkdir()
+        shutil.copy(synth_data_dir / "train_FD001.txt", data)
+        code = run(
+            "train", "--data", str(data), "--out", str(out),
+            "--subset", "FD001", "--seed", "1", *TINY_FLAGS,
+        )
+        assert code == 0
+        for file_name in ("model.ckpt", "training_log.csv"):
+            assert (out / file_name).read_bytes() == (trained / file_name).read_bytes()
+
     def test_nan_in_an_unselected_column_still_trains(self, trained, synth_data_dir, tmp_path):
         data = copy_with_value(
             synth_data_dir, tmp_path / "data", "train_FD001.txt", 3, 7, "sensor_1", "nan"
@@ -281,26 +293,37 @@ class TestEvaluateCommand:
         assert "Traceback" not in err
         assert not (out / "metrics.csv").exists()
 
-    @pytest.mark.parametrize("edit, message", [
-        (lambda data: (data / "test_FD001.txt").write_text("1 1 0.5\n"),
+    @pytest.mark.parametrize("command, edit, message", [
+        ("evaluate", lambda data: (data / "test_FD001.txt").write_text("1 1 0.5\n"),
          "error: test_FD001.txt: line 1: expected 26 columns, got 3"),
-        (lambda data: (data / "RUL_FD001.txt").unlink(), "RUL_FD001.txt"),
-    ], ids=["malformed-test", "missing-rul"])
+        ("evaluate", lambda data: (data / "RUL_FD001.txt").unlink(), "RUL_FD001.txt"),
+        ("train", lambda data: (data / "train_FD001.txt").write_text("1 2 3\n"),
+         "error: train_FD001.txt: line 1: expected 26 columns, got 3"),
+        ("sweep", lambda data: (data / "test_FD001.txt").write_text("1 1 0.5\n"),
+         "error: test_FD001.txt: line 1: expected 26 columns, got 3"),
+        ("sweep", lambda data: (data / "RUL_FD001.txt").unlink(), "RUL_FD001.txt"),
+    ], ids=[
+        "malformed-test", "missing-rul", "train-malformed-train", "sweep-malformed-test",
+        "sweep-missing-rul",
+    ])
     def test_unreadable_input_writes_no_manifest(
-        self, edit, message, trained, synth_data_dir, tmp_path, capsys
+        self, command, edit, message, trained, synth_data_dir, tmp_path, capsys
     ):
+        # every command reads its inputs before it writes anything
         data, out = tmp_path / "data", tmp_path / "o"
         shutil.copytree(synth_data_dir, data)
         edit(data)
-        code = run(
-            "evaluate", "--checkpoint", str(trained / "model.ckpt"),
-            "--data", str(data), "--out", str(out),
-        )
+        flags = {
+            "evaluate": ["--checkpoint", str(trained / "model.ckpt")],
+            "train": TINY_FLAGS,
+            "sweep": ["--dim", "window", "--values", "8", "--repeats", "1", "--epochs", "1"],
+        }[command]
+        code = run(command, "--data", str(data), "--out", str(out), *flags)
         assert code == 1
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("edit", [
         lambda path: path.unlink(),
@@ -565,7 +588,8 @@ PINNED = json.loads((Path(__file__).with_name("pinned_cli_outputs.json")).read_t
 
 
 def stop_before_training(monkeypatch) -> None:
-    """Every command writes its manifest first; end the run right after it."""
+    """Every command writes its manifest once its inputs have loaded and
+    before any training; end the run right after it."""
 
     def stop(*args):
         raise TrainingError("stopped after the manifest")
