@@ -3,13 +3,14 @@
 Every setting is one row of ``SETTINGS``, which gives its flag, its
 config-file key, its parser, its default, the commands that take it and
 whether the manifest records it. Every command runs in one order: it
-resolves its settings as flags > config file > defaults and checks
-``--data`` and ``--out``; it reads exactly the inputs it uses (its
-checkpoint, and the data files of its split); it writes ``manifest.json``
-into the output directory; and only then does it train or infer. So input
-a command cannot read leaves no file behind. Artifacts are CSV files with
-header rows and '.' decimals. Exit status is 0 on success, 1 on a runtime
-failure, 2 on a usage error.
+resolves its settings as flags > config file > defaults and checks that
+``--data`` is a directory and ``--out`` is one or absent; it reads exactly
+the inputs it uses (its checkpoint, and the data files of its split); it
+writes ``manifest.json`` into the output directory; and only then does it
+train or infer. So input a command cannot read leaves no file behind. A
+sweep's manifest leaves out the swept setting and what its runs do not
+share. CSV artifacts have header rows and '.' decimals. Exit status is 0 on
+success, 1 on a runtime failure, 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -28,9 +29,7 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import CheckpointError, LoadedCheckpoint, load_checkpoint, save_checkpoint
-from .cmapss import (
-    CmapssError, DatasetBundle, _check_subset_id, format_value, load_split, load_subset, load_test
-)
+from .cmapss import CmapssError, _check_subset_id, format_value, load_split, load_subset, load_test
 from .lanes import map_chunks
 from .metrics import evaluate_test
 from .model import ModelConfig, conv_channels_for_depth
@@ -205,20 +204,18 @@ def _manifest(command: str, settings: dict, **derived: object) -> dict:
     return {"command": command, "tool_version": __version__, **recorded, **derived}
 
 
-def _require(settings: dict, key: str) -> None:
-    if settings.get(key) is None:
-        raise UsageError(f"--{key.replace('_', '-')} is required")
-
-
 def _start(args: argparse.Namespace, command: str, **defaults: object) -> tuple[dict, Path, Path]:
     """Every command's prologue: its settings, data directory and output directory."""
     settings = _resolve(args, command, **defaults)
-    _require(settings, "data")
-    data_dir = Path(settings["data"])
+    for key in ("data", "out"):
+        if settings[key] is None:
+            raise UsageError(f"--{key} is required")
+    data_dir, out_dir = Path(settings["data"]), Path(settings["out"])
     if not data_dir.is_dir():
         raise UsageError(f"data directory does not exist: {data_dir}")
-    _require(settings, "out")
-    return settings, data_dir, Path(settings["out"])
+    if out_dir.exists() and not out_dir.is_dir():
+        raise UsageError(f"output path is not a directory: {out_dir}")
+    return settings, data_dir, out_dir
 
 
 def _write_manifest(out_dir: Path, payload: dict) -> None:
@@ -289,13 +286,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     settings, data_dir, out_dir = _start(args, "train")
     selection, model_config, train_config = _build_configs(settings)
     subset = selection.subset_id
-    # fitting needs no test engines, as scoring a checkpoint needs no train engines
-    bundle = DatasetBundle(
-        subset, load_split(data_dir, subset, "train"), (), np.empty(0, dtype=np.int64)
-    )
+    engines = load_split(data_dir, subset, "train")
     derived = _derived(selection, model_config, train_config)
     _write_manifest(out_dir, _manifest("train", settings, **derived))
-    result = train(bundle, model_config, train_config, selection)
+    result = train(engines, model_config, train_config, selection)
     save_checkpoint(
         out_dir / "model.ckpt", result.model, result.scaler, selection,
         train_config.label_policy, subset,
@@ -327,7 +321,8 @@ def _write_metrics(path: Path, rmse_value: float, score_value: float) -> None:
 def _load_checkpoint_arg(path_text: str) -> LoadedCheckpoint:
     path = Path(path_text)
     if not path.is_file():
-        raise UsageError(f"checkpoint does not exist: {path}")
+        problem = "is not a file" if path.exists() else "does not exist"
+        raise UsageError(f"checkpoint {problem}: {path}")
     return load_checkpoint(path)
 
 
@@ -372,16 +367,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for seed in seeds
     ]
     cap_true_rul = not settings["no_cap_true_rul"]
-    derived = _derived(*_build_configs(settings))
+    # the manifest records what every run shares; values holds the swept setting
+    derived = [_derived(*configs) for *_, configs in runs]
+    shared = {k: v for k, v in derived[0].items() if all(d[k] == v for d in derived)}
     bundle = load_subset(data_dir, settings["subset"])
-    _write_manifest(out_dir, _manifest("sweep", settings, cap_true_rul=cap_true_rul, **derived))
+    manifest = _manifest("sweep", settings, cap_true_rul=cap_true_rul, **shared)
+    _write_manifest(out_dir, {k: v for k, v in manifest.items() if k != dim})
 
     rows: list[tuple] = []
     for value, seed, (selection, model_config, train_config) in runs:
         run_dir = out_dir / f"{dim}_{value}_seed_{seed}"
         run_dir.mkdir(parents=True, exist_ok=True)
         started = time.perf_counter()
-        result = train(bundle, model_config, train_config, selection)
+        result = train(bundle.train, model_config, train_config, selection)
         _write_training_log(run_dir / "training_log.csv", result, train_config)
         seconds = time.perf_counter() - started
         eval_result = evaluate_test(
@@ -529,3 +527,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

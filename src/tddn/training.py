@@ -15,7 +15,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .cmapss import DatasetBundle, EngineTrajectory
+from .cmapss import EngineTrajectory
 from .lanes import map_chunks
 from .model import DegradationNetwork, ModelConfig
 from .layers import mse_loss, packed
@@ -27,7 +27,6 @@ from .preprocess import (
     assign_rul_labels,
     fit_scaler,
     pad_series,
-    select_columns,
 )
 
 logger = logging.getLogger(__name__)
@@ -104,7 +103,6 @@ class TrainReport:
 class TrainResult:
     model: DegradationNetwork
     scaler: Scaler
-    selection: SensorSelection
     report: TrainReport
     train_unit_ids: tuple[int, ...]
     val_unit_ids: tuple[int, ...]
@@ -313,20 +311,18 @@ def predict_windows(model: DegradationNetwork, bank: WindowBank) -> np.ndarray:
 
 
 def train(
-    bundle: DatasetBundle,
+    engines: Sequence[EngineTrajectory],
     model_config: ModelConfig,
     train_config: TrainConfig,
-    selection: SensorSelection | None = None,
+    selection: SensorSelection,
 ) -> TrainResult:
-    """Fit a network on a subset's training engines.
+    """Fit a network on a subset's training engines, in the columns of ``selection``.
 
     Epochs iterate over all windows of the training-side engines in
     shuffled batches; after each epoch the RMSE over every window of the
     held-out validation engines decides early stopping. The returned
     model carries the best-validation-epoch parameters.
     """
-    if selection is None:
-        selection = select_columns(bundle.subset_id)
     if selection.n_columns != model_config.n_features:
         raise ValueError(
             f"selection has {selection.n_columns} columns but the model expects "
@@ -335,11 +331,11 @@ def train(
     policy = train_config.label_policy
 
     train_ids, val_ids = split_engines(
-        [t.unit_id for t in bundle.train], train_config.val_fraction, train_config.seed
+        [t.unit_id for t in engines], train_config.val_fraction, train_config.seed
     )
-    by_id = {t.unit_id: t for t in bundle.train}
+    by_id = {t.unit_id: t for t in engines}
     # scaler statistics come from the full training file, both split sides
-    scaler = fit_scaler(bundle.train, selection)
+    scaler = fit_scaler(engines, selection)
     train_bank = build_window_bank(
         [by_id[u] for u in train_ids], scaler, selection, policy, model_config.window
     )
@@ -416,7 +412,6 @@ def train(
     return TrainResult(
         model=model,
         scaler=scaler,
-        selection=selection,
         report=report,
         train_unit_ids=train_ids,
         val_unit_ids=val_ids,

@@ -27,6 +27,7 @@ from conftest import find_cmapss_dir
 from gradcheck import TOL, check_module_gradients
 
 TINY = ModelConfig(window=8, n_features=3, conv_channels=(4, 8, 16))
+FD001 = select_columns("FD001")
 
 SUBSET_ENGINE_COUNTS = {
     "FD001": (100, 100),
@@ -203,11 +204,10 @@ class TestCriterion5AbbreviatedTraining:
     def test_fd001_twenty_epochs_beats_baseline(self):
         data_dir = _data_dir_or_skip(5, "abbreviated FD001 training")
         bundle = load_subset(data_dir, "FD001")
-        selection = select_columns("FD001")
-        model_config = ModelConfig(n_features=selection.n_columns)
-        result = train(bundle, model_config, TrainConfig(max_epochs=20), selection)
+        model_config = ModelConfig(n_features=FD001.n_columns)
+        result = train(bundle.train, model_config, TrainConfig(max_epochs=20), FD001)
         evaluation = evaluate_test(
-            result.model, bundle, result.scaler, selection, LabelPolicy()
+            result.model, bundle, result.scaler, FD001, LabelPolicy()
         )
         baseline = _baseline_rmse(bundle, 120.0)
         ok = evaluation.rmse <= 25.0 and evaluation.rmse <= 0.6 * baseline
@@ -226,13 +226,12 @@ class TestCriterion6FullBudget:
         data_dir = _data_dir_or_skip(6, "full-budget FD001")
         _full_budget_or_skip(6, "full-budget FD001")
         bundle = load_subset(data_dir, "FD001")
-        selection = select_columns("FD001")
-        model_config = ModelConfig(n_features=selection.n_columns)
+        model_config = ModelConfig(n_features=FD001.n_columns)
         scores = []
         for seed in range(5):
-            result = train(bundle, model_config, TrainConfig(seed=seed), selection)
+            result = train(bundle.train, model_config, TrainConfig(seed=seed), FD001)
             evaluation = evaluate_test(
-                result.model, bundle, result.scaler, selection, LabelPolicy()
+                result.model, bundle, result.scaler, FD001, LabelPolicy()
             )
             scores.append(evaluation.rmse)
         mean_rmse = float(np.mean(scores))
@@ -311,20 +310,19 @@ class TestCriterion8WindowSweep:
         data_dir = _data_dir_or_skip(8, "window-size sweep")
         _full_budget_or_skip(8, "window-size sweep")
         bundle = load_subset(data_dir, "FD001")
-        selection = select_columns("FD001")
         means = {}
         for window in (16, 32, 48, 64):
-            model_config = ModelConfig(window=window, n_features=selection.n_columns)
+            model_config = ModelConfig(window=window, n_features=FD001.n_columns)
             scores = []
             for seed in range(3):
                 result = train(
-                    bundle,
+                    bundle.train,
                     model_config,
                     TrainConfig(max_epochs=20, seed=seed),
-                    selection,
+                    FD001,
                 )
                 evaluation = evaluate_test(
-                    result.model, bundle, result.scaler, selection, LabelPolicy()
+                    result.model, bundle, result.scaler, FD001, LabelPolicy()
                 )
                 scores.append(evaluation.rmse)
             means[window] = float(np.mean(scores))

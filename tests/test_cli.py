@@ -3,8 +3,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import shutil
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -434,6 +437,16 @@ class TestEvaluateCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["evaluate", "export-features"])
+    def test_checkpoint_directory_exits_2(self, command, synth_data_dir, tmp_path, capsys):
+        engine = ["--engine", "1"] if command == "export-features" else []
+        code = run(
+            command, "--checkpoint", str(tmp_path), "--data", str(synth_data_dir),
+            "--out", str(tmp_path / "o"), *engine,
+        )
+        assert code == 2
+        assert f"error: checkpoint is not a file: {tmp_path}" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_window_sweep_summary(self, synth_data_dir, tmp_path):
@@ -582,6 +595,49 @@ class TestVersionFlag:
             run("--version")
         assert exc.value.code == 0
         assert "tddn" in capsys.readouterr().out
+
+
+class TestOutPath:
+    @pytest.mark.parametrize("command", ["train", "evaluate", "sweep", "export-features"])
+    def test_out_naming_a_file_exits_2_before_reading_input(
+        self, command, trained, tmp_path, capsys
+    ):
+        # the data directory holds no files, so reading any input would exit 1
+        data, out = tmp_path / "data", tmp_path / "taken"
+        data.mkdir()
+        out.write_text("kept\n")
+        flags = {
+            "train": [],
+            "evaluate": ["--checkpoint", str(trained / "model.ckpt")],
+            "sweep": ["--dim", "window", "--values", "8"],
+            "export-features": ["--checkpoint", str(trained / "model.ckpt"), "--engine", "1"],
+        }[command]
+        code = run(command, "--data", str(data), "--out", str(out), *flags)
+        assert code == 2
+        assert f"error: output path is not a directory: {out}" in capsys.readouterr().err
+        assert out.read_text() == "kept\n"
+
+
+def run_module(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m tddn.cli`` in a fresh interpreter that imports this package."""
+    src = Path(cli.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "tddn.cli", *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+    )
+
+
+class TestModuleRun:
+    def test_version(self):
+        done = run_module("--version")
+        assert done.returncode == 0
+        assert done.stdout == f"tddn {__version__}\n"
+
+    def test_usage_error_exits_2(self, tmp_path):
+        missing = tmp_path / "nowhere"
+        done = run_module("train", "--data", str(missing), "--out", str(tmp_path / "o"))
+        assert done.returncode == 2
+        assert f"error: data directory does not exist: {missing}" in done.stderr
 
 
 PINNED = json.loads((Path(__file__).with_name("pinned_cli_outputs.json")).read_text())
@@ -765,6 +821,27 @@ class TestSubsetFlag:
 
 
 class TestSweepManifest:
+    @pytest.mark.parametrize("flags, absent, shared", [
+        (["--dim", "window", "--values", "8,16", "--depth", "2"], {"window", "attention_hidden"},
+         {"values": [8, 16], "depth": 2, "conv_channels": [32, 64]}),
+        (["--dim", "depth", "--values", "1,2", "--window", "8"], {"depth", "conv_channels"},
+         {"values": [1, 2], "window": 8, "attention_hidden": 8}),
+        # the default depth 3 does not fit window 4, but no run uses it
+        (["--dim", "depth", "--values", "1", "--window", "4"], {"depth"},
+         {"values": [1], "window": 4, "attention_hidden": 4, "conv_channels": [32]}),
+    ], ids=["window", "depth", "depth-1-window-4"])
+    def test_records_what_every_run_shares(
+        self, flags, absent, shared, synth_data_dir, tmp_path, monkeypatch, capsys
+    ):
+        stop_before_training(monkeypatch)
+        out = tmp_path / "o"
+        code = run("sweep", "--data", str(synth_data_dir), "--out", str(out), *flags)
+        assert code == 1
+        assert "error: stopped after the manifest" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert absent.isdisjoint(manifest)
+        assert {key: manifest[key] for key in shared} == shared
+
     @pytest.mark.parametrize("flags, expected", [([], True), (["--no-cap-true-rul"], False)])
     def test_records_cap_true_rul(self, flags, expected, synth_data_dir, tmp_path, monkeypatch):
         stop_before_training(monkeypatch)

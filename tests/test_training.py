@@ -41,6 +41,7 @@ from _lanes import lane_workers
 from _synth import make_bundle, write_bundle
 
 SMALL_MODEL = ModelConfig(window=8, n_features=15, conv_channels=(4, 8))
+FD001 = select_columns("FD001")
 
 
 def small_train_config(**overrides) -> TrainConfig:
@@ -764,12 +765,12 @@ class TestTrain:
     def test_smoke_training_reduces_loss(self):
         bundle = make_bundle(n_train=3, n_test=1, min_len=30, max_len=45, seed=30)
         config = small_train_config(max_epochs=20, lr_initial=1e-3)
-        result = train(bundle, SMALL_MODEL, config)
+        result = train(bundle.train, SMALL_MODEL, config, FD001)
         assert result.report.train_loss[19] < result.report.train_loss[0]
 
     def test_engine_level_split_recorded(self):
         bundle = make_bundle(n_train=5, seed=31)
-        result = train(bundle, SMALL_MODEL, small_train_config(max_epochs=1))
+        result = train(bundle.train, SMALL_MODEL, small_train_config(max_epochs=1), FD001)
         all_ids = sorted(result.train_unit_ids + result.val_unit_ids)
         assert all_ids == [t.unit_id for t in bundle.train]
         assert len(result.val_unit_ids) == 1
@@ -777,8 +778,8 @@ class TestTrain:
     def test_deterministic_reports_and_params(self):
         bundle = make_bundle(n_train=4, seed=32)
         config = small_train_config(max_epochs=3, seed=9)
-        a = train(bundle, SMALL_MODEL, config)
-        b = train(bundle, SMALL_MODEL, config)
+        a = train(bundle.train, SMALL_MODEL, config, FD001)
+        b = train(bundle.train, SMALL_MODEL, config, FD001)
         assert a.report == b.report
         for pa, pb in zip(a.model.params(), b.model.params()):
             np.testing.assert_array_equal(pa.value, pb.value)
@@ -789,7 +790,7 @@ class TestTrain:
         val_bank = build_window_bank(
             [by_id[u] for u in result.val_unit_ids],
             result.scaler,
-            result.selection,
+            FD001,
             config.label_policy,
             SMALL_MODEL.window,
         )
@@ -799,7 +800,7 @@ class TestTrain:
     def test_best_epoch_is_argmin_and_restored(self):
         bundle = make_bundle(n_train=4, seed=33)
         config = small_train_config(max_epochs=6, lr_initial=1e-3)
-        result = train(bundle, SMALL_MODEL, config)
+        result = train(bundle.train, SMALL_MODEL, config, FD001)
         report = result.report
         best = report.best_epoch
         assert report.val_rmse[best - 1] == min(report.val_rmse)
@@ -810,7 +811,7 @@ class TestTrain:
     def test_earlier_best_epoch_is_restored(self):
         bundle = make_bundle(n_train=4, seed=33)
         config = small_train_config(max_epochs=8, lr_initial=1e-2, patience=3)
-        result = train(bundle, SMALL_MODEL, config)
+        result = train(bundle.train, SMALL_MODEL, config, FD001)
         report = result.report
         # the last epochs moved the weights away from the best ones
         assert report.best_epoch < report.n_epochs
@@ -825,12 +826,12 @@ class TestTrain:
             window=16, n_features=15, conv_channels=conv_channels_for_depth(1)
         )
         config = small_train_config(max_epochs=5, lr_initial=3e-3)
-        result = train(bundle, model_config, config)
+        result = train(bundle.train, model_config, config, FD001)
         by_id = {t.unit_id: t for t in bundle.train}
         val_bank = build_window_bank(
             [by_id[u] for u in result.val_unit_ids],
             result.scaler,
-            result.selection,
+            FD001,
             config.label_policy,
             model_config.window,
         )
@@ -841,7 +842,7 @@ class TestTrain:
     def test_patience_stop(self):
         bundle = make_bundle(n_train=4, seed=34)
         config = small_train_config(max_epochs=40, patience=1, lr_initial=1e-3)
-        result = train(bundle, SMALL_MODEL, config)
+        result = train(bundle.train, SMALL_MODEL, config, FD001)
         report = result.report
         if report.stop_reason == "patience":
             assert report.n_epochs < 40
@@ -851,7 +852,7 @@ class TestTrain:
 
     def test_max_epoch_stop(self):
         bundle = make_bundle(n_train=4, seed=35)
-        result = train(bundle, SMALL_MODEL, small_train_config(max_epochs=2))
+        result = train(bundle.train, SMALL_MODEL, small_train_config(max_epochs=2), FD001)
         assert result.report.stop_reason == "max_epochs"
         assert result.report.n_epochs == 2
 
@@ -860,14 +861,14 @@ class TestTrain:
         config = small_train_config(max_epochs=1)
         model = ModelConfig(window=8, n_features=24, conv_channels=(4, 8))
         with pytest.raises(ValueError, match="selection has 15"):
-            train(bundle, model, config, select_columns("FD001"))
+            train(bundle.train, model, config, FD001)
 
     def test_non_finite_loss_aborts_naming_batch(self):
         bundle = make_bundle(n_train=3, seed=37)
         config = small_train_config(max_epochs=1, lr_initial=1e160)
         with np.errstate(all="ignore"):
             with pytest.raises(TrainingError, match=r"epoch 1, batch \d+"):
-                train(bundle, SMALL_MODEL, config)
+                train(bundle.train, SMALL_MODEL, config, FD001)
 
     def test_nan_validation_rmse_aborts_naming_epoch(self, monkeypatch):
         bundle = make_bundle(n_train=3, seed=38)
@@ -877,7 +878,7 @@ class TestTrain:
             lambda model, bank: np.full(bank.n_windows, np.nan),
         )
         with pytest.raises(TrainingError, match="validation RMSE nan in epoch 1"):
-            train(bundle, SMALL_MODEL, small_train_config(max_epochs=2))
+            train(bundle.train, SMALL_MODEL, small_train_config(max_epochs=2), FD001)
 
     def test_nan_validation_rmse_exits_1(self, monkeypatch, synth_data_dir, tmp_path, capsys):
         monkeypatch.setattr(
