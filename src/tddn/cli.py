@@ -4,13 +4,14 @@ Every setting is one row of ``SETTINGS``, which gives its flag, its
 config-file key, its parser, its default, the commands that take it and
 whether the manifest records it. Every command runs in one order: it
 resolves its settings as flags > config file > defaults and checks that
-``--data`` is a directory and ``--out`` is one or absent; it reads exactly
-the inputs it uses (its checkpoint, and the data files of its split); it
-writes ``manifest.json`` into the output directory; and only then does it
-train or infer. So input a command cannot read leaves no file behind. A
-sweep's manifest leaves out the swept setting and what its runs do not
-share. CSV artifacts have header rows and '.' decimals. Exit status is 0 on
-success, 1 on a runtime failure, 2 on a usage error.
+``--data`` is a directory and that ``--out``, or else its nearest existing
+ancestor, is one; it reads exactly the inputs it uses (its checkpoint, and
+the data files of its split); it writes ``manifest.json`` into the output
+directory; and only then does it train or infer. So input a command cannot
+read leaves no file behind. A sweep's manifest leaves out the swept setting
+and what its runs do not share. CSV artifacts have header rows and '.'
+decimals. Exit status is 0 on success, 1 on a runtime failure, 2 on a usage
+error.
 """
 
 from __future__ import annotations
@@ -30,12 +31,11 @@ import numpy as np
 from . import __version__
 from .checkpoint import CheckpointError, LoadedCheckpoint, load_checkpoint, save_checkpoint
 from .cmapss import CmapssError, _check_subset_id, format_value, load_split, load_subset, load_test
-from .lanes import map_chunks
 from .metrics import evaluate_test
 from .model import ModelConfig, conv_channels_for_depth
 from .preprocess import SensorSelection, select_columns
 from .training import (
-    INFER_BATCH, TrainConfig, TrainingError, TrainResult, build_window_bank, lr_at, train
+    TrainConfig, TrainingError, TrainResult, build_window_bank, lr_at, map_windows, train
 )
 
 logger = logging.getLogger(__name__)
@@ -212,9 +212,12 @@ def _start(args: argparse.Namespace, command: str, **defaults: object) -> tuple[
             raise UsageError(f"--{key} is required")
     data_dir, out_dir = Path(settings["data"]), Path(settings["out"])
     if not data_dir.is_dir():
-        raise UsageError(f"data directory does not exist: {data_dir}")
-    if out_dir.exists() and not out_dir.is_dir():
-        raise UsageError(f"output path is not a directory: {out_dir}")
+        problem = "path is not a directory" if data_dir.exists() else "directory does not exist"
+        raise UsageError(f"data {problem}: {data_dir}")
+    # --out itself, or else the nearest of its ancestors that exists
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise UsageError(f"output path is not a directory: {existing}")
     return settings, data_dir, out_dir
 
 
@@ -451,7 +454,7 @@ def cmd_export_features(args: argparse.Namespace) -> int:
     w = model.config.window
     n = trajectory.n_cycles
     bank = build_window_bank([trajectory], loaded.scaler, loaded.selection, loaded.policy, w)
-    traces = map_chunks(lambda c: model.trace(bank.gather(c)[0]), bank.n_windows, INFER_BATCH)
+    traces = map_windows(lambda c: model.trace(bank.gather(c)[0]), bank.n_windows)
     attention = np.concatenate([t.attention for t in traces])
 
     _write_csv(

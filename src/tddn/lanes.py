@@ -30,9 +30,10 @@ def map_chunks(fn: Callable[[slice], T], n: int, size: int) -> list[T]:
     the upper half; the worker is joined before the call returns or
     re-raises, so no thread outlives it. The chunks are those of the serial
     path, so ``fn`` sees the same inputs either way; it must not write what
-    the other lane's chunks read (``DegradationNetwork.trace`` and
-    ``predict`` write nothing, ``Adam.step``'s chunks are disjoint, and
-    ``Linear.backward``'s two tasks write different arrays).
+    the other lane's chunks read. Its users keep to that: inference goes
+    through ``training.map_windows``, whose ``DegradationNetwork.predict``
+    and ``trace`` write nothing; ``Adam.step``'s chunks are disjoint; and
+    ``Linear.backward``'s two tasks write different arrays.
     """
     chunks = [slice(start, start + size) for start in range(0, n, size)]
     half = len(chunks) // 2

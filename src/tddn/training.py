@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Sequence
+from typing import Callable, ClassVar, Sequence, TypeVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -30,6 +30,8 @@ from .preprocess import (
 )
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 
 class TrainingError(RuntimeError):
@@ -150,8 +152,10 @@ ADAM_BLOCK = 1 << 15
 ADAM_TWO_LANE_MIN = 5 * ADAM_BLOCK
 
 
-# windows per forward pass at inference; chunking decides which windows share
-# a matmul, so changing it can change the last bits of predictions
+# most windows per forward pass at inference (``map_windows``). Where a batch
+# is split has not changed a bit in any check: chunks of 1 to 256 windows
+# match one ``predict`` over all of them. ``TestTwoLaneInference`` checks every
+# inference path so from 1 to 513 windows, and the golden pins end to end.
 INFER_BATCH = 256
 
 
@@ -303,11 +307,21 @@ def build_window_bank(
     return WindowBank(padded, labels, window)
 
 
+def map_windows(fn: Callable[[slice], T], n: int) -> list[T]:
+    """``fn`` of each chunk of ``range(n)`` windows, in order: inference's one chunking rule.
+
+    Chunks are ``min(INFER_BATCH, ceil(n / 2))`` windows long, so any call
+    of two or more windows gives ``map_chunks`` two chunks or more and both
+    lanes work, while a call of ``2 * INFER_BATCH`` windows or more is cut
+    into ``INFER_BATCH``-long chunks. The length depends on ``n`` only, so
+    one lane and two see the same chunks.
+    """
+    return map_chunks(fn, n, max(1, min(INFER_BATCH, (n + 1) // 2)))
+
+
 def predict_windows(model: DegradationNetwork, bank: WindowBank) -> np.ndarray:
     """Unclamped model outputs for every window in the bank, in order."""
-    return np.concatenate(
-        map_chunks(lambda c: model.predict(bank.gather(c)[0]), bank.n_windows, INFER_BATCH)
-    )
+    return np.concatenate(map_windows(lambda c: model.predict(bank.gather(c)[0]), bank.n_windows))
 
 
 def train(

@@ -598,24 +598,62 @@ class TestVersionFlag:
 
 
 class TestOutPath:
-    @pytest.mark.parametrize("command", ["train", "evaluate", "sweep", "export-features"])
-    def test_out_naming_a_file_exits_2_before_reading_input(
-        self, command, trained, tmp_path, capsys
-    ):
+    COMMANDS = ["train", "evaluate", "sweep", "export-features"]
+
+    @staticmethod
+    def refused(command, below, trained, tmp_path, capsys) -> None:
+        """``--out`` names the file ``taken``, or a path ``below`` it: exit 2, file kept."""
         # the data directory holds no files, so reading any input would exit 1
-        data, out = tmp_path / "data", tmp_path / "taken"
+        data, taken = tmp_path / "data", tmp_path / "taken"
         data.mkdir()
-        out.write_text("kept\n")
+        taken.write_text("kept\n")
         flags = {
             "train": [],
             "evaluate": ["--checkpoint", str(trained / "model.ckpt")],
             "sweep": ["--dim", "window", "--values", "8"],
             "export-features": ["--checkpoint", str(trained / "model.ckpt"), "--engine", "1"],
         }[command]
-        code = run(command, "--data", str(data), "--out", str(out), *flags)
+        code = run(command, "--data", str(data), "--out", str(taken / below), *flags)
         assert code == 2
-        assert f"error: output path is not a directory: {out}" in capsys.readouterr().err
-        assert out.read_text() == "kept\n"
+        assert f"error: output path is not a directory: {taken}\n" in capsys.readouterr().err
+        assert taken.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_out_naming_a_file_exits_2_before_reading_input(
+        self, command, trained, tmp_path, capsys
+    ):
+        self.refused(command, "", trained, tmp_path, capsys)
+
+    @pytest.mark.parametrize("below", ["sub", "sub/deeper"], ids=["one", "two"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_out_below_a_file_exits_2_before_reading_input(
+        self, command, below, trained, tmp_path, capsys
+    ):
+        self.refused(command, below, trained, tmp_path, capsys)
+
+    def test_out_below_missing_directories_is_made(self, trained, synth_data_dir, tmp_path):
+        out = tmp_path / "a" / "b" / "eval"
+        code = run(
+            "evaluate", "--checkpoint", str(trained / "model.ckpt"),
+            "--data", str(synth_data_dir), "--out", str(out),
+        )
+        assert code == 0
+        assert (out / "metrics.csv").is_file()
+
+
+class TestDataPath:
+    @pytest.mark.parametrize(
+        "make, message",
+        [(None, "data directory does not exist"), ("file", "data path is not a directory")],
+        ids=["missing", "file"],
+    )
+    def test_data_not_a_directory_exits_2(self, make, message, tmp_path, capsys):
+        data = tmp_path / "train_FD001.txt"
+        if make == "file":
+            data.write_text("")
+        assert run("train", "--data", str(data), "--out", str(tmp_path / "o")) == 2
+        assert f"error: {message}: {data}\n" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 def run_module(*argv: str) -> subprocess.CompletedProcess:

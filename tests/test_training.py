@@ -12,6 +12,7 @@ import pytest
 
 from tddn import cli, training
 from tddn.checkpoint import save_checkpoint
+from tddn.cmapss import DatasetBundle, EngineTrajectory
 from tddn.lanes import cpu_lanes, map_chunks
 from tddn.layers import Conv1d, MaxPool1d, Param, mse_loss, pack
 from tddn.metrics import evaluate_test, predict_engine
@@ -33,12 +34,13 @@ from tddn.training import (
     WindowBank,
     build_window_bank,
     lr_at,
+    map_windows,
     predict_windows,
     split_engines,
     train,
 )
 from _lanes import lane_workers
-from _synth import make_bundle, write_bundle
+from _synth import make_bundle, make_trajectory, write_bundle
 
 SMALL_MODEL = ModelConfig(window=8, n_features=15, conv_channels=(4, 8))
 FD001 = select_columns("FD001")
@@ -499,6 +501,12 @@ def stacked_windows(padded: np.ndarray, window: int, start: int, stop: int) -> n
     return np.stack([padded[j : j + window] for j in range(start, stop)])
 
 
+def infer_slices(n: int) -> list[slice]:
+    """The chunks inference cuts ``n`` windows into: ``min(INFER_BATCH, ceil(n / 2))`` long."""
+    size = min(INFER_BATCH, math.ceil(n / 2))
+    return [slice(start, start + size) for start in range(0, n, size)]
+
+
 def read_csv_values(path, n_keys: int) -> np.ndarray:
     lines = path.read_text().splitlines()[1:]
     return np.array([[float(v) for v in line.split(",")[n_keys:]] for line in lines])
@@ -548,7 +556,8 @@ class TestWindowBank:
         np.testing.assert_array_equal(y, np.array(oracle_y)[order])
 
     def test_inference_paths_match_stacked_windows_bit_for_bit(self, tmp_path):
-        # engines past 256 cycles, so every path splits into several chunks
+        # engines past 256 cycles, and a flat order past 512 windows, so the
+        # chunks are cut both at ceil(n / 2) and at INFER_BATCH
         bundle = make_bundle(n_train=2, n_test=2, min_len=250, max_len=300, seed=24)
         data = write_bundle(bundle, tmp_path / "data")
         selection = select_columns("FD001")
@@ -560,19 +569,19 @@ class TestWindowBank:
         w = config.window
         padded = [pad_series(apply_scaler(t, scaler, selection), w) for t in bundle.train]
 
-        # predict_windows: 256 at a time over the flat order, across engines
+        # predict_windows: the rule's chunks of the flat order, across engines
         flat = np.concatenate([stacked_windows(p, w, 0, p.shape[0] - w + 1) for p in padded])
-        want = np.concatenate(
-            [model.forward(flat[s : s + 256]) for s in range(0, flat.shape[0], 256)]
-        )
+        assert flat.shape[0] > 2 * INFER_BATCH
+        want = np.concatenate([model.forward(flat[c]) for c in infer_slices(flat.shape[0])])
         bank = build_window_bank(bundle.train, scaler, selection, policy, w)
         np.testing.assert_array_equal(predict_windows(model, bank), want)
 
-        # predict_engine and export-features: 256 at a time from cycle 1
+        # predict_engine and export-features: the rule's chunks from cycle 1
         traj, rows = bundle.train[0], padded[0]
+        assert INFER_BATCH < traj.n_cycles < 2 * INFER_BATCH
         chunks = [
-            stacked_windows(rows, w, s, min(s + 256, traj.n_cycles))
-            for s in range(0, traj.n_cycles, 256)
+            stacked_windows(rows, w, c.start, min(c.stop, traj.n_cycles))
+            for c in infer_slices(traj.n_cycles)
         ]
         want = np.clip(np.concatenate([model.forward(c) for c in chunks]), 0.0, 120.0)
         np.testing.assert_array_equal(
@@ -742,8 +751,9 @@ class TestTwoLaneInference:
         states = [dict(vars(layer)) for layer in [model, *layers]]
         before = threading.active_count()
         alive = set(threading.enumerate())
+        # every call of two or more windows starts one worker; one window, none
         calls = [
-            (lambda: predict_engine(model, short, scaler, selection, policy), 0),
+            (lambda: predict_engine(model, short, scaler, selection, policy), 1),
             (lambda: evaluate_test(model, bundle, scaler, selection, policy), 0),
             (lambda: model.trace(bank.gather(slice(0, 40))[0]), 0),
             (lambda: predict_engine(model, bundle.train[0], scaler, selection, policy), 1),
@@ -759,6 +769,81 @@ class TestTwoLaneInference:
         assert [dict(vars(layer)) for layer in [model, *layers]] == states
         with pytest.raises(RuntimeError, match="without a pending forward"):
             model.backward(np.ones(1))
+
+    SIZES = (1, 2, 3, 19, 255, 256, 257, 511, 512, 513)
+
+    def test_map_windows_cuts_chunks_by_the_rule(self, monkeypatch):
+        for lanes in (1, 2):
+            monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda n=lanes: n)
+            for n in (*self.SIZES, 1000, 1024, 1025):
+                chunks = map_windows(lambda c: c, n)
+                assert chunks == infer_slices(n)
+                assert all(c.stop - c.start <= INFER_BATCH for c in chunks)
+                assert (len(chunks) >= 2) == (n >= 2)
+        assert map_windows(lambda c: c, 0) == []
+
+    @pytest.fixture(scope="class")
+    def engines(self):
+        """A 513-cycle engine, its scaler, and the 513 test engines cut from it."""
+        rng = np.random.default_rng(33)
+        long = make_trajectory(1, max(self.SIZES), 600, rng)
+        scaler = fit_scaler([long], FD001)
+        # lengths from 1 to 513 cycles in a scrambled order
+        tests = [
+            EngineTrajectory(k + 1, long.values[: 1 + (k * 97) % long.n_cycles])
+            for k in range(long.n_cycles)
+        ]
+        return long, scaler, tests
+
+    @pytest.mark.parametrize(
+        "config", [SMALL_MODEL, ModelConfig(window=32)], ids=["small", "window-32-depth-3"]
+    )
+    def test_every_size_matches_one_predict_in_both_lane_modes(
+        self, config, engines, monkeypatch, executors
+    ):
+        long, scaler, tests = engines
+        policy = LabelPolicy()
+        model = DegradationNetwork(config, np.random.default_rng(34))
+        model.regressor.children[-1].bias.value[...] = 60.0
+        w, r_max = config.window, float(policy.r_max)
+
+        def padded(traj: EngineTrajectory) -> np.ndarray:
+            return pad_series(apply_scaler(traj, scaler, FD001), w)
+
+        rows = padded(long)
+        sizes: list[int] = []
+        predict = DegradationNetwork.predict
+
+        def spy(self, x):
+            sizes.append(len(x))
+            return predict(self, x)
+
+        monkeypatch.setattr(DegradationNetwork, "predict", spy)
+        for n in self.SIZES:
+            engine = EngineTrajectory(1, long.values[:n])
+            bundle = DatasetBundle("FD001", (), tuple(tests[:n]), np.zeros(n, dtype=np.int64))
+            curve = model.predict(stacked_windows(rows, w, 0, n))
+            last = np.stack([padded(t)[-w:] for t in tests[:n]])
+            want = [
+                curve.tobytes(),
+                np.clip(curve, 0.0, r_max).tobytes(),
+                np.clip(model.predict(last), 0.0, r_max).tobytes(),
+            ]
+            for lanes in (1, 2):
+                monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda k=lanes: k)
+                bank = build_window_bank([engine], scaler, FD001, policy, w)
+                calls = [
+                    lambda: predict_windows(model, bank),
+                    lambda: predict_engine(model, engine, scaler, FD001, policy),
+                    lambda: evaluate_test(model, bundle, scaler, FD001, policy).pred,
+                ]
+                for call, expected in zip(calls, want):
+                    del executors[:], sizes[:]
+                    assert call().tobytes() == expected, (n, lanes)
+                    assert len(executors) == (lanes == 2 and n >= 2)
+                    # the lanes append in either order
+                    assert sorted(sizes) == sorted(len(range(n)[c]) for c in infer_slices(n))
+                    assert max(sizes) <= INFER_BATCH
 
 
 class TestTrain:
