@@ -153,9 +153,12 @@ ADAM_TWO_LANE_MIN = 5 * ADAM_BLOCK
 
 
 # most windows per forward pass at inference (``map_windows``). Where a batch
-# is split has not changed a bit in any check: chunks of 1 to 256 windows
-# match one ``predict`` over all of them. ``TestTwoLaneInference`` checks every
-# inference path so from 1 to 513 windows, and the golden pins end to end.
+# is split can change the last bits: the dense layers' matmuls may round a row
+# by its place in the batch (with N(0, 1) rows, the 8-to-1 regress2 rounds the
+# rows past the batch's last multiple of 4 differently, and a one-row matmul
+# differs from a batched one). ``map_windows``' own chunks have matched one
+# ``predict`` in every check: ``TestTwoLaneInference`` checks every inference
+# path so from 1 to 513 windows, and the golden pins end to end.
 INFER_BATCH = 256
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -10,6 +11,7 @@ from tddn import model as model_module
 from tddn.checkpoint import load_checkpoint, save_checkpoint
 from tddn.model import (
     DegradationNetwork,
+    INFER_BLOCK_BYTES,
     FeatureAttention,
     ModelConfig,
     conv_channels_for_depth,
@@ -289,3 +291,108 @@ class TestArena:
         target.value[...] = source.value
         x = rng.normal(size=(3, 8, 3))
         np.testing.assert_array_equal(target.forward(x), source.forward(x))
+
+
+def unblocked_walk(net: DegradationNetwork, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each layer's ``forward`` on the whole batch: the trace fields, in order."""
+    h = x
+    for layer in net.conv_stack.children:
+        h = layer.forward(h)[0]
+    temporal = h
+    h = net.expand_act.forward(net.expand.forward(temporal.reshape(len(x), -1))[0])[0]
+    abstract = h.reshape(x.shape)
+    h, cache = net.attention.forward(abstract)
+    for layer in net.regressor.children:
+        h = layer.forward(h)[0]
+    return temporal, abstract, cache[-1], h.reshape(len(x))
+
+
+def block_windows(config: ModelConfig) -> int:
+    """The most windows one block of the inference walk holds: attention's two
+    (w, 4m) and (w, w) float64 arrays per window, within ``INFER_BLOCK_BYTES``."""
+    w, m = config.window, config.n_features
+    return INFER_BLOCK_BYTES // (8 * w * (4 * m + w))
+
+
+@pytest.fixture
+def attention_batches(monkeypatch) -> list[int]:
+    """The batch size of every ``FeatureAttention.forward`` call, in order."""
+    sizes: list[int] = []
+    forward = FeatureAttention.forward
+
+    def spy(self, h):
+        sizes.append(len(h))
+        return forward(self, h)
+
+    monkeypatch.setattr(FeatureAttention, "forward", spy)
+    return sizes
+
+
+BLOCKED_SHAPES = [
+    ModelConfig(window=64, n_features=14, conv_channels=conv_channels_for_depth(3)),
+    ModelConfig(window=64, n_features=24, conv_channels=conv_channels_for_depth(3)),
+    ModelConfig(window=6, n_features=14, conv_channels=conv_channels_for_depth(1)),
+    ModelConfig(window=13, n_features=14, conv_channels=conv_channels_for_depth(2)),
+]
+
+
+class TestBlockedInference:
+    @pytest.mark.parametrize(
+        "config", BLOCKED_SHAPES, ids=["w64-m14-d3", "w64-m24-d3", "w6-m14-d1", "w13-m14-d2"]
+    )
+    def test_predict_and_trace_match_the_unblocked_walk(self, config):
+        net = DegradationNetwork(config, np.random.default_rng(20))
+        block = block_windows(config)
+        rng = np.random.default_rng(21)
+        for n in sorted({1, block - 1, block, block + 1, 2 * block + 1, 256}):
+            x = 3.0 * rng.normal(size=(n, config.window, config.n_features))
+            want = unblocked_walk(net, x)
+            trace = net.trace(x)
+            got = (trace.temporal, trace.abstract, trace.attention, trace.prediction)
+            for field, a, b in zip(("temporal", "abstract", "attention", "prediction"), got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (n, field)
+            assert net.predict(x).tobytes() == want[-1].tobytes(), n
+
+    def test_a_batch_within_the_budget_is_one_block(self, attention_batches):
+        config = BLOCKED_SHAPES[0]
+        net = DegradationNetwork(config, np.random.default_rng(22))
+        block = block_windows(config)
+        for n in (1, block - 1, block):
+            attention_batches.clear()
+            net.predict(np.ones((n, config.window, config.n_features)))
+            assert attention_batches == [n]
+        # a window-16 chunk of the longest inference batch fits the budget
+        w16 = ModelConfig(window=16, n_features=14, conv_channels=(32,))
+        attention_batches.clear()
+        DegradationNetwork(w16, np.random.default_rng(23)).predict(np.ones((256, 16, 14)))
+        assert attention_batches == [256]
+
+    @pytest.mark.parametrize("config", BLOCKED_SHAPES[:2], ids=["w64-m14-d3", "w64-m24-d3"])
+    def test_blocks_are_balanced_and_as_many_as_the_budget_fills(self, config, attention_batches):
+        net = DegradationNetwork(config, np.random.default_rng(24))
+        block = block_windows(config)
+        per_window = 8 * config.window * (4 * config.n_features + config.window)
+        for n in (block + 1, 2 * block - 1, 2 * block + 1, 100, 255, 256):
+            attention_batches.clear()
+            net.trace(np.ones((n, config.window, config.n_features)))
+            assert len(attention_batches) == math.ceil(n * per_window / INFER_BLOCK_BYTES) > 1
+            assert sum(attention_batches) == n
+            assert min(attention_batches) >= 1
+            assert max(attention_batches) - min(attention_batches) <= 1
+
+    def test_a_window_over_the_budget_is_a_block_of_its_own(self, monkeypatch, attention_batches):
+        monkeypatch.setattr(model_module, "INFER_BLOCK_BYTES", 1000)
+        net = DegradationNetwork(TINY, np.random.default_rng(25))
+        x = np.random.default_rng(26).normal(size=(3, 8, 3))
+        prediction = net.predict(x)
+        assert attention_batches == [1, 1, 1]
+        assert prediction.tobytes() == unblocked_walk(net, x)[-1].tobytes()
+
+    def test_forward_with_a_tape_is_one_block(self, attention_batches):
+        config = BLOCKED_SHAPES[0]
+        net = DegradationNetwork(config, np.random.default_rng(27))
+        x = np.random.default_rng(28).normal(size=(256, config.window, config.n_features))
+        prediction = net.forward(x)
+        assert attention_batches == [256]
+        assert prediction.tobytes() == unblocked_walk(net, x)[-1].tobytes()
+        assert net.backward(np.ones(256)).shape == x.shape
