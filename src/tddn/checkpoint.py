@@ -96,7 +96,8 @@ def save_checkpoint(
         )
     if not isinstance(subset_id, str) or _check_subset_id(subset_id) != selection.subset_id:
         raise ValueError(f"subset {subset_id!r} is not the selection's {selection.subset_id!r}")
-    payload = np.concatenate([model.value, scaler.col_min, scaler.col_max]).astype("<f8").tobytes()
+    arrays = [model.value, scaler.col_min, scaler.col_max]
+    payload = memoryview(np.concatenate(arrays).astype("<f8", copy=False))
     header = {
         "format_version": FORMAT_VERSION,
         "subset_id": subset_id,
@@ -115,7 +116,13 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
-    """Read a checkpoint and rebuild the model it describes."""
+    """Read a checkpoint and rebuild the model it describes.
+
+    The payload is hashed and read through a view of the file's bytes, with
+    no copy. Its digest is checked before any array is filled, and its size
+    before the model is built; the model is built with no weights drawn
+    (``rng=None``), since the payload overwrites them all.
+    """
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"missing checkpoint: {path}")
@@ -140,7 +147,7 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
             f"{path}: unsupported format version {version!r}"
         )
 
-    payload = blob[header_start + header_len :]
+    payload = memoryview(blob)[header_start + header_len :]
     digest = hashlib.sha256(payload).hexdigest()
     if digest != header.get("payload_sha256"):
         raise CheckpointError(f"{path}: payload checksum mismatch")
@@ -189,7 +196,7 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
     expected = 8 * (size + 2 * config.n_features)
     if len(payload) != expected:
         raise CheckpointError(f"{path}: payload of {len(payload)} bytes, expected {expected}")
-    model = DegradationNetwork(config, rng=np.random.default_rng(0))
+    model = DegradationNetwork(config, rng=None)
     # compared as JSON text, so 2.0 or true does not pass for 2 or 1
     if json.dumps(header.get("arrays")) != json.dumps(_arrays_table(model, config.n_features)):
         raise CheckpointError(f"{path}: header arrays are not those of its model config")

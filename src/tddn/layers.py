@@ -88,8 +88,11 @@ def packed(params: Sequence[Param]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def glorot_uniform(
-    rng: np.random.Generator, fan_in: int, fan_out: int, shape: tuple[int, ...]
+    rng: np.random.Generator | None, fan_in: int, fan_out: int, shape: tuple[int, ...]
 ) -> np.ndarray:
+    """Uniform in +-sqrt(6 / (fan_in + fan_out)); zeros, with no draw, when ``rng`` is None."""
+    if rng is None:
+        return np.zeros(shape)
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
 
@@ -135,7 +138,9 @@ LINEAR_TWO_LANE_MIN = 1 << 22
 class Linear(Module):
     """Affine map (B, n_in) -> (B, n_out)."""
 
-    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator, name: str = "linear"):
+    def __init__(
+        self, n_in: int, n_out: int, rng: np.random.Generator | None, name: str = "linear"
+    ):
         self.weight = Param(f"{name}.weight", glorot_uniform(rng, n_in, n_out, (n_in, n_out)))
         self.bias = Param(f"{name}.bias", np.zeros(n_out))
 
@@ -186,7 +191,9 @@ class Conv1d(Module):
     current one.
     """
 
-    def __init__(self, c_in: int, c_out: int, rng: np.random.Generator, name: str = "conv"):
+    def __init__(
+        self, c_in: int, c_out: int, rng: np.random.Generator | None, name: str = "conv"
+    ):
         self.c_in = c_in
         self.c_out = c_out
         self.weight = Param(

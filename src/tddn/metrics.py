@@ -7,14 +7,15 @@ against the RUL value the dataset states for that cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .cmapss import DatasetBundle, EngineTrajectory
 from .model import DegradationNetwork
+from .preprocess import LabelPolicy, Scaler, SensorSelection, selection_matrix
 # only bench/ uses this: its metrics.apply_scaler span reads 0, since nothing here calls it
-from .preprocess import LabelPolicy, Scaler, SensorSelection, apply_scaler  # noqa: F401
+from .preprocess import apply_scaler  # noqa: F401
 from .training import build_window_bank, map_windows, predict_windows
 
 
@@ -77,8 +78,17 @@ def last_windows(
     selection: SensorSelection,
     window: int,
 ) -> np.ndarray:
-    """The final window of every test engine, stacked (n_engines, w, m)."""
-    bank = build_window_bank(bundle.test, scaler, selection, LabelPolicy(), window)
+    """The final window of every test engine, stacked (n_engines, w, m).
+
+    Every cycle's selected columns are checked for non-finite values, but
+    only each engine's last ``window`` cycles are scaled and padded: the
+    window bank of those tails ends on the same windows, since scaling and
+    padding work row by row.
+    """
+    for traj in bundle.test:
+        selection_matrix(traj, selection)  # names the engine and cycle of a NaN or inf
+    tails = [replace(traj, values=traj.values[-window:]) for traj in bundle.test]
+    bank = build_window_bank(tails, scaler, selection, LabelPolicy(), window)
     return bank.gather(bank.ends)[0]
 
 

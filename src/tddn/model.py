@@ -132,7 +132,7 @@ class FeatureAttention(Module):
     weights are the last item of the cache ``forward`` returns.
     """
 
-    def __init__(self, n_features: int, hidden: int, rng: np.random.Generator):
+    def __init__(self, n_features: int, hidden: int, rng: np.random.Generator | None):
         self.n_features = n_features
         self.hidden = hidden
         self.weight = Param(
@@ -188,9 +188,11 @@ class DegradationNetwork:
 
     Every param is a view into ``value`` and ``grad``, two flat buffers in
     ``params()`` order that the network lays out when it is built (``pack``).
+    Weights are drawn from ``rng``; with ``rng`` None they start at zero, for
+    a caller that fills ``value`` itself, as ``load_checkpoint`` does.
     """
 
-    def __init__(self, config: ModelConfig, rng: np.random.Generator):
+    def __init__(self, config: ModelConfig, rng: np.random.Generator | None):
         self.config = config
         w, m = config.window, config.n_features
         stages: list[Module] = []

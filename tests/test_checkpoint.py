@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from tddn import layers, model as model_module
 from tddn.checkpoint import (
     FORMAT_VERSION,
     MAGIC,
@@ -160,6 +161,21 @@ class TestArenaBytes:
         np.testing.assert_array_equal(loaded.model.value, model.value)
         assert loaded.model.value.tobytes() == model.value.tobytes()
         assert loaded.scaler.col_min.flags.writeable and loaded.scaler.col_max.flags.writeable
+
+    def test_load_draws_no_weights(self, saved, monkeypatch):
+        path, model, _, _ = saved
+        rngs = []
+        draw = layers.glorot_uniform
+
+        def spy(rng, *args):
+            rngs.append(rng)
+            return draw(rng, *args)
+
+        for module in (layers, model_module):
+            monkeypatch.setattr(module, "glorot_uniform", spy)
+        loaded = load_checkpoint(path)
+        assert rngs and all(rng is None for rng in rngs)
+        assert loaded.model.value.tobytes() == model.value.tobytes()
 
 
 class TestCorruption:

@@ -179,6 +179,84 @@ class TestParseDataFile:
         assert len(COLUMN_NAMES) == 24
 
 
+class TestParseOpenFile:
+    """A seekable stream is read in place; the loop reads it again from the start."""
+
+    @staticmethod
+    def _file(tmp_path, lines: list[str]):
+        path = tmp_path / "data.txt"
+        path.write_text("".join(line + "\n" for line in lines), encoding="ascii")
+        return open(path, encoding="ascii")
+
+    @staticmethod
+    def _count_loops(monkeypatch) -> list[int]:
+        calls: list[int] = []
+        loop = cmapss._parse_lines
+        monkeypatch.setattr(cmapss, "_parse_lines", lambda lines: calls.append(1) or loop(lines))
+        return calls
+
+    def test_bad_third_line_is_named_by_the_loop(self, tmp_path, monkeypatch):
+        calls = self._count_loops(monkeypatch)
+        with self._file(tmp_path, [_line(1, 1), _line(1, 2), "1 3 short"]) as fh:
+            with pytest.raises(ParseError, match=r"^line 3: expected 26 columns, got 3$"):
+                parse_data_file(fh)
+        assert calls == [1]
+
+    def test_forms_only_float_accepts_get_the_loops_bits(self, tmp_path, monkeypatch):
+        lines = [_line(1, 1), _line(1, 2, ["1_0"] + [0.1 * i for i in range(23)])]
+        want = cmapss._parse_lines(lines)
+        calls = self._count_loops(monkeypatch)
+        with self._file(tmp_path, lines) as fh:
+            got = parse_data_file(fh)
+        assert calls == [1]
+        assert got[1, 2] == 10.0
+        assert got.tobytes() == want.tobytes()
+
+    def test_blank_file_gives_an_empty_matrix_without_a_warning(self, tmp_path):
+        with self._file(tmp_path, ["", "   ", "\t"]) as fh:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows = parse_data_file(fh)
+        assert rows.shape == (0, N_FIELDS)
+
+    def test_stream_is_parsed_from_where_it_stands(self, monkeypatch):
+        calls = self._count_loops(monkeypatch)
+        stream = _as_stream(["unit cycle ...", _line(1, 1), _line(1, 2)])
+        stream.readline()
+        assert parse_data_file(stream)[:, 1].tolist() == [1.0, 2.0]
+        stream = _as_stream(["unit cycle ...", _line(1, 1), "1 2 short"])
+        stream.readline()
+        with pytest.raises(ParseError, match=r"^line 2: "):
+            parse_data_file(stream)
+        assert calls == [1]
+
+    def test_file_read_with_next_is_listed_from_where_it_stands(self, tmp_path):
+        with self._file(tmp_path, ["unit cycle ...", _line(1, 1), _line(1, 2)]) as fh:
+            next(fh)  # a text file then refuses tell()
+            assert parse_data_file(fh)[:, 1].tolist() == [1.0, 2.0]
+
+    def test_generator_is_listed_first(self):
+        lines = [_line(1, 1), _line(1, 2)]
+        rows = parse_data_file(line for line in lines)
+        assert rows.tobytes() == parse_data_file(lines).tobytes()
+        with pytest.raises(ParseError, match=r"^line 3: non-numeric value 'abc'$"):
+            parse_data_file(line for line in lines + [_line(1, 3).replace("0.2", "abc")])
+
+    def test_non_ascii_byte_deep_in_a_file_is_named(self, tmp_path):
+        # past NumPy's first reads, and after a line that the loop would refuse
+        bundle = make_bundle(n_train=2, n_test=40, min_len=60, max_len=60, seed=3)
+        write_bundle(bundle, tmp_path)
+        path = tmp_path / "test_FD001.txt"
+        lines = path.read_bytes().splitlines(keepends=True)
+        assert sum(map(len, lines[:-1])) > 1 << 16
+        lines[1] = b"1 2 short\n"
+        lines[-1] = lines[-1].replace(b" ", b" \xc3\xa9", 1)
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ParseError) as caught:
+            load_split(tmp_path, "FD001", "test")
+        assert str(caught.value) == f"test_FD001.txt: line {len(lines)}: non-ASCII byte 0xc3"
+
+
 class TestGroupByEngine:
     def test_groups_and_sorts(self):
         records = parse_data_file([_line(2, 1), _line(1, 2), _line(1, 1), _line(2, 2)])

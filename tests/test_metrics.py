@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from tddn.metrics import evaluate_test, last_windows, nasa_score, predict_engine, rmse
 from tddn.model import DegradationNetwork, ModelConfig
 from tddn.preprocess import LabelPolicy, apply_scaler, fit_scaler, pad_series, select_columns
+from tddn.training import build_window_bank
 from _synth import make_bundle
 
 
@@ -143,6 +145,30 @@ class TestEvaluateTest:
         for k, traj in enumerate(bundle.test):
             padded = pad_series(apply_scaler(traj, scaler, selection), window)
             np.testing.assert_array_equal(stacked[k], padded[-window:])
+
+    @pytest.mark.parametrize("lengths", [(3, 8, 20), (8,), (20, 9, 1)],
+                             ids=["short-equal-long", "equal", "long-long-short"])
+    def test_last_windows_are_those_of_the_full_bank(self, setup, lengths):
+        bundle, selection, scaler, model = setup
+        window = model.config.window
+        source = make_bundle(n_test=len(lengths), min_len=20, max_len=30, seed=41).test
+        test = tuple(replace(t, values=t.values[:n]) for t, n in zip(source, lengths))
+        bank = build_window_bank(test, scaler, selection, LabelPolicy(), window)
+        want = bank.gather(bank.ends)[0]
+        got = last_windows(replace(bundle, test=test), scaler, selection, window)
+        assert got.shape == want.shape == (len(lengths), window, 15)
+        assert got.tobytes() == want.tobytes()
+
+    def test_nan_before_the_last_window_is_named(self, setup):
+        bundle, selection, scaler, model = setup
+        engine = bundle.test[1]
+        assert engine.n_cycles > model.config.window + 2
+        values = engine.values.copy()
+        values[2, selection.indices[3]] = np.nan
+        test = (bundle.test[0], replace(engine, values=values)) + bundle.test[2:]
+        message = f"engine {engine.unit_id}, cycle 3: column {selection.columns[3]} is nan"
+        with pytest.raises(ValueError, match=message):
+            evaluate_test(model, replace(bundle, test=test), scaler, selection, LabelPolicy())
 
     def test_predict_engine_full_curve(self, setup):
         bundle, selection, scaler, model = setup
