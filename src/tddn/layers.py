@@ -10,7 +10,7 @@ several threads. Batched inputs use the (batch, time, channels) layout.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -125,14 +125,44 @@ class Sequential:
         return out
 
 
-# multiply-adds of the weight gradient (batch * n_in * n_out) from which
-# Linear.backward writes it on a second lane while the caller computes the
-# input gradient. Timed alone on a 2-core host with one BLAS thread, two lanes
-# won 11-15 of 15 rounds from 7.9M up (-11% to -44%), were mixed at 3.9M and
-# lost below 2M, where starting the worker costs more than it saves. The
-# window-16 model's expand at batch 32 (2.0M) stays serial; the default
-# model's (31.5M) splits
-LINEAR_TWO_LANE_MIN = 1 << 22
+# multiply-adds of a layer's weight gradient (rows * weight size) from which
+# its backward writes the weight and bias gradients on a second lane while the
+# caller computes the input gradient (``split_backward``). Timed alone on a
+# 2-core host with one BLAS thread, on a worker already running, a split won
+# 7-9 of 9 rounds from about 1M up for the convs and the 1024-wide Linear
+# (-13% to -44%) and from 2M for the window-64 attention (-13% to -43%), was
+# mixed for the 256-wide Linear up to 3.9M, and lost for the window-16
+# attention up to 1M. The first split of a backward also starts the worker
+# (about 110 us against 22 us for a job on a running one), so the rule stays
+# above the window-16 model's largest layer, its expand (2.0M at batch 32,
+# 3.9M at 64), and its backward runs on one thread. At batch 32 the default
+# model splits conv2 (4.2M), conv3 (8.4M), expand (31.5M) and the attention
+# (7.9M), and not conv1 (2.0M)
+BACKWARD_TWO_LANE_MIN = 1 << 22
+
+
+def split_backward(
+    rows: int,
+    weight: Param,
+    write_grads: Callable[[], None],
+    input_grad: Callable[[], np.ndarray],
+) -> np.ndarray:
+    """``write_grads()``, then the input gradient ``input_grad()`` returns.
+
+    From ``BACKWARD_TWO_LANE_MIN`` multiply-adds of the weight gradient
+    (``rows * weight.value.size``) up, both go to ``map_chunks`` as one task
+    per lane: the caller computes the input gradient while a worker writes
+    the parameter gradients. Below that, they run on the caller with no
+    ``map_chunks`` call. ``write_grads`` makes NumPy calls only, never a
+    layer method: wrappers that tracers put on a layer's forward or backward
+    assume a single thread. The two tasks write different arrays, and each
+    makes the NumPy calls of the serial path, so the bits do not change.
+    """
+    if rows * weight.value.size < BACKWARD_TWO_LANE_MIN:
+        write_grads()
+        return input_grad()
+    tasks = (input_grad, write_grads)
+    return map_chunks(lambda s: tasks[s.start](), 2, 1)[0]
 
 
 class Linear(Module):
@@ -154,15 +184,12 @@ class Linear(Module):
 
     def backward(self, x: np.ndarray, gout: np.ndarray) -> np.ndarray:
         def write_grads() -> None:
-            # the worker's task makes NumPy calls only: wrappers that tracers put
-            # on a layer's forward or backward assume a single thread
             np.matmul(x.T, gout, out=self.weight.grad)
             np.sum(gout, axis=0, out=self.bias.grad)
 
-        tasks = (lambda: gout @ self.weight.value.T, write_grads)
-        # size 2 is one chunk, which the caller runs; size 1 gives each task a lane
-        size = 1 if x.shape[0] * self.weight.value.size >= LINEAR_TWO_LANE_MIN else 2
-        return map_chunks(lambda s: [task() for task in tasks[s]], 2, size)[0][0]
+        return split_backward(
+            x.shape[0], self.weight, write_grads, lambda: gout @ self.weight.value.T
+        )
 
 
 class ReLU(Module):
@@ -218,17 +245,23 @@ class Conv1d(Module):
     def backward(self, patches: np.ndarray, gout: np.ndarray) -> np.ndarray:
         batch, n_time, _ = gout.shape
         c_in = self.c_in
-        flat_patches = patches.reshape(batch * n_time, 2 * c_in)
         flat_g = gout.reshape(batch * n_time, self.c_out)
-        np.matmul(flat_patches.T, flat_g, out=self.weight.grad.reshape(2 * c_in, self.c_out))
-        np.sum(flat_g, axis=0, out=self.bias.grad)
-        flat_w = self.weight.value.reshape(2 * c_in, self.c_out)
-        gpatches = (flat_g @ flat_w.T).reshape(batch, n_time, 2 * c_in)
-        # added onto zeros, previous-step tap first, so -0.0 comes out as +0.0
-        gin = np.zeros((batch, n_time, c_in))
-        gin[:, :-1] += gpatches[:, 1:, :c_in]
-        gin += gpatches[:, :, c_in:]
-        return gin
+
+        def write_grads() -> None:
+            flat_patches = patches.reshape(batch * n_time, 2 * c_in)
+            np.matmul(flat_patches.T, flat_g, out=self.weight.grad.reshape(2 * c_in, self.c_out))
+            np.sum(flat_g, axis=0, out=self.bias.grad)
+
+        def input_grad() -> np.ndarray:
+            flat_w = self.weight.value.reshape(2 * c_in, self.c_out)
+            gpatches = (flat_g @ flat_w.T).reshape(batch, n_time, 2 * c_in)
+            # added onto zeros, previous-step tap first, so -0.0 comes out as +0.0
+            gin = np.zeros((batch, n_time, c_in))
+            gin[:, :-1] += gpatches[:, 1:, :c_in]
+            gin += gpatches[:, :, c_in:]
+            return gin
+
+        return split_backward(batch * n_time, self.weight, write_grads, input_grad)
 
 
 class MaxPool1d(Module):

@@ -22,6 +22,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
+from .lanes import one_worker
 from .layers import (
     Conv1d,
     Linear,
@@ -34,6 +35,7 @@ from .layers import (
     pack,
     softmax,
     softmax_backward,
+    split_backward,
 )
 
 CONV_CHANNEL_LADDER = (32, 64, 128, 256)
@@ -166,21 +168,27 @@ class FeatureAttention(Module):
         h, augmented, hidden, weights = cache
         batch, n_rows, m = h.shape
         gweights = np.einsum("bm,bwm->bw", gout, h)
-        gh = weights[:, :, None] * gout[:, None, :]
         gscores = softmax_backward(weights, gweights)
-        np.einsum("bwd,bw->d", hidden, gscores, out=self.context.grad)
         gpre = gscores[:, :, None] * self.context.value * (1.0 - hidden * hidden)
-        flat_aug = augmented.reshape(batch * n_rows, 4 * m)
         flat_gpre = gpre.reshape(batch * n_rows, self.hidden)
-        np.matmul(flat_aug.T, flat_gpre, out=self.weight.grad)
-        np.sum(flat_gpre, axis=0, out=self.bias.grad)
-        gaug = (flat_gpre @ self.weight.value.T).reshape(batch, n_rows, 4 * m)
-        g_row, g_first, g_diff, g_prod = np.split(gaug, 4, axis=2)
-        first = h[:, :1, :]
-        gh += g_row + g_diff + g_prod * first
-        # everything routed through the broadcast first row lands on row 0
-        gh[:, 0, :] += (g_first - g_diff + g_prod * h).sum(axis=1)
-        return gh
+
+        def write_grads() -> None:
+            np.einsum("bwd,bw->d", hidden, gscores, out=self.context.grad)
+            flat_aug = augmented.reshape(batch * n_rows, 4 * m)
+            np.matmul(flat_aug.T, flat_gpre, out=self.weight.grad)
+            np.sum(flat_gpre, axis=0, out=self.bias.grad)
+
+        def input_grad() -> np.ndarray:
+            gaug = (flat_gpre @ self.weight.value.T).reshape(batch, n_rows, 4 * m)
+            g_row, g_first, g_diff, g_prod = np.split(gaug, 4, axis=2)
+            first = h[:, :1, :]
+            gh = weights[:, :, None] * gout[:, None, :]
+            gh += g_row + g_diff + g_prod * first
+            # everything routed through the broadcast first row lands on row 0
+            gh[:, 0, :] += (g_first - g_diff + g_prod * h).sum(axis=1)
+            return gh
+
+        return split_backward(batch * n_rows, self.weight, write_grads, input_grad)
 
 
 class DegradationNetwork:
@@ -319,10 +327,12 @@ class DegradationNetwork:
     def backward(self, gout: np.ndarray) -> np.ndarray:
         """The input gradient for ``gout``; pops the tape of the last ``forward`` in reverse.
 
-        Every parameter gradient is written. With no pending forward (none
-        yet, or its tape already taken) this raises ``RuntimeError``; with
-        ``gout`` not shaped like the predictions, ``ValueError``, and the
-        tape is kept.
+        Every parameter gradient is written. The layers whose backward
+        splits (``layers.split_backward``) share one worker thread, started
+        by the first of them and joined before this returns or raises. With
+        no pending forward (none yet, or its tape already taken) this raises
+        ``RuntimeError``; with ``gout`` not shaped like the predictions,
+        ``ValueError``, and the tape is kept.
         """
         if self._tape is None:
             raise RuntimeError("DegradationNetwork.backward called without a pending forward")
@@ -331,7 +341,8 @@ class DegradationNetwork:
             raise ValueError(f"gradient of shape {gout.shape} for predictions of shape {shape}")
         self._tape = None
         g = gout
-        while tape:
-            layer, cache = tape.pop()
-            g = g.reshape(cache) if layer is None else layer.backward(cache, g)
+        with one_worker():
+            while tape:
+                layer, cache = tape.pop()
+                g = g.reshape(cache) if layer is None else layer.backward(cache, g)
         return g

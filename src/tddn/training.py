@@ -239,8 +239,12 @@ class Adam:
                 np.multiply(g, g, out=t1)
                 np.multiply(1.0 - b2, t1, out=t1)
                 v += t1
-                np.divide(m, bc1, out=t1)
-                np.multiply(lr, t1, out=t1)
+                if bc1 == 1.0:
+                    # bc1 rounds to 1 from step 356 at beta1 0.9: m / bc1 is m
+                    np.multiply(lr, m, out=t1)
+                else:
+                    np.divide(m, bc1, out=t1)
+                    np.multiply(lr, t1, out=t1)
                 np.divide(v, bc2, out=t2)
                 np.sqrt(t2, out=t2)
                 t2 += eps

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -17,6 +16,7 @@ settings.register_profile(
 settings.load_profile("tddn")
 
 from _synth import make_bundle, write_bundle
+from tddn import lanes
 
 
 def find_cmapss_dir() -> Path | None:
@@ -56,12 +56,13 @@ def synth_data_dir(tmp_path_factory) -> Path:
 
 @pytest.fixture
 def executors(monkeypatch) -> list[int]:
-    """One entry per worker ``tddn.lanes.map_chunks`` starts during the test."""
+    """One entry per worker thread ``tddn.lanes.map_chunks`` starts during the test."""
     started: list[int] = []
 
-    def spy(*args, **kwargs):
-        started.append(1)
-        return ThreadPoolExecutor(*args, **kwargs)
+    class Spy(lanes.Worker):
+        def __init__(self) -> None:
+            started.append(1)
+            super().__init__()
 
-    monkeypatch.setattr("tddn.lanes.ThreadPoolExecutor", spy)
+    monkeypatch.setattr(lanes, "Worker", Spy)
     return started

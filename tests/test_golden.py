@@ -13,8 +13,8 @@ both and ``rtol`` can stay tight.
 
 Each pin is checked in three lane modes: as the host runs it, with
 ``map_chunks`` held to one lane, and with two lanes and both split
-thresholds at 0, so that every optimizer step and every linear backward
-starts a worker. The lanes split work without changing it, so all three
+thresholds at 0, so that every optimizer step and every backward starts a
+worker, which every conv, attention and linear backward use. The lanes split work without changing it, so all three
 must print the same values.
 """
 
@@ -111,7 +111,7 @@ def test_train_and_evaluate_give_the_pinned_values(
         monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda: lanes)
     if lanes == 2:
         monkeypatch.setattr(training, "ADAM_TWO_LANE_MIN", 0)
-        monkeypatch.setattr(layers, "LINEAR_TWO_LANE_MIN", 0)
+        monkeypatch.setattr(layers, "BACKWARD_TWO_LANE_MIN", 0)
     epochs, metrics = PINNED[window, depth]
     run = tmp_path / "run"
     assert main([

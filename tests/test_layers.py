@@ -497,23 +497,36 @@ class TestTwoLaneLinearBackward:
 
     @pytest.fixture
     def split_all(self, monkeypatch):
-        """Two lanes, and every Linear.backward splits, however small."""
+        """Two lanes, and every layer backward splits, however small."""
         monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda: 2)
-        monkeypatch.setattr(layers, "LINEAR_TWO_LANE_MIN", 0)
+        monkeypatch.setattr(layers, "BACKWARD_TWO_LANE_MIN", 0)
 
     def test_lane_decision(self, monkeypatch, executors):
-        # the window-16 depth-1 model's expand stays serial, the default model's splits
+        # at batch 32 nothing of the window-16 depth-1 model splits; of the
+        # default model, conv2, conv3, expand and the attention split, and
+        # share the one worker of its backward
         monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda: 2)
+        split_rows: list[int] = []
+        split = layers.split_backward
+
+        def spy(rows, weight, write_grads, input_grad):
+            if rows * weight.value.size >= layers.BACKWARD_TWO_LANE_MIN:
+                split_rows.append(rows)
+            return split(rows, weight, write_grads, input_grad)
+
+        monkeypatch.setattr(layers, "split_backward", spy)
+        monkeypatch.setattr("tddn.model.split_backward", spy)
         rng = np.random.default_rng(30)
         w16 = ModelConfig(window=16, conv_channels=conv_channels_for_depth(1))
-        for config, workers in ((w16, 0), (ModelConfig(), 1)):
+        # rows of each layer that splits, in the order backward reaches them
+        for config, rows in ((w16, []), (ModelConfig(), [32 * 64, 32, 32 * 16, 32 * 32])):
             model = DegradationNetwork(config, rng)
-            macs = 32 * model.expand.weight.value.size
-            assert (macs >= layers.LINEAR_TWO_LANE_MIN) == bool(workers)
             pred = model.forward(rng.normal(size=(32, config.window, config.n_features)))
-            del executors[:]
+            del executors[:], split_rows[:]
             model.backward(np.ones_like(pred))
-            assert len(executors) == workers
+            assert split_rows == rows
+            assert len(executors) == bool(rows)
+            assert not lane_workers()
         monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda: 1)
         model.forward(rng.normal(size=(32, 64, 15)))
         model.backward(np.ones(32))
@@ -531,8 +544,8 @@ class TestTwoLaneLinearBackward:
             model.forward(x)
             gin = model.backward(gout)
             runs[lanes] = (gin.tobytes(), model.grad.tobytes())
-            # one worker for each of the three Linear layers, none left running
-            assert len(executors) == (3 if lanes == 2 else 0)
+            # one worker for the whole backward, none left running
+            assert len(executors) == (1 if lanes == 2 else 0)
             assert not lane_workers()
         assert runs[1] == runs[2]
 
@@ -549,13 +562,14 @@ class TestTwoLaneLinearBackward:
 
     def test_layer_calls_stay_on_the_calling_thread(self, split_all, executors):
         # a training step calls every layer's forward and backward through the
-        # instance, once each, on the calling thread, while three splits run
+        # instance, once each, on the calling thread, while every conv, the
+        # attention and the three Linear layers split on one worker
         model = DegradationNetwork(self.CONFIG, np.random.default_rng(34))
         seen: list[tuple[int, str, threading.Thread]] = []
         wrap_layers(model, seen)
         model.forward(np.ones((4, 16, 15)))
         model.backward(np.ones(4))
-        assert len(executors) == 3
+        assert len(executors) == 1
         n = len(all_layers(model))
         assert sorted((i, attr) for i, attr, _ in seen) == sorted(
             (i, attr) for i in range(n) for attr in ("forward", "backward")
@@ -613,6 +627,70 @@ class TestTwoLaneLinearBackward:
             tracemalloc.stop()
         assert len(executors) == 1
         assert peak < expand.weight.grad.nbytes
+
+
+class TestTwoLaneConvAndAttentionBackward:
+    # each layer kind, built from a generator, and the shape of its input
+    LAYERS = {
+        "conv": (lambda rng: Conv1d(5, 7, rng), (6, 9, 5)),
+        "attention": (lambda rng: FeatureAttention(5, 9, rng), (6, 9, 5)),
+    }
+
+    @pytest.fixture
+    def split_all(self, monkeypatch):
+        """Two lanes, and every layer backward splits, however small."""
+        monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda: 2)
+        monkeypatch.setattr(layers, "BACKWARD_TWO_LANE_MIN", 0)
+
+    @classmethod
+    def layer_and_grads(cls, kind: str, seed: int):
+        make, shape = cls.LAYERS[kind]
+        rng = np.random.default_rng(seed)
+        layer = make(rng)
+        out, cache = layer.forward(rng.normal(size=shape))
+        return layer, cache, rng.normal(size=out.shape)
+
+    @pytest.mark.parametrize("kind", LAYERS)
+    def test_serial_one_and_two_lanes_give_the_same_bits(
+        self, kind, split_all, monkeypatch, executors
+    ):
+        layer, cache, gout = self.layer_and_grads(kind, 40)
+        runs = {}
+        # below the rule (no map_chunks call), then split on one lane and on two
+        for mode, rule, lanes in (("serial", 1 << 62, 2), ("one-lane", 0, 1), ("two-lane", 0, 2)):
+            monkeypatch.setattr(layers, "BACKWARD_TWO_LANE_MIN", rule)
+            monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda n=lanes: n)
+            for p in layer.params():
+                p.grad[...] = np.nan
+            del executors[:]
+            gin = layer.backward(cache, gout)
+            runs[mode] = [gin.tobytes(), *(p.grad.tobytes() for p in layer.params())]
+            assert len(executors) == (mode == "two-lane")
+            assert not lane_workers()
+        assert runs["serial"] == runs["one-lane"] == runs["two-lane"]
+
+    @pytest.mark.parametrize("kind", LAYERS)
+    def test_worker_error_reaches_the_caller(self, kind, split_all, executors):
+        layer, cache, gout = self.layer_and_grads(kind, 41)
+        # the worker writes the weight gradient, so only its lane can fail here
+        layer.weight.grad = np.zeros(layer.weight.value.shape)
+        layer.weight.grad.flags.writeable = False
+        with pytest.raises(ValueError, match="read-only"):
+            layer.backward(cache, gout)
+        assert len(executors) == 1
+        assert not lane_workers()
+
+    def test_worker_error_ends_the_network_backward(self, split_all, executors):
+        model = DegradationNetwork(
+            ModelConfig(window=16, conv_channels=(8, 16)), np.random.default_rng(42)
+        )
+        # the attention splits before any conv: its worker task fails
+        model.attention.weight.grad.flags.writeable = False
+        pred = model.forward(np.random.default_rng(43).normal(size=(4, 16, 15)))
+        with pytest.raises(ValueError, match="read-only"):
+            model.backward(np.ones_like(pred))
+        assert len(executors) == 1
+        assert not lane_workers()
 
 
 class TestInit:

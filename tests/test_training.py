@@ -13,7 +13,7 @@ import pytest
 from tddn import cli, training
 from tddn.checkpoint import save_checkpoint
 from tddn.cmapss import DatasetBundle, EngineTrajectory
-from tddn.lanes import cpu_lanes, map_chunks
+from tddn.lanes import cpu_lanes, map_chunks, one_worker
 from tddn.layers import Conv1d, MaxPool1d, Param, mse_loss, pack
 from tddn.metrics import evaluate_test, predict_engine
 from tddn.model import DegradationNetwork, ModelConfig, conv_channels_for_depth
@@ -385,17 +385,19 @@ class TestAdamMatchesReference:
             self.assert_same_state(opt, ref)
         self.assert_lanes_used(lanes, executors)
 
-    def test_params_spanning_several_blocks(self, lanes, executors):
-        # 3 full blocks and a partial one; param edges fall inside blocks
+    def step_several_blocks(self, first_step: int, beta1: float) -> None:
+        """N_STEPS steps from ``first_step`` on params of 3 full blocks and a partial one."""
+        # param edges fall inside blocks
         shapes = [(ADAM_BLOCK - 3,), (2, ADAM_BLOCK + 5), (7,), (3, 11, 5)]
         assert sum(np.prod(s) for s in shapes) % ADAM_BLOCK != 0
         rng = np.random.default_rng(7)
         values = [rng.normal(size=s) for s in shapes]
         params = packed_params(*(Param(f"p{i}", v) for i, v in enumerate(values)))
         twins = [Param(f"p{i}", v.copy()) for i, v in enumerate(values)]
-        opt = Adam(params, beta1=0.8, beta2=0.99, eps=1e-6)
-        ref = ReferenceAdam(twins, beta1=0.8, beta2=0.99, eps=1e-6)
-        for step in range(1, self.N_STEPS + 1):
+        opt = Adam(params, beta1=beta1, beta2=0.99, eps=1e-6)
+        ref = ReferenceAdam(twins, beta1=beta1, beta2=0.99, eps=1e-6)
+        opt.step_count = ref.step_count = first_step - 1
+        for step in range(first_step, first_step + self.N_STEPS):
             for p, q in zip(params, twins):
                 g = rng.normal(scale=10.0 ** rng.integers(-4, 3), size=p.value.shape)
                 p.grad[...] = g
@@ -403,6 +405,15 @@ class TestAdamMatchesReference:
             opt.step(self.lr(step))
             ref.step(self.lr(step))
             self.assert_same_state(opt, ref)
+
+    def test_params_spanning_several_blocks(self, lanes, executors):
+        self.step_several_blocks(1, beta1=0.8)
+        self.assert_lanes_used(lanes, executors)
+
+    def test_steps_past_the_first_bias_correction_rounding_to_one(self, lanes, executors):
+        # 1 - 0.9**t is 1.0 from step 356 on, where the update skips m / bc1
+        assert 1.0 - TrainConfig.beta1**355 < 1.0 == 1.0 - TrainConfig.beta1**356
+        self.step_several_blocks(346, beta1=TrainConfig.beta1)
         self.assert_lanes_used(lanes, executors)
 
 
@@ -489,6 +500,121 @@ class TestTwoLaneAdam:
             assert len(executors) == step
             assert set(threading.enumerate()) <= alive and not lane_workers()
             assert threading.active_count() <= before
+
+
+class TestOneWorker:
+    def test_calls_in_a_block_share_one_worker(self, monkeypatch, executors):
+        monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda: 2)
+        threads: set[threading.Thread] = set()
+
+        def fn(chunk: slice) -> int:
+            threads.add(threading.current_thread())
+            return chunk.start
+
+        with one_worker():
+            # a one-chunk call runs on the caller and starts nothing
+            assert map_chunks(fn, 1, 1) == [0]
+            assert not executors
+            for n in (2, 4, 7):
+                assert map_chunks(fn, n, 1) == list(range(n))
+                # a nested block adds nothing
+                with one_worker():
+                    assert map_chunks(fn, n, 2) == list(range(0, n, 2))
+            assert len(executors) == 1 and len(lane_workers()) == 1
+        assert len(threads) == 2
+        assert not lane_workers()
+        # a block in which nothing splits starts no thread
+        with one_worker():
+            map_chunks(fn, 1, 1)
+        monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda: 1)
+        with one_worker():
+            map_chunks(fn, 4, 1)
+        assert len(executors) == 1
+
+    def test_block_joins_its_worker_on_an_error(self, monkeypatch, executors):
+        monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda: 2)
+
+        def fn(chunk: slice) -> None:
+            if chunk.start == 1:
+                raise KeyError("upper half")
+
+        with pytest.raises(KeyError, match="upper half"), one_worker():
+            map_chunks(fn, 2, 1)
+        assert len(executors) == 1
+        assert not lane_workers()
+        # the next block and the next lone call each start their own
+        with one_worker():
+            assert map_chunks(lambda c: c.start, 2, 1) == [0, 1]
+        assert map_chunks(lambda c: c.start, 2, 1) == [0, 1]
+        assert len(executors) == 3
+        assert not lane_workers()
+
+    def test_error_in_the_lower_half_waits_for_the_shared_worker(self, monkeypatch):
+        monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda: 2)
+        failed = threading.Event()
+        done: list[slice] = []
+
+        def fn(chunk: slice) -> None:
+            if chunk.start == 0:
+                failed.set()
+                raise KeyError("lower half")
+            failed.wait(timeout=10.0)
+            time.sleep(0.05)
+            done.append(chunk)
+
+        with one_worker():
+            with pytest.raises(KeyError, match="lower half"):
+                map_chunks(fn, 2, 1)
+            # the block's worker still runs, but it is done with the call
+            assert done == [slice(1, 2)]
+            assert len(lane_workers()) == 1
+        assert not lane_workers()
+
+    def test_default_steps_equal_one_lane_under_fast_thread_switching(
+        self, monkeypatch, executors
+    ):
+        # every default-shape step splits conv2, conv3, expand and the attention
+        # on the backward's worker, and Adam on its own
+        lanes = [1]
+        monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda: lanes[0])
+        models = [DegradationNetwork(ModelConfig(), np.random.default_rng(11)) for _ in range(2)]
+        optimizers = [Adam(model.params()) for model in models]
+        rng = np.random.default_rng(12)
+        steps_done: list[int] = []
+        errors: list[BaseException] = []
+
+        def run() -> None:
+            try:
+                for step in range(1, 21):
+                    x = rng.normal(size=(32, 64, 15))
+                    y = rng.uniform(0.0, 125.0, size=32)
+                    for n_lanes, model, opt in zip((1, 2), models, optimizers):
+                        lanes[0] = n_lanes
+                        _, gpred = mse_loss(model.forward(x), y)
+                        model.backward(gpred)
+                        opt.step(1e-3)
+                    for name in ("value", "grad"):
+                        if not np.array_equal(*(getattr(m, name) for m in models)):
+                            raise AssertionError(f"{name} differs after step {step}")
+                    steps_done.append(step)
+            except BaseException as exc:  # re-raised on the test's thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=run, daemon=True)
+            runner.start()
+            runner.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive(), f"stuck after {len(steps_done)} steps"
+        if errors:
+            raise errors[0]
+        assert steps_done == list(range(1, 21))
+        # one worker for each two-lane backward and one for each two-lane Adam step
+        assert len(executors) == 2 * 20
+        assert not lane_workers()
 
 
 def window_oracle(matrix: np.ndarray, j: int, window: int) -> np.ndarray:
