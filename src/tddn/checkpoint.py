@@ -9,16 +9,19 @@ shape (``arrays``), so a checkpoint can be evaluated without the
 training-time configuration. The header's ``config`` holds the three
 ``ModelConfig`` fields and the three values the architecture fixes
 (``kernel``, ``attention_hidden``, ``regressor_hidden``). The payload is
-hashed; loading verifies the digest before touching any array, builds the
-config from its three fields, and refuses a ``config`` or an ``arrays``
-table that is not the one that config produces.
+hashed. Loading builds the config from its three fields, refuses a
+``config`` or an ``arrays`` table that is not the one that config
+produces, reads the payload into the model's buffer and verifies the
+digest before returning anything.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -118,40 +121,83 @@ def save_checkpoint(
 def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
     """Read a checkpoint and rebuild the model it describes.
 
-    The payload is hashed and read through a view of the file's bytes, with
-    no copy. Its digest is checked before any array is filled, and its size
-    before the model is built; the model is built with no weights drawn
-    (``rng=None``), since the payload overwrites them all.
+    The file is opened once. Its magic, header and payload length (from the
+    file's size) are checked before the model is built, with no weights drawn
+    (``rng=None``), so a crafted config cannot allocate more. The weights are
+    then read straight into ``model.value`` and the scaler bounds into their
+    own array, and those bytes are hashed, so the payload is never held
+    twice. A digest mismatch or a short read is a ``CheckpointError`` naming
+    the file, raised before anything is returned; a payload of the wrong
+    length is reported as a checksum mismatch when its digest fails too.
     """
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"missing checkpoint: {path}")
-    blob = path.read_bytes()
-    if len(blob) < len(MAGIC) + 4:
-        raise CheckpointError(f"{path}: truncated before header")
-    if blob[: len(MAGIC)] != MAGIC:
-        raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
-    (header_len,) = struct.unpack("<I", blob[len(MAGIC) : len(MAGIC) + 4])
-    header_start = len(MAGIC) + 4
-    if len(blob) < header_start + header_len:
-        raise CheckpointError(f"{path}: truncated header")
-    try:
-        header = json.loads(blob[header_start : header_start + header_len])
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: unreadable header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise CheckpointError(f"{path}: header is not a JSON object")
-    version = header.get("format_version")
-    if type(version) is not int or version != FORMAT_VERSION:
-        raise CheckpointError(
-            f"{path}: unsupported format version {version!r}"
-        )
+    with open(path, "rb") as fh:
+        file_size = os.fstat(fh.fileno()).st_size
+        head = fh.read(len(MAGIC) + 4)
+        if len(head) < len(MAGIC) + 4:
+            raise CheckpointError(f"{path}: truncated before header")
+        if head[: len(MAGIC)] != MAGIC:
+            raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
+        (header_len,) = struct.unpack("<I", head[len(MAGIC) :])
+        raw_header = fh.read(header_len)
+        if len(raw_header) < header_len:
+            raise CheckpointError(f"{path}: truncated header")
+        try:
+            header = json.loads(raw_header)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointError(f"{path}: unreadable header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise CheckpointError(f"{path}: header is not a JSON object")
+        version = header.get("format_version")
+        if type(version) is not int or version != FORMAT_VERSION:
+            raise CheckpointError(
+                f"{path}: unsupported format version {version!r}"
+            )
+        config, selection, policy = _parse_header(path, header)
 
-    payload = memoryview(blob)[header_start + header_len :]
-    digest = hashlib.sha256(payload).hexdigest()
-    if digest != header.get("payload_sha256"):
+        # checked before the model is built, so a crafted config cannot allocate more
+        payload_len = file_size - len(head) - header_len
+        expected = 8 * (config.n_parameters + 2 * config.n_features)
+        if payload_len != expected:
+            digest = hashlib.sha256()
+            while chunk := fh.read(1 << 20):
+                digest.update(chunk)
+            if digest.hexdigest() != header.get("payload_sha256"):
+                raise CheckpointError(f"{path}: payload checksum mismatch")
+            raise CheckpointError(f"{path}: payload of {payload_len} bytes, expected {expected}")
+        model = DegradationNetwork(config, rng=None)
+        # compared as JSON text, so 2.0 or true does not pass for 2 or 1
+        if json.dumps(header.get("arrays")) != json.dumps(_arrays_table(model, config.n_features)):
+            raise CheckpointError(f"{path}: header arrays are not those of its model config")
+        bounds = np.empty(2 * config.n_features)
+        digest = hashlib.sha256()
+        for array in (model.value, bounds):
+            view = memoryview(array).cast("B")
+            if fh.readinto(view) != len(view):
+                raise CheckpointError(f"{path}: payload ends early; the file shrank while read")
+            digest.update(view)
+    if digest.hexdigest() != header.get("payload_sha256"):
         raise CheckpointError(f"{path}: payload checksum mismatch")
+    if sys.byteorder == "big":
+        # the file holds little-endian floats, hashed as stored
+        model.value.byteswap(inplace=True)
+        bounds.byteswap(inplace=True)
+    col_min, col_max = bounds.reshape(2, -1)
+    scaler = Scaler(columns=selection.columns, col_min=col_min, col_max=col_max)
+    return LoadedCheckpoint(
+        model=model,
+        scaler=scaler,
+        selection=selection,
+        policy=policy,
+    )
 
+
+def _parse_header(
+    path: Path, header: dict
+) -> tuple[ModelConfig, SensorSelection, LabelPolicy]:
+    """The model config, selection and label policy a checkpoint header states."""
     try:
         subset_id = header["subset_id"]
         columns = header["columns"]
@@ -190,23 +236,4 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
         raise CheckpointError(
             f"{path}: {selection.n_columns} columns for {config.n_features} model features"
         )
-
-    # checked before the model is built, so a crafted config cannot allocate more
-    size = config.n_parameters
-    expected = 8 * (size + 2 * config.n_features)
-    if len(payload) != expected:
-        raise CheckpointError(f"{path}: payload of {len(payload)} bytes, expected {expected}")
-    model = DegradationNetwork(config, rng=None)
-    # compared as JSON text, so 2.0 or true does not pass for 2 or 1
-    if json.dumps(header.get("arrays")) != json.dumps(_arrays_table(model, config.n_features)):
-        raise CheckpointError(f"{path}: header arrays are not those of its model config")
-    values = np.frombuffer(payload, dtype="<f8")
-    model.value[...] = values[:size]
-    col_min, col_max = values[size:].reshape(2, -1).astype(np.float64)
-    scaler = Scaler(columns=columns, col_min=col_min, col_max=col_max)
-    return LoadedCheckpoint(
-        model=model,
-        scaler=scaler,
-        selection=selection,
-        policy=policy,
-    )
+    return config, selection, policy

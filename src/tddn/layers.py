@@ -20,10 +20,12 @@ from .lanes import map_chunks
 class Param:
     """A trainable array and its gradient, which each ``backward`` overwrites.
 
-    ``pack``, which every ``DegradationNetwork`` runs when it is built,
-    rebinds ``value`` and ``grad`` to views into two flat buffers. After
-    that, update both in place (``p.value[...] = x``) and do not rebind
-    them: ``training.Adam`` steps the buffers and raises on a rebound param.
+    The gradient starts as ``np.zeros``, whose pages the OS maps only when
+    written. ``pack``, which every ``DegradationNetwork`` runs when it is
+    built, rebinds ``value`` and ``grad`` to views into two flat buffers and
+    carries only the value over. After that, update both in place
+    (``p.value[...] = x``) and do not rebind them: ``training.Adam`` steps
+    the buffers and raises on a rebound param.
     """
 
     __slots__ = ("name", "value", "grad")
@@ -31,7 +33,7 @@ class Param:
     def __init__(self, name: str, value: np.ndarray):
         self.name = name
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
+        self.grad = np.zeros(self.value.shape)
 
     def __repr__(self) -> str:
         return f"Param({self.name!r}, shape={self.value.shape})"
@@ -45,20 +47,25 @@ def _require_params(params: Sequence[Param]) -> None:
 def pack(params: Sequence[Param]) -> tuple[np.ndarray, np.ndarray]:
     """Lay ``params`` out, in order, in one flat value and one flat grad buffer.
 
-    Each param's arrays are copied in, and ``value``/``grad`` are rebound to
-    views into the returned buffers. A param listed twice, or none at all, is
-    a ``ValueError``.
+    Both buffers are ``np.zeros``, each param's value is copied in, and
+    ``value``/``grad`` are rebound to views into them. A gradient is not
+    carried over: the grad buffer reads zero, and the OS maps its pages
+    only when a ``backward`` first writes them, so a model that only
+    predicts never does. A param listed twice, or none at all, is a
+    ``ValueError``.
     """
     _require_params(params)
     for i, p in enumerate(params):
         if any(p is q for q in params[:i]):
             raise ValueError(f"param {p.name!r} is listed twice")
-    value = np.concatenate([p.value.ravel() for p in params])
-    grad = np.concatenate([p.grad.ravel() for p in params])
+    size = sum(p.value.size for p in params)
+    value, grad = np.zeros(size), np.zeros(size)
     offset = 0
     for p in params:
         end, shape = offset + p.value.size, p.value.shape
-        p.value, p.grad = value[offset:end].reshape(shape), grad[offset:end].reshape(shape)
+        view = value[offset:end].reshape(shape)
+        view[...] = p.value
+        p.value, p.grad = view, grad[offset:end].reshape(shape)
         offset = end
     return value, grad
 
@@ -235,7 +242,8 @@ class Conv1d(Module):
         batch, n_time, c_in = x.shape
         if c_in != self.c_in:
             raise ValueError(f"expected {self.c_in} input channels, got {c_in}")
-        patches = np.zeros((batch, n_time, 2 * c_in))
+        patches = np.empty((batch, n_time, 2 * c_in))
+        patches[:, 0, :c_in] = 0.0
         patches[:, 1:, :c_in] = x[:, :-1]
         patches[:, :, c_in:] = x
         out = patches @ self.weight.value.reshape(2 * c_in, self.c_out)

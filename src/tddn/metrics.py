@@ -7,13 +7,13 @@ against the RUL value the dataset states for that cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cmapss import DatasetBundle, EngineTrajectory
 from .model import DegradationNetwork
-from .preprocess import LabelPolicy, Scaler, SensorSelection, selection_matrix
+from .preprocess import LabelPolicy, Scaler, SensorSelection, scale_rows, selection_matrix
 # only bench/ uses this: its metrics.apply_scaler span reads 0, since nothing here calls it
 from .preprocess import apply_scaler  # noqa: F401
 from .training import build_window_bank, map_windows, predict_windows
@@ -80,16 +80,27 @@ def last_windows(
 ) -> np.ndarray:
     """The final window of every test engine, stacked (n_engines, w, m).
 
-    Every cycle's selected columns are checked for non-finite values, but
-    only each engine's last ``window`` cycles are scaled and padded: the
-    window bank of those tails ends on the same windows, since scaling and
-    padding work row by row.
+    Every cycle's selected columns are checked for non-finite values, engine
+    by engine in bundle order, so the error is ``selection_matrix``'s for the
+    first bad engine. Then each engine's last ``window`` rows are gathered,
+    front-padded with its first row when it is shorter than the window, and
+    all are scaled in one pass. Scaling and padding work row by row, so the
+    bytes are those of the window bank of the full trajectories, at each
+    engine's last window.
     """
-    for traj in bundle.test:
-        selection_matrix(traj, selection)  # names the engine and cycle of a NaN or inf
-    tails = [replace(traj, values=traj.values[-window:]) for traj in bundle.test]
-    bank = build_window_bank(tails, scaler, selection, LabelPolicy(), window)
-    return bank.gather(bank.ends)[0]
+    windows = np.empty((len(bundle.test), window, selection.n_columns))
+    # a sum is finite only when every term is, so the check that names the
+    # engine, cycle and column of a NaN or inf runs only on that hint (a sum
+    # may also meet inf - inf, or overflow from finite terms)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for out, traj in zip(windows, bundle.test):
+            if not np.isfinite(traj.values.sum()):
+                selection_matrix(traj, selection)
+            tail = traj.values[-window:]
+            pad = window - len(tail)
+            out[pad:] = tail[:, selection.indices]
+            out[:pad] = out[pad]
+    return scale_rows(windows, scaler, selection)
 
 
 def evaluate_test(

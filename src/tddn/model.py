@@ -153,8 +153,12 @@ class FeatureAttention(Module):
         m = h.shape[2]
         if m != self.n_features:
             raise ValueError(f"expected {self.n_features} features, got {m}")
-        first = np.broadcast_to(h[:, :1, :], h.shape)
-        augmented = np.concatenate([h, first, h - first, h * first], axis=2)
+        first = h[:, :1, :]
+        augmented = np.empty(h.shape[:2] + (4 * m,))
+        augmented[:, :, :m] = h
+        augmented[:, :, m : 2 * m] = first
+        np.subtract(h, first, out=augmented[:, :, 2 * m : 3 * m])
+        np.multiply(h, first, out=augmented[:, :, 3 * m :])
         # in place: these (B, w, hidden) arrays are the largest of a forward
         hidden = augmented @ self.weight.value
         hidden += self.bias.value

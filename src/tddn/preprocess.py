@@ -147,17 +147,28 @@ def apply_scaler(
     Training values land exactly in [-1, 1]; test values may fall outside
     and are intentionally not clipped. Degenerate columns map to 0.
     """
+    return scale_rows(selection_matrix(trajectory, selection), scaler, selection)
+
+
+def scale_rows(rows: np.ndarray, scaler: Scaler, selection: SensorSelection) -> np.ndarray:
+    """Scale rows of ``selection``'s columns (the last axis) in place, as ``apply_scaler`` does.
+
+    A scaler fitted on other columns is a ``ValueError``. Returns ``rows``.
+    """
     if scaler.columns != selection.columns:
         raise ValueError(
             "scaler/selection column mismatch: "
             f"scaler has {scaler.columns}, selection has {selection.columns}"
         )
-    matrix = selection_matrix(trajectory, selection)
     span = scaler.col_max - scaler.col_min
     safe_span = np.where(span == 0.0, 1.0, span)
-    scaled = 2.0 * (matrix - scaler.col_min) / safe_span - 1.0
-    scaled[:, scaler.degenerate] = 0.0
-    return scaled
+    # the element-wise steps of 2.0 * (x - min) / span - 1.0, in that order
+    rows -= scaler.col_min
+    rows *= 2.0
+    rows /= safe_span
+    rows -= 1.0
+    rows[..., scaler.degenerate] = 0.0
+    return rows
 
 
 def assign_rul_labels(n_cycles: int, policy: LabelPolicy) -> np.ndarray:

@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import re
 import struct
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +20,7 @@ from tddn.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from tddn.model import DegradationNetwork, ModelConfig
+from tddn.model import DegradationNetwork, ModelConfig, conv_channels_for_depth
 from tddn.preprocess import COLUMN_NAMES, LabelPolicy, fit_scaler, select_columns
 from tddn.training import Adam
 from _synth import make_bundle
@@ -176,6 +180,96 @@ class TestArenaBytes:
         loaded = load_checkpoint(path)
         assert rngs and all(rng is None for rng in rngs)
         assert loaded.model.value.tobytes() == model.value.tobytes()
+
+
+class TestLoader:
+    def test_peak_memory_holds_no_second_copy_of_the_payload(self, tmp_path):
+        # the FD004 shape: 1.6M parameters, a 12.8 MB payload
+        selection = select_columns("FD004")
+        scaler = fit_scaler(make_bundle(n_train=2, seed=51).train, selection)
+        config = ModelConfig(n_features=selection.n_columns)
+        path = tmp_path / "fd004.ckpt"
+        model = DegradationNetwork(config, np.random.default_rng(4))
+        save_checkpoint(path, model, scaler, selection, LabelPolicy(), "FD004")
+        del model
+
+        def peak(fn) -> int:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = fn()
+            used = tracemalloc.get_traced_memory()[1] - before
+            del result
+            return used
+
+        tracemalloc.start()
+        try:
+            build = peak(lambda: DegradationNetwork(config, rng=None))
+            load = peak(lambda: load_checkpoint(path))
+        finally:
+            tracemalloc.stop()
+        scaler_bytes = scaler.col_min.nbytes + scaler.col_max.nbytes
+        assert load <= build + scaler_bytes + (1 << 20)
+
+    def test_loaded_model_reads_zero_gradients_and_trains(self, saved):
+        path, model, _, _ = saved
+        loaded = load_checkpoint(path).model
+        assert not loaded.grad.any()
+        x = np.random.default_rng(5).normal(size=(6, 8, 15))
+        pred = loaded.forward(x)
+        np.testing.assert_array_equal(pred, model.forward(x))
+        gin = loaded.backward(np.ones_like(pred))
+        assert gin.shape == x.shape
+        model.backward(np.ones_like(pred))
+        assert loaded.grad.tobytes() == model.grad.tobytes()
+
+    @pytest.mark.parametrize("edit", [lambda b: b[:-1], lambda b: b + b"\0"], ids=["short", "long"])
+    def test_payload_off_by_one_byte_names_the_file(self, saved, edit):
+        path, *_ = saved
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(CheckpointError, match=re.escape(str(path))):
+            load_checkpoint(path)
+
+    def test_short_read_names_the_file(self, saved, monkeypatch):
+        # the file shrinks after its size is taken
+        path, *_ = saved
+        blob = path.read_bytes()
+        size = len(blob)
+        path.write_bytes(blob[:-8])
+        real_fstat = os.fstat
+
+        def fstat(fd):
+            fields = list(real_fstat(fd))
+            fields[6] = size  # st_size
+            return os.stat_result(fields)
+
+        monkeypatch.setattr(os, "fstat", fstat)
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: payload ends early")):
+            load_checkpoint(path)
+
+    @pytest.mark.skipif(sys.byteorder != "little", reason="fakes a big-endian host")
+    def test_big_endian_host_swaps_after_hashing(self, saved, monkeypatch):
+        path, model, scaler, _ = saved
+        monkeypatch.setattr(sys, "byteorder", "big")
+        loaded = load_checkpoint(path)
+        # on a little-endian host the swap is what a big-endian one undoes
+        assert loaded.model.value.tobytes() == model.value.byteswap().tobytes()
+        assert loaded.scaler.col_max.tobytes() == scaler.col_max.byteswap().tobytes()
+
+    @pytest.mark.parametrize("window, depth", [(8, 2), (16, 1), (64, 3)])
+    def test_load_then_save_gives_the_same_file(self, tmp_path, window, depth):
+        bundle = make_bundle(n_train=3, seed=52)
+        selection = select_columns("FD001")
+        scaler = fit_scaler(bundle.train, selection)
+        config = ModelConfig(window=window, n_features=15, conv_channels=conv_channels_for_depth(depth))
+        model = DegradationNetwork(config, np.random.default_rng(window + depth))
+        first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
+        save_checkpoint(first, model, scaler, selection, LabelPolicy(r_max=125), "FD001")
+        loaded = load_checkpoint(first)
+        save_checkpoint(
+            second, loaded.model, loaded.scaler, loaded.selection, loaded.policy,
+            loaded.selection.subset_id,
+        )
+        assert second.read_bytes() == first.read_bytes()
 
 
 class TestCorruption:

@@ -5,10 +5,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from tddn.cmapss import COLUMN_NAMES, DatasetBundle, EngineTrajectory
 from tddn.metrics import evaluate_test, last_windows, nasa_score, predict_engine, rmse
 from tddn.model import DegradationNetwork, ModelConfig
-from tddn.preprocess import LabelPolicy, apply_scaler, fit_scaler, pad_series, select_columns
+from tddn.preprocess import (
+    LabelPolicy,
+    Scaler,
+    apply_scaler,
+    fit_scaler,
+    pad_series,
+    select_columns,
+    selection_matrix,
+)
 from tddn.training import build_window_bank
 from _synth import make_bundle
 
@@ -181,3 +191,58 @@ class TestEvaluateTest:
         stacked = last_windows(bundle, scaler, selection, model.config.window)
         direct = float(np.clip(model.forward(stacked[:1])[0], 0.0, 120.0))
         assert curve[-1] == pytest.approx(direct, abs=1e-12)
+
+
+def _first_selection_error(test, selection) -> str | None:
+    """``selection_matrix``'s message for the first engine, in order, that it refuses."""
+    for traj in test:
+        try:
+            selection_matrix(traj, selection)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+class TestLastWindowsDefinition:
+    """``last_windows`` against its definition: the last window of each engine's full bank."""
+
+    @given(data=st.data())
+    def test_bytes_of_the_full_bank_or_the_first_bad_value_named(self, data):
+        window = data.draw(st.integers(4, 12), label="window")
+        near = st.sampled_from([window - 1, window, window + 1])
+        lengths = data.draw(
+            st.lists(near | st.integers(1, 3 * window), min_size=1, max_size=5), label="lengths"
+        )
+        selection = select_columns(data.draw(st.sampled_from(["FD001", "FD004"])))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        scale = data.draw(st.sampled_from([1.0, 1e3, 1e-3]), label="scale")
+        test = [
+            EngineTrajectory(unit_id=i + 1, values=scale * rng.normal(size=(n, len(COLUMN_NAMES))))
+            for i, n in enumerate(lengths)
+        ]
+        m = selection.n_columns
+        col_min = scale * rng.normal(size=m)
+        span = scale * rng.uniform(0.5, 2.0, size=m)
+        degenerate = data.draw(st.lists(st.integers(0, m - 1), max_size=3), label="degenerate")
+        span[degenerate] = 0.0
+        scaler = Scaler(columns=selection.columns, col_min=col_min, col_max=col_min + span)
+        for _ in range(data.draw(st.integers(0, 3), label="n_bad")):
+            k = data.draw(st.integers(0, len(test) - 1), label="engine")
+            row = data.draw(st.integers(0, test[k].n_cycles - 1), label="cycle")
+            col = data.draw(st.integers(0, len(COLUMN_NAMES) - 1), label="column")
+            test[k].values[row, col] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        bundle = DatasetBundle(
+            subset_id=selection.subset_id, train=(), test=tuple(test),
+            test_rul=np.zeros(len(test), dtype=np.int64),
+        )
+        message = _first_selection_error(test, selection)
+        if message is not None:
+            with pytest.raises(ValueError) as info:
+                last_windows(bundle, scaler, selection, window)
+            assert str(info.value) == message
+            return
+        bank = build_window_bank(test, scaler, selection, LabelPolicy(), window)
+        want = bank.gather(bank.ends)[0]
+        got = last_windows(bundle, scaler, selection, window)
+        assert got.shape == want.shape == (len(test), window, m)
+        assert got.tobytes() == want.tobytes()

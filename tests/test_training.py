@@ -202,8 +202,8 @@ class TestAdam:
         # bias-corrected first step: -lr * g / (|g| + eps') ≈ -lr * sign(g)
         for g in (0.7, -3.0, 1e-3):
             p = Param("p", np.array([0.5]))
-            p.grad[:] = g
             opt = Adam(packed_params(p))
+            p.grad[:] = g
             opt.step(lr=0.01)
             update = p.value[0] - 0.5
             assert update == pytest.approx(-0.01 * np.sign(g), rel=1e-5)
@@ -215,8 +215,8 @@ class TestAdam:
         results = []
         for _ in range(2):
             p = Param("p", value.copy())
-            p.grad[...] = grad
             opt = Adam(packed_params(p))
+            p.grad[...] = grad
             opt.step(lr=0.05)
             opt.step(lr=0.05)
             results.append(p.value.copy())
