@@ -22,40 +22,53 @@ class Param:
 
     The gradient starts as ``np.zeros``, whose pages the OS maps only when
     written. ``pack``, which every ``DegradationNetwork`` runs when it is
-    built, rebinds ``value`` and ``grad`` to views into two flat buffers and
-    carries only the value over. After that, update both in place
-    (``p.value[...] = x``) and do not rebind them: ``training.Adam`` steps
-    the buffers and raises on a rebound param.
+    built, rebinds ``value`` and ``grad`` to views into two flat buffers,
+    carries only the value over, and records ``layout``: those buffers and
+    the param's offset in them. From then on, update both in place
+    (``p.value[...] = x``, ``p.value -= x``): rebinding either to another
+    array is a ``ValueError`` naming the param and the attribute.
     """
 
-    __slots__ = ("name", "value", "grad")
+    __slots__ = ("name", "layout", "value", "grad")
 
     def __init__(self, name: str, value: np.ndarray):
         self.name = name
+        self.layout: tuple[np.ndarray, np.ndarray, int] | None = None
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = np.zeros(self.value.shape)
+
+    def __setattr__(self, attr: str, new: object) -> None:
+        # an augmented assignment sets back the array it updated in place
+        if attr in ("value", "grad") and self.layout is not None:
+            old = getattr(self, attr)
+            if new is not old:
+                raise ValueError(
+                    f"param {self.name!r}: .{attr} (shape {old.shape}) views a packed "
+                    f"buffer; update it in place instead of rebinding it (to shape "
+                    f"{np.shape(new)})"
+                )
+        object.__setattr__(self, attr, new)
 
     def __repr__(self) -> str:
         return f"Param({self.name!r}, shape={self.value.shape})"
 
 
-def _require_params(params: Sequence[Param]) -> None:
-    if not params:
-        raise ValueError("empty param list: there are no buffers to pack")
-
-
 def pack(params: Sequence[Param]) -> tuple[np.ndarray, np.ndarray]:
     """Lay ``params`` out, in order, in one flat value and one flat grad buffer.
 
-    Both buffers are ``np.zeros``, each param's value is copied in, and
-    ``value``/``grad`` are rebound to views into them. A gradient is not
+    Both buffers are ``np.zeros``, each param's value is copied in,
+    ``value``/``grad`` are rebound to views into them, and each param's
+    ``layout`` records the two buffers and its offset. A gradient is not
     carried over: the grad buffer reads zero, and the OS maps its pages
     only when a ``backward`` first writes them, so a model that only
-    predicts never does. A param listed twice, or none at all, is a
-    ``ValueError``.
+    predicts never does. A param packed before or listed twice, or no param
+    at all, is a ``ValueError`` raised before any param is rebound.
     """
-    _require_params(params)
+    if not params:
+        raise ValueError("empty param list: there are no buffers to pack")
     for i, p in enumerate(params):
+        if p.layout is not None:
+            raise ValueError(f"param {p.name!r} is already packed")
         if any(p is q for q in params[:i]):
             raise ValueError(f"param {p.name!r} is listed twice")
     size = sum(p.value.size for p in params)
@@ -66,31 +79,8 @@ def pack(params: Sequence[Param]) -> tuple[np.ndarray, np.ndarray]:
         view = value[offset:end].reshape(shape)
         view[...] = p.value
         p.value, p.grad = view, grad[offset:end].reshape(shape)
+        p.layout = (value, grad, offset)
         offset = end
-    return value, grad
-
-
-def packed(params: Sequence[Param]) -> tuple[np.ndarray, np.ndarray]:
-    """The flat value and grad buffers that ``pack`` laid ``params`` out in.
-
-    A ``ValueError`` names the first param that is not viewed at its offset
-    in them (never packed, listed out of order or twice, or rebound since),
-    or the last one when the list leaves packed params out.
-    """
-    _require_params(params)
-    value, grad = params[0].value.base, params[0].grad.base
-    offset = 0
-    for p in params:
-        end = offset + p.value.size
-        if value is grad or not all(
-            isinstance(b, np.ndarray) and b.ndim == 1 and end <= b.size
-            and a.__array_interface__ == b[offset:end].reshape(p.value.shape).__array_interface__
-            for a, b in ((p.value, value), (p.grad, grad))
-        ):
-            raise ValueError(f"param {p.name!r} is not at offset {offset} of packed buffers")
-        offset = end
-    if offset != value.size:
-        raise ValueError(f"param {params[-1].name!r} is not the last param packed with it")
     return value, grad
 
 

@@ -18,7 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .cmapss import EngineTrajectory
 from .lanes import map_chunks
 from .model import DegradationNetwork, ModelConfig
-from .layers import mse_loss, packed
+from .layers import mse_loss
 from .preprocess import (
     LabelPolicy,
     Scaler,
@@ -166,12 +166,12 @@ class Adam:
     """Bias-corrected Adam over a fixed parameter list.
 
     The params must be exactly those ``layers.pack`` laid out, in packing
-    order, as ``DegradationNetwork.params()`` are. The optimizer adopts
-    their flat buffers as ``value`` and ``grad`` without copying, and keeps
-    ``m`` and ``v`` as flat arrays in the same order; any other list is a
-    ``ValueError`` naming a param. Update params in place (``p.grad[...] =
-    g``), never rebind them: ``step`` raises ``ValueError`` naming a param
-    whose arrays no longer view the buffers.
+    order, as ``DegradationNetwork.params()`` are. The optimizer reads the
+    flat buffers from their ``layout`` records and adopts them as ``value``
+    and ``grad`` without copying, and keeps ``m`` and ``v`` as flat arrays
+    in the same order; any other list is a ``ValueError`` naming a param.
+    A packed param refuses a rebind of its arrays, so ``step`` need not
+    check that they still view the buffers.
 
     ``step`` updates the buffers in ``ADAM_BLOCK``-long blocks through
     ``map_chunks``: from ``ADAM_TWO_LANE_MIN`` parameters up as two chunks
@@ -189,25 +189,28 @@ class Adam:
         eps: float = TrainConfig.eps,
     ):
         self.params = list(params)
-        self.value, self.grad = packed(self.params)
+        if not self.params:
+            raise ValueError("empty param list: there are no buffers to step")
+        self.value, self.grad, _ = self.params[0].layout or (None, None, 0)
+        offset = 0
+        for p in self.params:
+            value, grad, start = p.layout or (None, None, 0)
+            in_place = value is self.value and grad is self.grad and start == offset
+            if value is None or not in_place:
+                raise ValueError(f"param {p.name!r} is not at offset {offset} of packed buffers")
+            offset += p.value.size
+        if offset != self.value.size:
+            last = self.params[-1].name
+            raise ValueError(f"param {last!r} is not the last param packed with it")
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
         self.m = np.zeros(self.value.size)
         self.v = np.zeros(self.value.size)
-        self._views = [(p.value, p.grad) for p in self.params]
 
     def step(self, lr: float) -> None:
         """Apply one update from the gradients currently in the params."""
-        for p, (value, grad) in zip(self.params, self._views):
-            if p.value is not value or p.grad is not grad:
-                attr, view = ("value", value) if p.value is not value else ("grad", grad)
-                raise ValueError(
-                    f"param {p.name!r}: .{attr} (shape {getattr(p, attr).shape}) no "
-                    f"longer views the optimizer's buffer (shape {view.shape}); "
-                    "update params in place instead of rebinding them"
-                )
         self.step_count += 1
         b1, b2, eps = self.beta1, self.beta2, self.eps
         bc1 = 1.0 - b1**self.step_count

@@ -59,10 +59,10 @@ def executors(monkeypatch) -> list[int]:
     """One entry per worker thread ``tddn.lanes.map_chunks`` starts during the test."""
     started: list[int] = []
 
-    class Spy(lanes.Worker):
-        def __init__(self) -> None:
+    class Spy(lanes.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs) -> None:
             started.append(1)
-            super().__init__()
+            super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(lanes, "Worker", Spy)
+    monkeypatch.setattr(lanes, "ThreadPoolExecutor", Spy)
     return started

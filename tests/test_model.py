@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -282,6 +284,30 @@ class TestArena:
         loaded = load_checkpoint(path).model
         np.testing.assert_array_equal(loaded.value, net.value)
         assert_views_the_buffers(loaded)
+
+    @pytest.mark.parametrize("source", ["built", "loaded"])
+    def test_dropped_model_frees_its_buffers_without_the_cycle_collector(
+        self, source, tmp_path
+    ):
+        # a param's layout holds its buffers, never the other params: a cycle
+        # would keep a dropped model's arena alive until the collector ran
+        net = DegradationNetwork(TINY, np.random.default_rng(16))
+        if source == "loaded":
+            columns = ("sensor_2", "sensor_3", "sensor_4")
+            selection = SensorSelection(subset_id="FD001", columns=columns)
+            scaler = Scaler(columns=columns, col_min=np.zeros(3), col_max=np.ones(3))
+            path = tmp_path / "model.ckpt"
+            save_checkpoint(path, net, scaler, selection, LabelPolicy(), "FD001")
+            net = load_checkpoint(path).model
+        value, grad = weakref.ref(net.value), weakref.ref(net.grad)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del net
+            assert value() is None and grad() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_round_trip(self):
         # copying one buffer into another model copies the model
