@@ -28,7 +28,6 @@ from .preprocess import (
     apply_scaler,
     assign_rul_labels,
     fit_scaler,
-    pad_series,
     select_columns,
 )
 from .training import TrainConfig, TrainReport, TrainResult, lr_at, split_engines, train
@@ -59,7 +58,6 @@ __all__ = [
     "load_subset",
     "lr_at",
     "nasa_score",
-    "pad_series",
     "predict_engine",
     "rmse",
     "save_checkpoint",

@@ -13,7 +13,7 @@ import numpy as np
 
 from .cmapss import DatasetBundle, EngineTrajectory
 from .model import DegradationNetwork
-from .preprocess import LabelPolicy, Scaler, SensorSelection, scale_rows, selection_matrix
+from .preprocess import LabelPolicy, Scaler, SensorSelection, front_pad, scale_rows, selection_matrix
 # only bench/ uses this: its metrics.apply_scaler span reads 0, since nothing here calls it
 from .preprocess import apply_scaler  # noqa: F401
 from .training import build_window_bank, map_windows, predict_windows
@@ -83,10 +83,10 @@ def last_windows(
     Every cycle's selected columns are checked for non-finite values, engine
     by engine in bundle order, so the error is ``selection_matrix``'s for the
     first bad engine. Then each engine's last ``window`` rows are gathered,
-    front-padded with its first row when it is shorter than the window, and
-    all are scaled in one pass. Scaling and padding work row by row, so the
-    bytes are those of the window bank of the full trajectories, at each
-    engine's last window.
+    front-padded with its first row by ``front_pad`` (the window bank's rule)
+    when it is shorter than the window, and all are scaled in one pass.
+    Scaling and padding work row by row, so the bytes are those of the
+    window bank of the full trajectories, at each engine's last window.
     """
     windows = np.empty((len(bundle.test), window, selection.n_columns))
     # a sum is finite only when every term is, so the check that names the
@@ -96,10 +96,7 @@ def last_windows(
         for out, traj in zip(windows, bundle.test):
             if not np.isfinite(traj.values.sum()):
                 selection_matrix(traj, selection)
-            tail = traj.values[-window:]
-            pad = window - len(tail)
-            out[pad:] = tail[:, selection.indices]
-            out[:pad] = out[pad]
+            front_pad(out, traj.values[-window:, selection.indices])
     return scale_rows(windows, scaler, selection)
 
 

@@ -2,11 +2,11 @@
 
 The pipeline per engine is: pick the informative columns for the subset,
 min-max scale them with statistics fitted on the training split only,
-attach piecewise-linear RUL labels, and left-pad with the first cycle so
+attach piecewise-linear RUL labels, and front-pad with the first cycle so
 every cycle owns a full window. Labels are those of a run to failure,
 the only kind of engine trained on; a test engine is scored at its last
-cycle against the RUL file (``metrics.evaluate_test``). Cutting the
-padded rows into moving windows is ``training.WindowBank``'s job.
+cycle against the RUL file (``metrics.evaluate_test``). ``front_pad`` is
+the one padding rule, for the window bank and ``metrics.last_windows``.
 """
 
 from __future__ import annotations
@@ -182,16 +182,14 @@ def assign_rul_labels(n_cycles: int, policy: LabelPolicy) -> np.ndarray:
     return np.minimum(countdown, policy.r_max).astype(np.float64)
 
 
-def pad_series(matrix: np.ndarray, window: int) -> np.ndarray:
-    """Prepend window-1 copies of the first row.
+def front_pad(out: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Write ``rows`` at the end of ``out`` and copies of ``rows[0]`` before them.
 
-    The result has n + window - 1 rows whose first ``window`` rows all
-    equal the original first row, so even cycle 1 owns a full window.
+    ``out`` holds at least as many rows as ``rows``, and ``rows`` at least
+    one. With ``out`` ``window - 1`` rows longer than ``rows``, even the
+    first row owns a full window. Returns ``out``.
     """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[0] < 1:
-        raise ValueError(f"expected a nonempty 2-D matrix, got shape {matrix.shape}")
-    return np.concatenate([np.repeat(matrix[:1], window - 1, axis=0), matrix])
-
+    pad = len(out) - len(rows)
+    out[pad:] = rows
+    out[:pad] = rows[0]
+    return out

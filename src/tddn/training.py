@@ -26,7 +26,7 @@ from .preprocess import (
     apply_scaler,
     assign_rul_labels,
     fit_scaler,
-    pad_series,
+    front_pad,
 )
 
 logger = logging.getLogger(__name__)
@@ -260,32 +260,20 @@ class Adam:
 class WindowBank:
     """All windows of a set of engines, served from one strided view.
 
-    The padded scaled rows of every engine are stacked end to end in one
-    (rows, m) matrix. A ``sliding_window_view`` over it exposes every
-    w-row window without copying; ``starts`` holds the first row of each
-    window in flat order (engine by engine, cycle by cycle), so a batch
-    is one fancy index into the view.
+    ``rows`` stacks the engines' padded scaled rows end to end, each engine's
+    ``lengths[k]`` rows after ``window - 1`` copies of its first, and
+    ``labels`` holds one label per window in flat order (engine by engine,
+    cycle by cycle). A ``sliding_window_view`` over ``rows`` exposes every
+    w-row window without copying; flat window j of engine k starts on row
+    ``j + k * (window - 1)``, so a batch is one fancy index into the view.
     """
 
-    def __init__(self, padded: list[np.ndarray], labels: list[np.ndarray], window: int):
-        if len(padded) != len(labels):
-            raise ValueError("padded/labels lengths differ")
-        if not padded:
-            raise ValueError("a window bank needs at least one engine")
-        for p, l in zip(padded, labels):
-            if p.shape[0] != l.shape[0] + window - 1:
-                raise ValueError(
-                    f"padded length {p.shape[0]} does not fit {l.shape[0]} labels"
-                )
-        self.window = window
-        self.labels = np.concatenate(labels)
-        offsets = np.cumsum([0] + [p.shape[0] for p in padded[:-1]])
-        self.starts = np.concatenate(
-            [o + np.arange(l.shape[0], dtype=np.int64) for o, l in zip(offsets, labels)]
-        )
+    def __init__(self, rows: np.ndarray, lengths: Sequence[int], labels: np.ndarray, window: int):
+        self.labels = labels
+        engine = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+        self.starts = np.arange(labels.shape[0], dtype=np.int64) + engine * (window - 1)
         # flat index of each engine's last window
-        self.ends = np.cumsum([l.shape[0] for l in labels]) - 1
-        rows = np.concatenate(padded)
+        self.ends = np.cumsum(lengths) - 1
         self._windows = sliding_window_view(rows, (window, rows.shape[1]))[:, 0]
 
     @property
@@ -304,17 +292,27 @@ def build_window_bank(
     policy: LabelPolicy,
     window: int,
 ) -> WindowBank:
-    """Scale, label and pad a set of trajectories into a WindowBank.
+    """Scale, label and pad a set of trajectories into a WindowBank, in one pass.
 
-    Each trajectory is labelled as a run to failure: its last cycle has RUL 0.
+    Each engine's ``apply_scaler`` rows go through ``front_pad`` straight
+    into the bank's one row matrix. Each trajectory is labelled as a run to
+    failure: its last cycle has RUL 0. No engines, or a window below 1, is a
+    ``ValueError``.
     """
-    padded: list[np.ndarray] = []
-    labels: list[np.ndarray] = []
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+    if not trajectories:
+        raise ValueError("a window bank needs at least one engine")
+    lengths = [traj.n_cycles for traj in trajectories]
+    rows = np.empty((sum(lengths) + len(lengths) * (window - 1), selection.n_columns))
+    labels = []
+    stop = 0
     for traj in trajectories:
+        start, stop = stop, stop + traj.n_cycles + window - 1
         scaled = apply_scaler(traj, scaler, selection)
-        padded.append(pad_series(scaled, window))
         labels.append(assign_rul_labels(traj.n_cycles, policy))
-    return WindowBank(padded, labels, window)
+        front_pad(rows[start:stop], scaled)
+    return WindowBank(rows, lengths, np.concatenate(labels), window)
 
 
 def map_windows(fn: Callable[[slice], T], n: int) -> list[T]:

@@ -15,7 +15,6 @@ from tddn.preprocess import (
     Scaler,
     apply_scaler,
     fit_scaler,
-    pad_series,
     select_columns,
     selection_matrix,
 )
@@ -153,7 +152,8 @@ class TestEvaluateTest:
         stacked = last_windows(bundle, scaler, selection, window)
         assert stacked.shape == (3, window, 15)
         for k, traj in enumerate(bundle.test):
-            padded = pad_series(apply_scaler(traj, scaler, selection), window)
+            scaled = apply_scaler(traj, scaler, selection)
+            padded = np.concatenate([np.repeat(scaled[:1], window - 1, axis=0), scaled])
             np.testing.assert_array_equal(stacked[k], padded[-window:])
 
     @pytest.mark.parametrize("lengths", [(3, 8, 20), (8,), (20, 9, 1)],

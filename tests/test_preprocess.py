@@ -13,7 +13,7 @@ from tddn.preprocess import (
     apply_scaler,
     assign_rul_labels,
     fit_scaler,
-    pad_series,
+    front_pad,
     select_columns,
 )
 from _synth import make_bundle, make_trajectory
@@ -193,22 +193,26 @@ class TestRulLabels:
 
 class TestPadding:
     def test_pads_with_first_row(self):
+        # window 5: four pad rows, then the rows
         matrix = np.arange(12, dtype=np.float64).reshape(4, 3)
-        padded = pad_series(matrix, 5)
-        assert padded.shape == (8, 3)
+        out = np.full((8, 3), np.nan)
+        assert front_pad(out, matrix) is out
         for i in range(5):
-            np.testing.assert_array_equal(padded[i], matrix[0])
-        np.testing.assert_array_equal(padded[4:], matrix)
+            np.testing.assert_array_equal(out[i], matrix[0])
+        np.testing.assert_array_equal(out[4:], matrix)
 
     def test_window_one_is_identity(self):
+        # rows as long as out: nothing is padded
         matrix = np.arange(6, dtype=np.float64).reshape(3, 2)
-        np.testing.assert_array_equal(pad_series(matrix, 1), matrix)
+        out = np.full((3, 2), np.nan)
+        assert front_pad(out, matrix) is out
+        np.testing.assert_array_equal(out, matrix)
 
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError, match="window"):
-            pad_series(np.zeros((3, 2)), 0)
-        with pytest.raises(ValueError, match="2-D"):
-            pad_series(np.zeros(3), 4)
+    def test_single_row_fills_out(self):
+        row = np.array([[1.5, -2.0, 3.0]])
+        out = np.full((6, 3), np.nan)
+        assert front_pad(out, row) is out
+        np.testing.assert_array_equal(out, np.repeat(row, 6, axis=0))
 
 
 class TestSyntheticTrajectory:

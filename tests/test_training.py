@@ -22,7 +22,6 @@ from tddn.preprocess import (
     apply_scaler,
     assign_rul_labels,
     fit_scaler,
-    pad_series,
     select_columns,
 )
 from tddn.training import (
@@ -66,7 +65,7 @@ FIXED_OPTIONS = {
     },
     "Conv1d-kernel": (lambda **kw: Conv1d(2, 3, np.random.default_rng(0), **kw), "kernel", 2),
     "WindowBank-unit_ids": (
-        lambda **kw: WindowBank([np.zeros((5, 2))], [np.zeros(3)], window=3, **kw),
+        lambda **kw: WindowBank(np.zeros((5, 2)), [3], np.zeros(3), window=3, **kw),
         "unit_ids", [1],
     ),
     "assign_rul_labels-terminal_rul": (
@@ -655,6 +654,11 @@ def window_oracle(matrix: np.ndarray, j: int, window: int) -> np.ndarray:
     return np.stack([matrix[max(0, i)] for i in range(j - window, j)])
 
 
+def pad_first_row(matrix: np.ndarray, window: int) -> np.ndarray:
+    """``window - 1`` copies of the first row, then the matrix."""
+    return np.concatenate([np.repeat(matrix[:1], window - 1, axis=0), matrix])
+
+
 def stacked_windows(padded: np.ndarray, window: int, start: int, stop: int) -> np.ndarray:
     """Reference batch: one slice per window, stacked."""
     return np.stack([padded[j : j + window] for j in range(start, stop)])
@@ -674,20 +678,26 @@ def read_csv_values(path, n_keys: int) -> np.ndarray:
 class TestWindowBank:
     def test_every_window_matches_oracle(self):
         rng = np.random.default_rng(42)
+        selection = select_columns("FD001")
+        policy = LabelPolicy(r_max=4)
         for window in (1, 2, 5, 9):
             # engines shorter than, equal to and longer than the window
-            lengths = [1, window, window + 3, 2, int(rng.integers(1, 30))]
-            matrices = [rng.normal(size=(n, 4)) for n in lengths]
-            labels = [rng.normal(size=n) for n in lengths]
-            bank = WindowBank([pad_series(m, window) for m in matrices], labels, window)
+            lengths = [1, window - 1, window, window + 1, int(rng.integers(1, 30))]
+            lengths = [n for n in lengths if n >= 1]
+            engines = [
+                EngineTrajectory(k + 1, rng.normal(size=(n, 24))) for k, n in enumerate(lengths)
+            ]
+            scaler = fit_scaler(engines, selection)
+            bank = build_window_bank(engines, scaler, selection, policy, window)
             assert bank.n_windows == sum(lengths)
             x, y = bank.gather(np.arange(bank.n_windows))
-            assert x.shape == (bank.n_windows, window, 4)
+            assert x.shape == (bank.n_windows, window, selection.n_columns)
             flat = 0
-            for matrix, label in zip(matrices, labels):
-                for j in range(1, matrix.shape[0] + 1):
-                    np.testing.assert_array_equal(x[flat], window_oracle(matrix, j, window))
-                    assert y[flat] == label[j - 1]
+            for engine in engines:
+                scaled = apply_scaler(engine, scaler, selection)
+                for j in range(1, engine.n_cycles + 1):
+                    np.testing.assert_array_equal(x[flat], window_oracle(scaled, j, window))
+                    assert y[flat] == min(policy.r_max, engine.n_cycles - j)
                     flat += 1
             np.testing.assert_array_equal(bank.ends, np.cumsum(lengths) - 1)
             # chunks walk the same flat order, engine boundaries included
@@ -726,7 +736,7 @@ class TestWindowBank:
         model = DegradationNetwork(config, np.random.default_rng(3))
         model.regressor.children[-1].bias.value[...] = 60.0
         w = config.window
-        padded = [pad_series(apply_scaler(t, scaler, selection), w) for t in bundle.train]
+        padded = [pad_first_row(apply_scaler(t, scaler, selection), w) for t in bundle.train]
 
         # predict_windows: the rule's chunks of the flat order, across engines
         flat = np.concatenate([stacked_windows(p, w, 0, p.shape[0] - w + 1) for p in padded])
@@ -767,13 +777,13 @@ class TestWindowBank:
             abstract.reshape(-1, abstract.shape[2]),
         )
 
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError, match="lengths differ"):
-            WindowBank([np.zeros((5, 2))], [], window=3)
+    def test_no_engines_or_zero_window_rejected(self):
+        engine = make_bundle(n_train=1, seed=3).train[0]
+        scaler = fit_scaler([engine], FD001)
         with pytest.raises(ValueError, match="at least one engine"):
-            WindowBank([], [], window=3)
-        with pytest.raises(ValueError, match="does not fit"):
-            WindowBank([np.zeros((5, 2))], [np.zeros(5)], window=3)
+            build_window_bank([], scaler, FD001, LabelPolicy(), 3)
+        with pytest.raises(ValueError, match="window must be >= 1, got 0"):
+            build_window_bank([engine], scaler, FD001, LabelPolicy(), 0)
 
 
 class TestTwoLaneInference:
@@ -967,7 +977,7 @@ class TestTwoLaneInference:
         w, r_max = config.window, float(policy.r_max)
 
         def padded(traj: EngineTrajectory) -> np.ndarray:
-            return pad_series(apply_scaler(traj, scaler, FD001), w)
+            return pad_first_row(apply_scaler(traj, scaler, FD001), w)
 
         rows = padded(long)
         sizes: list[int] = []
