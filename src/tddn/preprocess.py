@@ -182,14 +182,13 @@ def assign_rul_labels(n_cycles: int, policy: LabelPolicy) -> np.ndarray:
     return np.minimum(countdown, policy.r_max).astype(np.float64)
 
 
-def front_pad(out: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def front_pad(out: np.ndarray, rows: np.ndarray) -> None:
     """Write ``rows`` at the end of ``out`` and copies of ``rows[0]`` before them.
 
     ``out`` holds at least as many rows as ``rows``, and ``rows`` at least
     one. With ``out`` ``window - 1`` rows longer than ``rows``, even the
-    first row owns a full window. Returns ``out``.
+    first row owns a full window.
     """
     pad = len(out) - len(rows)
     out[pad:] = rows
     out[:pad] = rows[0]
-    return out

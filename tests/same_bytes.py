@@ -12,10 +12,16 @@ Usage: ``python tests/same_bytes.py > hashes.json``, then compare with
   load-then-save of it, which must give the checkpoint's bytes again
 - one small depth ``sweep``
 
-It prints a JSON object that maps each file the runs leave (paths relative to
-the work directory) to its SHA-256. The sweep's ``seconds`` and
-``mean_seconds`` columns are left out of the hashed bytes. Run it natively and
-under ``taskset -c 0`` to check one lane against two.
+It prints a JSON object: ``host``, and ``sha256``, which maps each file the
+runs leave (paths relative to the work directory) to its SHA-256. The sweep's
+``seconds`` and ``mean_seconds`` columns are left out of the hashed bytes. The
+commands' own output goes to stderr. Run it natively and under ``taskset -c 0``
+to check one lane against two: those outputs must be equal on any host.
+
+The bytes also depend on the NumPy build and the SIMD code it dispatches to
+(another build or CPU rounds some sums differently), so ``host`` names the
+NumPy version, the machine and NumPy's dispatch targets. The hashes in
+``tests/same_bytes.json`` pin the bytes only where ``host`` is the same.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -31,6 +38,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
+import numpy as np  # noqa: E402
 from _synth import make_bundle, write_bundle  # noqa: E402
 
 SHAPES = ((8, 2, 16), (16, 1, 16), (32, 3, 16), (64, 3, 32))
@@ -48,11 +56,20 @@ RESAVE = (
 
 def run(work: Path, *args: str) -> None:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    subprocess.run([sys.executable, *args], cwd=work, env=env, check=True)
+    subprocess.run([sys.executable, *args], cwd=work, env=env, stdout=sys.stderr, check=True)
 
 
 def tddn(work: Path, *args: str) -> None:
     run(work, "-m", "tddn.cli", *args)
+
+
+def host() -> str:
+    """NumPy's version, the machine and the SIMD targets NumPy dispatches to on it."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # NumPy 1
+        from numpy.core import _multiarray_umath as umath
+    return " ".join(["numpy", np.__version__, platform.machine(), *umath.__cpu_dispatch__])
 
 
 def digest(path: Path) -> str:
@@ -92,7 +109,7 @@ def main() -> int:
             for path in sorted(work.rglob("*"))
             if path.is_file()
         }
-    json.dump(hashes, sys.stdout, indent=2, sort_keys=True)
+    json.dump({"host": host(), "sha256": hashes}, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     return 0
 
