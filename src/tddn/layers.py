@@ -129,10 +129,9 @@ class Sequential:
 # 7-9 of 9 rounds from about 1M up for the convs and the 1024-wide Linear
 # (-13% to -44%) and from 2M for the window-64 attention (-13% to -43%), was
 # mixed for the 256-wide Linear up to 3.9M, and lost for the window-16
-# attention up to 1M. The first split of a backward also starts the worker
-# (about 110 us against 22 us for a job on a running one), so the rule stays
-# above the window-16 model's largest layer, its expand (2.0M at batch 32,
-# 3.9M at 64), and its backward runs on one thread. At batch 32 the default
+# attention up to 1M. The rule stays above the window-16 model's largest
+# layer, its expand (2.0M at batch 32, 3.9M at 64), so its backward runs on
+# one thread and never starts a lane worker. At batch 32 the default
 # model splits conv2 (4.2M), conv3 (8.4M), expand (31.5M) and the attention
 # (7.9M), and not conv1 (2.0M)
 BACKWARD_TWO_LANE_MIN = 1 << 22
@@ -148,9 +147,10 @@ def split_backward(
 
     From ``BACKWARD_TWO_LANE_MIN`` multiply-adds of the weight gradient
     (``rows * weight.value.size``) up, both go to ``map_chunks`` as one task
-    per lane: the caller computes the input gradient while a worker writes
-    the parameter gradients. Below that, they run on the caller with no
-    ``map_chunks`` call. ``write_grads`` makes NumPy calls only, never a
+    per lane: the caller computes the input gradient while its lane worker
+    writes the parameter gradients, so every split in a backward, and in
+    every later one on that thread, uses one worker. Below that, they run
+    on the caller with no ``map_chunks`` call. ``write_grads`` makes NumPy calls only, never a
     layer method: wrappers that tracers put on a layer's forward or backward
     assume a single thread. The two tasks write different arrays, and each
     makes the NumPy calls of the serial path, so the bits do not change.

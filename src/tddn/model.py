@@ -22,7 +22,6 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .lanes import one_worker
 from .layers import (
     Conv1d,
     Linear,
@@ -331,12 +330,12 @@ class DegradationNetwork:
     def backward(self, gout: np.ndarray) -> np.ndarray:
         """The input gradient for ``gout``; pops the tape of the last ``forward`` in reverse.
 
-        Every parameter gradient is written. The layers whose backward
-        splits (``layers.split_backward``) share one worker thread, started
-        by the first of them and joined before this returns or raises. With
-        no pending forward (none yet, or its tape already taken) this raises
-        ``RuntimeError``; with ``gout`` not shaped like the predictions,
-        ``ValueError``, and the tape is kept.
+        Every parameter gradient is written; a layer whose backward splits
+        (``layers.split_backward``) is done with the calling thread's lane
+        worker before it returns or raises. With no pending forward (none
+        yet, or its tape already taken) this raises ``RuntimeError``; with
+        ``gout`` not shaped like the predictions, ``ValueError``, and the
+        tape is kept.
         """
         if self._tape is None:
             raise RuntimeError("DegradationNetwork.backward called without a pending forward")
@@ -345,8 +344,7 @@ class DegradationNetwork:
             raise ValueError(f"gradient of shape {gout.shape} for predictions of shape {shape}")
         self._tape = None
         g = gout
-        with one_worker():
-            while tape:
-                layer, cache = tape.pop()
-                g = g.reshape(cache) if layer is None else layer.backward(cache, g)
+        while tape:
+            layer, cache = tape.pop()
+            g = g.reshape(cache) if layer is None else layer.backward(cache, g)
         return g

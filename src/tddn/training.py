@@ -175,10 +175,10 @@ class Adam:
 
     ``step`` updates the buffers in ``ADAM_BLOCK``-long blocks through
     ``map_chunks``: from ``ADAM_TWO_LANE_MIN`` parameters up as two chunks
-    of whole blocks, which it may run on the caller and one worker thread
-    for the call, and below that size as one chunk on the caller. The
-    update is element-wise, so the bits are those of the serial path either
-    way. The optimizer holds no thread.
+    of whole blocks, which it may run on the caller and the calling
+    thread's lane worker, and below that size as one chunk on the caller.
+    The update is element-wise, so the bits are those of the serial path
+    either way. The optimizer holds no thread of its own.
     """
 
     def __init__(

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import settings
@@ -15,6 +17,7 @@ settings.register_profile(
 )
 settings.load_profile("tddn")
 
+from _lanes import lane_workers
 from _synth import make_bundle, write_bundle
 from tddn import lanes
 
@@ -54,15 +57,49 @@ def synth_data_dir(tmp_path_factory) -> Path:
     return directory
 
 
+@pytest.fixture(autouse=True)
+def main_lane_worker_per_test():
+    """Shut the main thread's lane worker down after each test, and wait for every other.
+
+    ``map_chunks`` keeps one worker per calling thread for the thread's
+    life. Dropping the main thread's here makes each test start its own,
+    so ``executors`` counts the starts of one test. A worker of a thread the
+    test started exits once that thread has ended; one still alive after
+    that is an error of the test.
+    """
+    yield
+    worker = getattr(lanes._lane, "worker", None)
+    lanes._lane.worker = None
+    if worker is not None:
+        # without waiting here: a worker stuck in a job fails the join below
+        worker.shutdown(wait=False)
+    if lane_workers():
+        gc.collect()
+        for thread in lane_workers():
+            thread.join(timeout=10.0)
+        assert not lane_workers(), "a lane worker outlived its calling thread"
+
+
 @pytest.fixture
-def executors(monkeypatch) -> list[int]:
-    """One entry per worker thread ``tddn.lanes.map_chunks`` starts during the test."""
-    started: list[int] = []
+def executors(monkeypatch) -> list[SimpleNamespace]:
+    """One record per lane worker ``tddn.lanes.map_chunks`` starts during the test, in order.
+
+    Each worker is started by its calling thread's first two-lane call and
+    then serves that thread's later calls; its record's ``jobs`` counts the
+    upper halves it was given. The records hold no reference to a worker,
+    so they do not keep one alive.
+    """
+    started: list[SimpleNamespace] = []
 
     class Spy(lanes.ThreadPoolExecutor):
         def __init__(self, *args, **kwargs) -> None:
-            started.append(1)
+            self.record = SimpleNamespace(jobs=0)
+            started.append(self.record)
             super().__init__(*args, **kwargs)
+
+        def submit(self, *args, **kwargs):
+            self.record.jobs += 1
+            return super().submit(*args, **kwargs)
 
     monkeypatch.setattr(lanes, "ThreadPoolExecutor", Spy)
     return started

@@ -13,9 +13,10 @@ both and ``rtol`` can stay tight.
 
 Each pin is checked in three lane modes: as the host runs it, with
 ``map_chunks`` held to one lane, and with two lanes and both split
-thresholds at 0, so that every optimizer step and every backward starts a
-worker, which every conv, attention and linear backward use. The lanes split work without changing it, so all three
-must print the same values.
+thresholds at 0, so that every optimizer step and every conv, attention
+and linear backward hands half its work to the caller's one lane worker.
+The lanes split work without changing it, so all three must print the same
+values.
 """
 
 from __future__ import annotations
@@ -144,4 +145,5 @@ def test_train_and_evaluate_give_the_pinned_values(
     if lanes == 1:
         assert not executors
     elif lanes == 2:
-        assert executors
+        # train, evaluate and export-features share the caller's one worker
+        assert len(executors) == 1

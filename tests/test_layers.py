@@ -24,7 +24,7 @@ from tddn.layers import (
 from tddn.model import DegradationNetwork, FeatureAttention, ModelConfig, conv_channels_for_depth
 from tddn.preprocess import LabelPolicy, fit_scaler, select_columns
 from tddn.training import INFER_BATCH, build_window_bank, predict_windows
-from _lanes import lane_workers
+from _lanes import lane_jobs, lane_workers
 from _synth import make_bundle, write_bundle
 from gradcheck import TOL, check_module_gradients, forward_backward, max_rel_error, numeric_gradient
 
@@ -503,8 +503,8 @@ class TestTwoLaneLinearBackward:
 
     def test_lane_decision(self, monkeypatch, executors):
         # at batch 32 nothing of the window-16 depth-1 model splits; of the
-        # default model, conv2, conv3, expand and the attention split, and
-        # share the one worker of its backward
+        # default model, conv2, conv3, expand and the attention split, each
+        # as one job on the calling thread's one worker
         monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda: 2)
         split_rows: list[int] = []
         split = layers.split_backward
@@ -522,15 +522,19 @@ class TestTwoLaneLinearBackward:
         for config, rows in ((w16, []), (ModelConfig(), [32 * 64, 32, 32 * 16, 32 * 32])):
             model = DegradationNetwork(config, rng)
             pred = model.forward(rng.normal(size=(32, config.window, config.n_features)))
-            del executors[:], split_rows[:]
+            jobs, split_rows[:] = lane_jobs(executors), []
             model.backward(np.ones_like(pred))
             assert split_rows == rows
-            assert len(executors) == bool(rows)
-            assert not lane_workers()
+            assert lane_jobs(executors) - jobs == len(rows)
+            assert len(lane_workers()) == len(executors) == bool(rows)
+        for _ in range(2):
+            model.forward(rng.normal(size=(32, 64, 15)))
+            model.backward(np.ones(32))
+        assert len(executors) == 1 and lane_jobs(executors) == 3 * 4
         monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda: 1)
         model.forward(rng.normal(size=(32, 64, 15)))
         model.backward(np.ones(32))
-        assert len(executors) == 1
+        assert len(executors) == 1 and lane_jobs(executors) == 3 * 4
 
     def test_one_and_two_lanes_give_the_same_bits(self, split_all, monkeypatch, executors):
         model = DegradationNetwork(self.CONFIG, np.random.default_rng(31))
@@ -540,13 +544,11 @@ class TestTwoLaneLinearBackward:
         runs = {}
         for lanes in (1, 2):
             monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda n=lanes: n)
-            del executors[:]
             model.forward(x)
             gin = model.backward(gout)
             runs[lanes] = (gin.tobytes(), model.grad.tobytes())
-            # one worker for the whole backward, none left running
-            assert len(executors) == (1 if lanes == 2 else 0)
-            assert not lane_workers()
+            # one worker for the whole backward, and it is the only lane thread
+            assert len(lane_workers()) == len(executors) == (1 if lanes == 2 else 0)
         assert runs[1] == runs[2]
 
     def test_worker_error_reaches_the_caller(self, split_all, executors):
@@ -557,13 +559,17 @@ class TestTwoLaneLinearBackward:
         _, cache = layer.forward(np.ones((2, 4)))
         with pytest.raises(ValueError, match="read-only"):
             layer.backward(cache, np.ones((2, 3)))
-        assert len(executors) == 1
-        assert not lane_workers()
+        assert len(lane_workers()) == len(executors) == 1
+        # the worker serves the next call
+        layer.weight.grad = np.zeros((4, 3))
+        layer.backward(cache, np.ones((2, 3)))
+        np.testing.assert_array_equal(layer.weight.grad, np.full((4, 3), 2.0))
+        assert len(executors) == 1 and lane_jobs(executors) == 2
 
     def test_layer_calls_stay_on_the_calling_thread(self, split_all, executors):
         # a training step calls every layer's forward and backward through the
         # instance, once each, on the calling thread, while every conv, the
-        # attention and the three Linear layers split on one worker
+        # attention and the three Linear layers split on the caller's worker
         model = DegradationNetwork(self.CONFIG, np.random.default_rng(34))
         seen: list[tuple[int, str, threading.Thread]] = []
         wrap_layers(model, seen)
@@ -606,7 +612,8 @@ class TestTwoLaneLinearBackward:
             "export-features", "--checkpoint", str(ckpt), "--data", str(data),
             "--out", str(tmp_path / "features"), "--engine", "1", "--split", "train",
         ]) == 0
-        assert len(executors) == 2 and len(models) == 2
+        # both calls hand their upper halves to the caller's one worker
+        assert len(executors) == 1 and lane_jobs(executors) >= 2 and len(models) == 2
         assert seen == []
         # the wrappers are in place: a training forward calls them
         for m in models:
@@ -662,11 +669,9 @@ class TestTwoLaneConvAndAttentionBackward:
             monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda n=lanes: n)
             for p in layer.params():
                 p.grad[...] = np.nan
-            del executors[:]
             gin = layer.backward(cache, gout)
             runs[mode] = [gin.tobytes(), *(p.grad.tobytes() for p in layer.params())]
-            assert len(executors) == (mode == "two-lane")
-            assert not lane_workers()
+            assert len(lane_workers()) == len(executors) == (mode == "two-lane")
         assert runs["serial"] == runs["one-lane"] == runs["two-lane"]
 
     @pytest.mark.parametrize("kind", LAYERS)
@@ -677,8 +682,12 @@ class TestTwoLaneConvAndAttentionBackward:
         layer.weight.grad.flags.writeable = False
         with pytest.raises(ValueError, match="read-only"):
             layer.backward(cache, gout)
-        assert len(executors) == 1
-        assert not lane_workers()
+        assert len(lane_workers()) == len(executors) == 1
+        # the worker serves the next call
+        layer.weight.grad = np.zeros(layer.weight.value.shape)
+        layer.backward(cache, gout)
+        assert np.all(np.isfinite(layer.weight.grad)) and np.any(layer.weight.grad)
+        assert len(executors) == 1 and lane_jobs(executors) == 2
 
     def test_worker_error_ends_the_network_backward(self, split_all, executors):
         model = DegradationNetwork(
@@ -689,8 +698,13 @@ class TestTwoLaneConvAndAttentionBackward:
         pred = model.forward(np.random.default_rng(43).normal(size=(4, 16, 15)))
         with pytest.raises(ValueError, match="read-only"):
             model.backward(np.ones_like(pred))
-        assert len(executors) == 1
-        assert not lane_workers()
+        # regress2, regress1, then the failing attention: no later layer splits
+        assert len(lane_workers()) == len(executors) == 1 and lane_jobs(executors) == 3
+        # the worker serves the next backward
+        model.attention.weight.grad.flags.writeable = True
+        pred = model.forward(np.random.default_rng(43).normal(size=(4, 16, 15)))
+        model.backward(np.ones_like(pred))
+        assert len(executors) == 1 and lane_jobs(executors) > 1
 
 
 class TestInit:

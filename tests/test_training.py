@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
 import os
+import signal
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +17,7 @@ import pytest
 from tddn import cli, training
 from tddn.checkpoint import save_checkpoint
 from tddn.cmapss import DatasetBundle, EngineTrajectory
-from tddn.lanes import cpu_lanes, map_chunks, one_worker
+from tddn.lanes import cpu_lanes, map_chunks
 from tddn.layers import Conv1d, MaxPool1d, Param, mse_loss, pack
 from tddn.metrics import evaluate_test, predict_engine
 from tddn.model import DegradationNetwork, ModelConfig, conv_channels_for_depth
@@ -38,10 +42,11 @@ from tddn.training import (
     split_engines,
     train,
 )
-from _lanes import lane_workers
+from _lanes import lane_jobs, lane_workers
 from _synth import make_bundle, make_trajectory, write_bundle
 
 SMALL_MODEL = ModelConfig(window=8, n_features=15, conv_channels=(4, 8))
+SRC = Path(training.__file__).resolve().parents[1]
 FD001 = select_columns("FD001")
 
 
@@ -388,10 +393,11 @@ class TestAdamMatchesReference:
         np.testing.assert_array_equal(opt.v, np.concatenate([v.ravel() for v in ref.v]))
 
     @classmethod
-    def assert_lanes_used(cls, lanes: int, executors: list[int]) -> None:
-        # one worker per step with two lanes, none left running
-        assert len(executors) == (cls.N_STEPS if lanes == 2 else 0)
-        assert not lane_workers()
+    def assert_lanes_used(cls, lanes: int, executors: list) -> None:
+        # with two lanes, each step is one job on the caller's one worker,
+        # the only lane thread
+        assert [w.jobs for w in executors] == ([cls.N_STEPS] if lanes == 2 else [])
+        assert len(lane_workers()) == len(executors)
 
     @pytest.mark.parametrize("depth", [1, 3])
     def test_network_training_steps(self, depth, lanes, executors):
@@ -462,14 +468,15 @@ class TestTwoLaneAdam:
         small.step(lr=0.1)
         assert not executors
         opt = Adam(packed_params(Param("p", np.zeros(size))))
-        # nothing at construction, one worker for each step
+        # nothing at construction; the first step starts the caller's worker,
+        # and each step is one job on it
         assert not executors
         opt.step(lr=0.1)
         opt.step(lr=0.1)
-        assert len(executors) == 2
+        assert len(executors) == 1 and lane_jobs(executors) == 2
         monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda: 1)
         opt.step(lr=0.1)
-        assert len(executors) == 2
+        assert len(executors) == 1 and lane_jobs(executors) == 2
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity mask")
     def test_lane_count_follows_the_affinity_mask(self, executors):
@@ -522,20 +529,48 @@ class TestTwoLaneAdam:
             raise errors[0]
         assert steps_done == list(range(1, 21))
 
-    def test_no_thread_outlives_a_step(self, monkeypatch, executors):
+    def test_steps_share_the_callers_worker(self, monkeypatch, executors):
         monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda: 2)
-        before = threading.active_count()
         alive = set(threading.enumerate())
         opt = Adam(packed_params(Param("p", np.ones(training.ADAM_TWO_LANE_MIN))))
         for step in range(1, 4):
             opt.step(lr=0.1)
-            assert len(executors) == step
-            assert set(threading.enumerate()) <= alive and not lane_workers()
-            assert threading.active_count() <= before
+            assert len(executors) == 1 and lane_jobs(executors) == step
+            # the caller's worker is the only thread the steps add
+            assert set(threading.enumerate()) - alive == lane_workers()
+            assert len(lane_workers()) == 1
+
+
+# a two-lane call, a fork, and a two-lane call in the child, which must not
+# wait on the worker thread that the fork left behind
+FORK_AFTER_A_TWO_LANE_CALL = """
+import os, signal, time
+from tddn import lanes
+
+lanes.cpu_lanes = lambda: 2
+assert lanes.map_chunks(lambda c: c.start, 2, 1) == [0, 1]
+pid = os.fork()
+if pid == 0:
+    ok = lanes.map_chunks(lambda c: c.start, 2, 1) == [0, 1]
+    print("child ok" if ok else "child wrong", flush=True)
+    os._exit(0 if ok else 1)
+deadline = time.monotonic() + 30.0
+while True:
+    done, status = os.waitpid(pid, os.WNOHANG)
+    if done:
+        raise SystemExit(os.waitstatus_to_exitcode(status))
+    if time.monotonic() > deadline:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise SystemExit("the forked child's two-lane call hung")
+    time.sleep(0.01)
+"""
 
 
 class TestOneWorker:
-    def test_calls_in_a_block_share_one_worker(self, monkeypatch, executors):
+    """Each calling thread hands its upper halves to one lane worker for the thread's life."""
+
+    def test_calls_on_a_thread_share_their_worker(self, monkeypatch, executors):
         monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda: 2)
         threads: set[threading.Thread] = set()
 
@@ -543,45 +578,38 @@ class TestOneWorker:
             threads.add(threading.current_thread())
             return chunk.start
 
-        with one_worker():
-            # a one-chunk call runs on the caller and starts nothing
-            assert map_chunks(fn, 1, 1) == [0]
-            assert not executors
-            for n in (2, 4, 7):
-                assert map_chunks(fn, n, 1) == list(range(n))
-                # a nested block adds nothing
-                with one_worker():
-                    assert map_chunks(fn, n, 2) == list(range(0, n, 2))
-            assert len(executors) == 1 and len(lane_workers()) == 1
+        # a one-chunk call runs on the caller and starts nothing
+        assert map_chunks(fn, 1, 1) == [0]
+        assert not executors and not lane_workers()
+        for n in (2, 4, 7):
+            assert map_chunks(fn, n, 1) == list(range(n))
+            assert map_chunks(fn, n, 2) == list(range(0, n, 2))
+        # five calls of two chunks or more, one job each on one worker
+        assert len(executors) == 1 and lane_jobs(executors) == 5
+        assert threads == {threading.current_thread(), *lane_workers()}
         assert len(threads) == 2
-        assert not lane_workers()
-        # a block in which nothing splits starts no thread
-        with one_worker():
-            map_chunks(fn, 1, 1)
+        # one usable CPU hands the worker nothing
         monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda: 1)
-        with one_worker():
-            map_chunks(fn, 4, 1)
-        assert len(executors) == 1
+        assert map_chunks(fn, 4, 1) == [0, 1, 2, 3]
+        assert len(executors) == 1 and lane_jobs(executors) == 5
 
-    def test_block_joins_its_worker_on_an_error(self, monkeypatch, executors):
+    def test_error_in_the_upper_half_leaves_the_worker_serving(self, monkeypatch, executors):
         monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda: 2)
 
         def fn(chunk: slice) -> None:
             if chunk.start == 1:
                 raise KeyError("upper half")
 
-        with pytest.raises(KeyError, match="upper half"), one_worker():
+        with pytest.raises(KeyError, match="upper half"):
             map_chunks(fn, 2, 1)
-        assert len(executors) == 1
-        assert not lane_workers()
-        # the next block and the next lone call each start their own
-        with one_worker():
-            assert map_chunks(lambda c: c.start, 2, 1) == [0, 1]
+        assert len(lane_workers()) == len(executors) == 1
+        # the worker serves the next call
         assert map_chunks(lambda c: c.start, 2, 1) == [0, 1]
-        assert len(executors) == 3
-        assert not lane_workers()
+        assert len(executors) == 1 and lane_jobs(executors) == 2
 
-    def test_error_in_the_lower_half_waits_for_the_shared_worker(self, monkeypatch):
+    @staticmethod
+    def assert_lower_half_waits(exc: BaseException, monkeypatch, executors) -> None:
+        """Chunk 0 raises ``exc`` while chunk 1 still runs on the worker."""
         monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda: 2)
         failed = threading.Event()
         done: list[slice] = []
@@ -589,24 +617,129 @@ class TestOneWorker:
         def fn(chunk: slice) -> None:
             if chunk.start == 0:
                 failed.set()
-                raise KeyError("lower half")
+                raise exc
             failed.wait(timeout=10.0)
             time.sleep(0.05)
             done.append(chunk)
 
-        with one_worker():
-            with pytest.raises(KeyError, match="lower half"):
+        with pytest.raises(type(exc), match="lower half"):
+            map_chunks(fn, 2, 1)
+        # the worker still runs, but it is done with the call
+        assert done == [slice(1, 2)]
+        assert len(lane_workers()) == 1
+        # and it serves the next call
+        assert map_chunks(lambda c: c.start, 2, 1) == [0, 1]
+        assert len(executors) == 1 and lane_jobs(executors) == 2
+
+    def test_error_in_the_lower_half_waits_for_the_shared_worker(self, monkeypatch, executors):
+        self.assert_lower_half_waits(KeyError("lower half"), monkeypatch, executors)
+
+    def test_interrupt_in_the_lower_half_waits_for_the_shared_worker(
+        self, monkeypatch, executors
+    ):
+        self.assert_lower_half_waits(KeyboardInterrupt("lower half"), monkeypatch, executors)
+
+    @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="no pthread_kill")
+    def test_interrupt_while_waiting_for_the_worker_waits_for_it(self, monkeypatch):
+        # a SIGINT reaches the caller while it waits in the upper half's result()
+        monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda: 2)
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        caller = threading.get_ident()
+        lower_done = threading.Event()
+        done: list[slice] = []
+
+        def fn(chunk: slice) -> None:
+            if chunk.start == 0:
+                lower_done.set()
+                return
+            lower_done.wait(timeout=10.0)
+            time.sleep(0.05)
+            signal.pthread_kill(caller, signal.SIGINT)
+            time.sleep(0.1)
+            done.append(chunk)
+
+        try:
+            with pytest.raises(KeyboardInterrupt):
                 map_chunks(fn, 2, 1)
-            # the block's worker still runs, but it is done with the call
-            assert done == [slice(1, 2)]
-            assert len(lane_workers()) == 1
-        assert not lane_workers()
+                # reached only if the signal lands after the call returned;
+                # the interrupt then still comes inside pytest.raises
+                time.sleep(1.0)
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        assert done == [slice(1, 2)]
+        assert map_chunks(lambda c: c.start, 2, 1) == [0, 1]
+
+    def test_a_call_on_a_worker_uses_that_threads_own_worker(self, monkeypatch):
+        monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda: 2)
+        # the threads that ran each half of a nested call, by calling thread
+        calls: dict[threading.Thread, list[threading.Thread]] = {}
+
+        def outer(chunk: slice) -> None:
+            halves = map_chunks(lambda c: threading.current_thread(), 2, 1)
+            calls[threading.current_thread()] = halves
+
+        runner = threading.Thread(target=map_chunks, args=(outer, 2, 1), daemon=True)
+        runner.start()
+        runner.join(timeout=30.0)
+        assert not runner.is_alive(), "a nested call waits on its own worker"
+        runner_worker = calls[runner][1]
+        assert calls[runner] == [runner, runner_worker]
+        assert calls[runner_worker][0] is runner_worker
+        assert calls[runner_worker][1] not in (runner, runner_worker)
+
+    def test_a_second_thread_gets_a_worker_that_exits_with_it(self, monkeypatch):
+        monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda: 2)
+        assert map_chunks(lambda c: c.start, 2, 1) == [0, 1]
+        (main_worker,) = lane_workers()
+        workers: list[threading.Thread] = []
+
+        def run() -> None:
+            for _ in range(3):
+                workers.append(map_chunks(lambda c: threading.current_thread(), 2, 1)[1])
+
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=30.0)
+        assert not runner.is_alive()
+        (worker,) = set(workers)
+        assert worker is not main_worker
+        gc.collect()
+        worker.join(timeout=10.0)
+        assert not worker.is_alive()
+        # the main thread's worker is untouched
+        assert lane_workers() == {main_worker}
+        assert map_chunks(lambda c: threading.current_thread(), 2, 1)[1] is main_worker
+
+    def test_default_steps_start_a_worker_once_and_make_five_jobs_each(
+        self, monkeypatch, executors
+    ):
+        # conv2, conv3, expand and the attention split, and Adam: 5 jobs a step
+        monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda: 2)
+        model = DegradationNetwork(ModelConfig(), np.random.default_rng(13))
+        opt = Adam(model.params())
+        rng = np.random.default_rng(14)
+        for step in range(1, 4):
+            _, gpred = mse_loss(model.forward(rng.normal(size=(32, 64, 15))), np.ones(32))
+            model.backward(gpred)
+            opt.step(1e-3)
+            assert len(executors) == 1 and lane_jobs(executors) == 5 * step
+        assert len(lane_workers()) == 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+    def test_a_forked_childs_call_starts_a_fresh_worker(self):
+        # in a subprocess, so that the test's own process never forks
+        done = subprocess.run(
+            [sys.executable, "-c", FORK_AFTER_A_TWO_LANE_CALL], capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert done.stdout == "child ok\n"
 
     def test_default_steps_equal_one_lane_under_fast_thread_switching(
         self, monkeypatch, executors
     ):
-        # every default-shape step splits conv2, conv3, expand and the attention
-        # on the backward's worker, and Adam on its own
+        # every default-shape step splits conv2, conv3, expand and the attention,
+        # and Adam, on the runner's one worker
         lanes = [1]
         monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda: lanes[0])
         models = [DegradationNetwork(ModelConfig(), np.random.default_rng(11)) for _ in range(2)]
@@ -644,9 +777,8 @@ class TestOneWorker:
         if errors:
             raise errors[0]
         assert steps_done == list(range(1, 21))
-        # one worker for each two-lane backward and one for each two-lane Adam step
-        assert len(executors) == 2 * 20
-        assert not lane_workers()
+        # the runner's one worker took five jobs from each two-lane step
+        assert len(executors) == 1 and lane_jobs(executors) == 5 * 20
 
 
 def window_oracle(matrix: np.ndarray, j: int, window: int) -> np.ndarray:
@@ -861,7 +993,7 @@ class TestTwoLaneInference:
         with pytest.raises(KeyError, match="lower half"):
             map_chunks(fn, 4, 1)
         assert done == [slice(2, 3), slice(3, 4)]
-        assert not lane_workers()
+        assert len(lane_workers()) == 1
 
     def test_threads_share_one_model_bit_for_bit(self):
         config = ModelConfig(window=16, conv_channels=(8, 16))
@@ -898,7 +1030,7 @@ class TestTwoLaneInference:
             raise errors[0]
         assert rounds_done == [200, 200]
 
-    def test_inference_leaves_no_state_and_no_thread(
+    def test_inference_leaves_no_state_and_only_the_lane_worker(
         self, long_engines, monkeypatch, executors, tmp_path
     ):
         bundle, data, scaler, selection, model, ckpt = long_engines
@@ -918,9 +1050,8 @@ class TestTwoLaneInference:
             *model.regressor.children,
         ]
         states = [dict(vars(layer)) for layer in [model, *layers]]
-        before = threading.active_count()
         alive = set(threading.enumerate())
-        # every call of two or more windows starts one worker; one window, none
+        # every call of two or more windows makes one job; one window, none
         calls = [
             (lambda: predict_engine(model, short, scaler, selection, policy), 1),
             (lambda: evaluate_test(model, bundle, scaler, selection, policy), 0),
@@ -929,12 +1060,14 @@ class TestTwoLaneInference:
             (lambda: predict_windows(model, bank), 1),
             (export_features, 1),
         ]
-        for call, threads in calls:
-            del executors[:]
+        for call, jobs in calls:
+            before = lane_jobs(executors)
             call()
-            assert len(executors) == threads
-            assert set(threading.enumerate()) <= alive and not lane_workers()
-            assert threading.active_count() <= before
+            assert lane_jobs(executors) - before == jobs
+            # the caller's one worker is the only thread inference adds
+            assert len(executors) == 1
+            assert set(threading.enumerate()) - alive == lane_workers()
+            assert len(lane_workers()) == 1
         assert [dict(vars(layer)) for layer in [model, *layers]] == states
         with pytest.raises(RuntimeError, match="without a pending forward"):
             model.backward(np.ones(1))
@@ -1007,12 +1140,14 @@ class TestTwoLaneInference:
                     lambda: evaluate_test(model, bundle, scaler, FD001, policy).pred,
                 ]
                 for call, expected in zip(calls, want):
-                    del executors[:], sizes[:]
+                    jobs, sizes[:] = lane_jobs(executors), []
                     assert call().tobytes() == expected, (n, lanes)
-                    assert len(executors) == (lanes == 2 and n >= 2)
+                    assert lane_jobs(executors) - jobs == (lanes == 2 and n >= 2)
                     # the lanes append in either order
                     assert sorted(sizes) == sorted(len(range(n)[c]) for c in infer_slices(n))
                     assert max(sizes) <= INFER_BATCH
+        # every two-lane call used the caller's one worker
+        assert len(executors) == 1
 
 
 class TestTrain:
