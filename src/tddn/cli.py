@@ -454,7 +454,7 @@ def cmd_export_features(args: argparse.Namespace) -> int:
     w = model.config.window
     n = trajectory.n_cycles
     bank = build_window_bank([trajectory], loaded.scaler, loaded.selection, loaded.policy, w)
-    traces = map_windows(lambda c: model.trace(bank.gather(c)[0]), bank.n_windows)
+    traces = map_windows(lambda c: model.trace_rows(bank.rows, bank.starts[c]), bank.n_windows)
     attention = np.concatenate([t.attention for t in traces])
 
     _write_csv(

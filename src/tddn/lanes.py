@@ -51,10 +51,10 @@ def map_chunks(fn: Callable[[slice], T], n: int, size: int) -> list[T]:
     nested call cannot wait on itself. The chunks are those of the serial
     path, so ``fn`` sees the same inputs either way; it must not write what
     the other lane's chunks read. Its users keep to that: inference goes
-    through ``training.map_windows``, whose ``DegradationNetwork.predict``
-    and ``trace`` write nothing; ``Adam.step``'s chunks are disjoint; and
-    the two tasks of a split layer backward (``layers.split_backward``)
-    write different arrays.
+    through ``training.map_windows``, whose ``DegradationNetwork.predict``,
+    ``trace`` and ``trace_rows`` write nothing; ``Adam.step``'s chunks are
+    disjoint; and the two tasks of a split layer backward
+    (``layers.split_backward``) write different arrays.
     """
     chunks = [slice(start, start + size) for start in range(0, n, size)]
     half = len(chunks) // 2

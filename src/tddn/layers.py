@@ -236,9 +236,13 @@ class Conv1d(Module):
         patches[:, 0, :c_in] = 0.0
         patches[:, 1:, :c_in] = x[:, :-1]
         patches[:, :, c_in:] = x
-        out = patches @ self.weight.value.reshape(2 * c_in, self.c_out)
+        return self.affine(patches), patches
+
+    def affine(self, patches: np.ndarray) -> np.ndarray:
+        """``forward``'s one matmul and bias add, over (..., 2 * c_in) patches a caller built."""
+        out = patches @ self.weight.value.reshape(2 * self.c_in, self.c_out)
         out += self.bias.value
-        return out, patches
+        return out
 
     def backward(self, patches: np.ndarray, gout: np.ndarray) -> np.ndarray:
         batch, n_time, _ = gout.shape

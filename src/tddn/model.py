@@ -6,13 +6,17 @@ convolutions with ReLU and 2/2 max pooling, is expanded back to a
 to a single feature row by attention against the first (healthiest) row,
 and regressed to a scalar remaining-useful-life estimate.
 
-The layers are stateless, and the network walks them in one method,
-``_walk``. ``forward`` walks with a tape, which keeps every layer's cache
+The layers are stateless, and the network walks them in one of two ways,
+chosen by the input. Stacked (B, window, features) windows go through
+``_walk``: ``forward`` walks with a tape, which keeps every layer's cache
 for ``backward`` to pop in reverse; ``trace`` and ``predict`` walk
 without one, so each cache is dropped as its layer returns and nothing is
 written to the model. Without a tape, the conv stack and the attention run
 over blocks of windows sized by ``INFER_BLOCK_BYTES``, while the dense layers
-run over the whole batch, so the bits are those of one block.
+run over the whole batch, so the bits are those of one block. A row matrix
+and window start rows, such as a ``WindowBank``'s, go through
+``trace_rows``, which runs each conv stage once per row, so overlapping
+windows share it, and then the same walk as ``trace`` from ``expand`` on.
 """
 
 from __future__ import annotations
@@ -41,12 +45,55 @@ CONV_CHANNEL_LADDER = (32, 64, 128, 256)
 
 # bytes of attention's two per-window arrays (``8 * w * (4m + w)``: the
 # augmented rows and the tanh hidden rows) that one block of the inference
-# walk fills. On a 2-core host with 2 MiB of L2 per core and one BLAS thread,
-# predicting 4,408 windows of width 14 in ``map_windows``' chunks took, in 30
-# alternating rounds: at window 64, 393 ms unblocked, 311 ms at 3 MiB, 307 at
-# 2 MiB and 321 at 1 MiB; at window 16, 30.7 ms unblocked and 31.4 at 3 MiB,
-# which keeps its 256-window chunks (2.4 MB) whole, but 33.3 at 2 MiB
+# walk fills; ``trace`` also runs its conv stack over these blocks, and
+# ``trace_rows`` only its attention. On a 2-core host with 2 MiB of L2 per
+# core and one BLAS thread, ``predict_windows`` over 4,408 windows of width
+# 14 (``trace_rows`` in ``map_windows``' chunks) took, in medians of 10
+# alternating rounds: at window 64, 202.6 ms unblocked, 193.6 at 3 MiB, 192.6
+# at 2 MiB and 197.4 at 1 MiB; at window 16, 21.0 ms unblocked, 20.9 at 3 MiB
+# (whole 256-window chunks, 2.4 MB), 21.5 at 2 MiB and 22.1 at 1 MiB. No size
+# beat 3 MiB in more than 5 of the 10 rounds
 INFER_BLOCK_BYTES = 3 << 20
+
+# rows that each matmul of ``trace_rows``' conv stack is zero-padded to a
+# multiple of, so that no row it keeps falls in a BLAS kernel's tail, which
+# may round it another way (16 is the most any OpenBLAS kernel measured
+# needed: Nehalem's). Padded, the conv bytes equalled the per-window walk's
+# at all 22,680 ladder shapes tried (windows 4-70, 1-30 features, each depth)
+# natively and under the Haswell, Zen, Sandybridge, SkylakeX, Cooperlake and
+# SapphireRapids kernels; unpadded, 25 of 120 shapes differed under Haswell.
+# Nehalem's per-window matmul rounds its own tail rows apart, so there the
+# walks differ where a stage's length is not a multiple of 4
+ROW_TILE = 16
+
+
+def _tiled(n: int) -> int:
+    """``n`` rounded up to a multiple of ``ROW_TILE``."""
+    return -(-n // ROW_TILE) * ROW_TILE
+
+
+def _run(layer: Module, h: np.ndarray, tape: list | None) -> tuple[np.ndarray, object]:
+    """``layer.forward(h)``: found on the class without a ``tape``, else taped with its cache."""
+    if tape is None:
+        return type(layer).forward(layer, h)
+    out, cache = layer.forward(h)
+    tape.append((layer, cache))
+    return out, cache
+
+
+def _reshape(h: np.ndarray, shape: tuple[int, ...], tape: list | None) -> np.ndarray:
+    """``h.reshape(shape)``; a tape gets ``None`` and ``h``'s shape, for the backward's reshape."""
+    if tape is not None:
+        tape.append((None, h.shape))
+    return h.reshape(shape)
+
+
+def _blockwise(
+    fn: Callable[[np.ndarray], tuple[np.ndarray, ...]], h: np.ndarray, blocks: list[slice]
+):
+    """``fn`` of each block of ``h``, its outputs joined block after block."""
+    parts = [fn(h[b]) for b in blocks]
+    return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
 
 def conv_channels_for_depth(depth: int) -> tuple[int, ...]:
@@ -274,41 +321,90 @@ class DegradationNetwork:
         self._check_input(x)
         blocks = [slice(0, len(x))] if tape is not None else self._blocks(len(x))
 
-        def run(layer: Module, h: np.ndarray) -> tuple[np.ndarray, object]:
-            if tape is None:
-                return type(layer).forward(layer, h)
-            out, cache = layer.forward(h)
-            tape.append((layer, cache))
-            return out, cache
-
-        def reshape(h: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-            if tape is not None:
-                tape.append((None, h.shape))
-            return h.reshape(shape)
-
-        def blockwise(fn: Callable[[np.ndarray], tuple[np.ndarray, ...]], h: np.ndarray):
-            parts = [fn(h[b]) for b in blocks]
-            return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
-
         def conv_stack(h: np.ndarray) -> tuple[np.ndarray]:
             for layer in self.conv_stack.children:
-                h = run(layer, h)[0]
+                h = _run(layer, h, tape)[0]
             return (h,)
 
+        (temporal,) = _blockwise(conv_stack, x, blocks)
+        return self._head(temporal, tape, blocks)
+
+    def _head(self, temporal: np.ndarray, tape: list | None, blocks: list[slice]) -> ModelTrace:
+        """The walk after the conv stack: ``expand``, attention over ``blocks``, the regressor."""
+        n, shape = len(temporal), (len(temporal), self.config.window, self.config.n_features)
+        h = _run(self.expand, _reshape(temporal, (n, -1), tape), tape)[0]
+        abstract = _reshape(_run(self.expand_act, h, tape)[0], shape, tape)
+
         def attention(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            pooled, cache = run(self.attention, h)
+            pooled, cache = _run(self.attention, h, tape)
             return pooled, cache[-1]
 
-        (temporal,) = blockwise(conv_stack, x)
-        h = run(self.expand_act, run(self.expand, reshape(temporal, (len(x), -1)))[0])[0]
-        abstract = reshape(h, x.shape)
-        h, weights = blockwise(attention, abstract)
+        h, weights = _blockwise(attention, abstract, blocks)
         for layer in self.regressor.children:
-            h = run(layer, h)[0]
+            h = _run(layer, h, tape)[0]
         return ModelTrace(
             temporal=temporal, abstract=abstract, attention=weights,
-            prediction=reshape(h, (len(x),)),
+            prediction=_reshape(h, (n,), tape),
         )
+
+    def _conv_rows(self, rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """The conv stack's output for the windows of ``rows`` at ``starts``, one stage row by row.
+
+        At stage ``L`` a window's position ``k`` sits on row ``s + d * k`` of
+        the stage's rows ``h`` (dilation ``d = 2 ** (L - 1)``), and only
+        positions 0 and 1 of a conv read the window's zero pad. So one matmul
+        over the patch rows ``[h[t - d], h[t]]`` serves every window, plus two
+        edge rows per window, ``[0, first]`` and ``[first, h[s + d]]``, where
+        ``first`` is its position-0 value. The ops are the layers' own, in
+        their operand order, over rows padded to a multiple of ``ROW_TILE``.
+        """
+        n_win = len(starts)
+        h, first, d = rows, rows[starts], 1
+        for conv in self.conv_stack.children[::3]:
+            n, c_in = h.shape
+            patches = np.zeros((_tiled(n), 2 * c_in))
+            patches[d:n, :c_in] = h[: n - d]
+            patches[:n, c_in:] = h
+            # both edge rows of every window in one matrix, so one matmul
+            edges = np.zeros((_tiled(2 * n_win), 2 * c_in))
+            edges[:n_win, c_in:] = first
+            edges[n_win : 2 * n_win, :c_in] = first
+            edges[n_win : 2 * n_win, c_in:] = h[starts + d]
+            # ReLU.forward's fmax, then MaxPool1d.forward's maximum(second, first)
+            out, edge = conv.affine(patches), conv.affine(edges)
+            np.fmax(out, 0.0, out=out)
+            np.fmax(edge, 0.0, out=edge)
+            h = np.maximum(out[d:n], out[: n - d])
+            first = np.maximum(edge[n_win : 2 * n_win], edge[:n_win])
+            d *= 2
+        n_time = pooled_length(self.config.window, self.config.depth)
+        temporal = np.empty((n_win, n_time, h.shape[1]))
+        temporal[:, 0] = first
+        temporal[:, 1:] = h[starts[:, None] + d * np.arange(1, n_time)]
+        return temporal
+
+    def trace_rows(self, rows: np.ndarray, starts: np.ndarray) -> ModelTrace:
+        """``trace`` of the windows ``rows[s : s + window]`` for ``s`` in ``starts``.
+
+        ``rows`` is an (N, n_features) row matrix, such as a ``WindowBank``'s,
+        and ``starts`` a non-empty 1-D integer array. Each conv stage runs once
+        over the rows from the lowest start to the end of the highest window
+        (``_conv_rows``), so overlapping windows share it; from ``expand`` on
+        this is ``trace``'s walk. The bytes are ``trace``'s of the stacked
+        windows wherever that walk's conv matmuls round no row in a BLAS
+        kernel's tail (see ``ROW_TILE``). Nothing is written to the model.
+        """
+        w, m = self.config.window, self.config.n_features
+        starts = np.asarray(starts)
+        if rows.ndim != 2 or rows.shape[1] != m:
+            raise ValueError(f"expected rows (N, {m}), got {rows.shape}")
+        if starts.ndim != 1 or starts.size == 0 or starts.dtype.kind not in "iu":
+            raise ValueError(f"expected a non-empty 1-D integer array of starts, got {starts!r}")
+        lo, hi = int(starts.min()), int(starts.max())
+        if lo < 0 or hi + w > len(rows):
+            raise ValueError(f"starts {lo}..{hi} leave a {w}-row window outside {len(rows)} rows")
+        temporal = self._conv_rows(rows[lo : hi + w], starts - lo)
+        return self._head(temporal, None, self._blocks(len(starts)))
 
     def trace(self, x: np.ndarray) -> ModelTrace:
         """The walk without a tape: nothing is written to the model, so threads may share it."""

@@ -263,12 +263,16 @@ class WindowBank:
     ``rows`` stacks the engines' padded scaled rows end to end, each engine's
     ``lengths[k]`` rows after ``window - 1`` copies of its first, and
     ``labels`` holds one label per window in flat order (engine by engine,
-    cycle by cycle). A ``sliding_window_view`` over ``rows`` exposes every
-    w-row window without copying; flat window j of engine k starts on row
-    ``j + k * (window - 1)``, so a batch is one fancy index into the view.
+    cycle by cycle). Flat window j of engine k starts on row ``starts[j] =
+    j + k * (window - 1)``. Training batches are stacked by ``gather``, one
+    fancy index into a ``sliding_window_view`` over ``rows``; full-curve
+    inference hands ``rows`` and ``starts`` to
+    ``DegradationNetwork.trace_rows``, which shares the overlapping rows.
     """
 
     def __init__(self, rows: np.ndarray, lengths: Sequence[int], labels: np.ndarray, window: int):
+        self.rows = rows
+        self.window = window
         self.labels = labels
         engine = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
         self.starts = np.arange(labels.shape[0], dtype=np.int64) + engine * (window - 1)
@@ -322,14 +326,30 @@ def map_windows(fn: Callable[[slice], T], n: int) -> list[T]:
     of two or more windows gives ``map_chunks`` two chunks or more and both
     lanes work, while a call of ``2 * INFER_BATCH`` windows or more is cut
     into ``INFER_BATCH``-long chunks. The length depends on ``n`` only, so
-    one lane and two see the same chunks.
+    one lane and two see the same chunks. A chunk of a bank's windows walks
+    only its own rows (``DegradationNetwork.trace_rows``), so the
+    ``window - 1`` rows that two neighbouring chunks of one engine share go
+    through the conv stack once in each.
     """
     return map_chunks(fn, n, max(1, min(INFER_BATCH, (n + 1) // 2)))
 
 
 def predict_windows(model: DegradationNetwork, bank: WindowBank) -> np.ndarray:
-    """Unclamped model outputs for every window in the bank, in order."""
-    return np.concatenate(map_windows(lambda c: model.predict(bank.gather(c)[0]), bank.n_windows))
+    """Unclamped model outputs for every window in the bank, in order.
+
+    Each ``map_windows`` chunk is one ``DegradationNetwork.trace_rows`` call
+    over the bank's rows, which walks only the chunk's own rows; its bytes
+    are ``predict``'s of the chunk's stacked windows wherever that walk's
+    conv matmuls round no row in a BLAS kernel's tail. A bank of another
+    window than the model's is a ``ValueError``.
+    """
+    if bank.window != model.config.window:
+        raise ValueError(
+            f"a bank of {bank.window}-row windows for a {model.config.window}-row model"
+        )
+    return np.concatenate(map_windows(
+        lambda c: model.trace_rows(bank.rows, bank.starts[c]).prediction, bank.n_windows
+    ))
 
 
 def train(

@@ -10,9 +10,11 @@ import sys
 import threading
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from tddn import cli, training
 from tddn.checkpoint import save_checkpoint
@@ -939,13 +941,13 @@ class TestTwoLaneInference:
         traj = bundle.train[1]
         names = ("attention.csv", "temporal_features.csv", "abstract_features.csv")
         threads: set[str] = set()
-        trace = DegradationNetwork.trace
+        trace_rows = DegradationNetwork.trace_rows
 
-        def spy(self, x):
+        def spy(self, rows, starts):
             threads.add(threading.current_thread().name)
-            return trace(self, x)
+            return trace_rows(self, rows, starts)
 
-        monkeypatch.setattr(DegradationNetwork, "trace", spy)
+        monkeypatch.setattr(DegradationNetwork, "trace_rows", spy)
         outputs = {}
         for lanes in (1, 2):
             monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda n=lanes: n)
@@ -1113,14 +1115,20 @@ class TestTwoLaneInference:
             return pad_first_row(apply_scaler(traj, scaler, FD001), w)
 
         rows = padded(long)
-        sizes: list[int] = []
-        predict = DegradationNetwork.predict
+        # (walk, windows) of every predict and trace_rows call
+        walks: list[tuple[str, int]] = []
+        predict, trace_rows = DegradationNetwork.predict, DegradationNetwork.trace_rows
 
-        def spy(self, x):
-            sizes.append(len(x))
+        def predict_spy(self, x):
+            walks.append(("predict", len(x)))
             return predict(self, x)
 
-        monkeypatch.setattr(DegradationNetwork, "predict", spy)
+        def trace_rows_spy(self, bank_rows, starts):
+            walks.append(("trace_rows", len(starts)))
+            return trace_rows(self, bank_rows, starts)
+
+        monkeypatch.setattr(DegradationNetwork, "predict", predict_spy)
+        monkeypatch.setattr(DegradationNetwork, "trace_rows", trace_rows_spy)
         for n in self.SIZES:
             engine = EngineTrajectory(1, long.values[:n])
             bundle = DatasetBundle("FD001", (), tuple(tests[:n]), np.zeros(n, dtype=np.int64))
@@ -1134,20 +1142,86 @@ class TestTwoLaneInference:
             for lanes in (1, 2):
                 monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda k=lanes: k)
                 bank = build_window_bank([engine], scaler, FD001, policy, w)
+                # full curves walk the bank's rows; last windows are stacked
                 calls = [
-                    lambda: predict_windows(model, bank),
-                    lambda: predict_engine(model, engine, scaler, FD001, policy),
-                    lambda: evaluate_test(model, bundle, scaler, FD001, policy).pred,
+                    (lambda: predict_windows(model, bank), "trace_rows"),
+                    (lambda: predict_engine(model, engine, scaler, FD001, policy), "trace_rows"),
+                    (lambda: evaluate_test(model, bundle, scaler, FD001, policy).pred, "predict"),
                 ]
-                for call, expected in zip(calls, want):
-                    jobs, sizes[:] = lane_jobs(executors), []
+                for (call, walk), expected in zip(calls, want):
+                    jobs, walks[:] = lane_jobs(executors), []
                     assert call().tobytes() == expected, (n, lanes)
                     assert lane_jobs(executors) - jobs == (lanes == 2 and n >= 2)
                     # the lanes append in either order
-                    assert sorted(sizes) == sorted(len(range(n)[c]) for c in infer_slices(n))
-                    assert max(sizes) <= INFER_BATCH
+                    chunks = sorted((walk, len(range(n)[c])) for c in infer_slices(n))
+                    assert sorted(walks) == chunks
+                    assert max(size for _, size in walks) <= INFER_BATCH
         # every two-lane call used the caller's one worker
         assert len(executors) == 1
+
+
+class TestRowWalk:
+    """``trace_rows`` over a bank's rows against ``trace`` of the same windows, stacked."""
+
+    FIELDS = ("temporal", "abstract", "attention", "prediction")
+
+    @given(data=st.data())
+    def test_every_chunk_matches_the_per_window_trace_in_both_lane_modes(self, data):
+        w = data.draw(st.integers(4, 70), label="window")
+        depth = data.draw(st.sampled_from([d for d in range(1, 5) if w >> d]), label="depth")
+        m = data.draw(st.integers(1, 30), label="n_features")
+        # one-cycle engines and engines shorter than the window among them
+        short = st.sampled_from([1, max(1, w - 1)])
+        lengths = data.draw(
+            st.lists(short | st.integers(1, 150), min_size=1, max_size=5), label="lengths"
+        )
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        config = ModelConfig(window=w, n_features=m, conv_channels=conv_channels_for_depth(depth))
+        model = DegradationNetwork(config, rng)
+        model.regressor.children[-1].bias.value[...] = 60.0
+        # each engine's rows behind w - 1 copies of its first, as a bank lays them out
+        rows = np.concatenate([pad_first_row(rng.normal(size=(n, m)), w) for n in lengths])
+        bank = WindowBank(rows, lengths, np.zeros(sum(lengths)), w)
+        chunks = infer_slices(bank.n_windows)
+        want = [
+            model.trace(np.stack([rows[s : s + w] for s in bank.starts[c]])) for c in chunks
+        ]
+        # a one-window call: the last window alone
+        chunks.append(slice(bank.n_windows - 1, bank.n_windows))
+        want.append(model.trace(rows[None, -w:]))
+        for lanes in (1, 2):
+            with mock.patch("tddn.lanes.cpu_lanes", lambda k=lanes: k):
+                got = map_windows(
+                    lambda c: model.trace_rows(bank.rows, bank.starts[c]), bank.n_windows
+                )
+            got.append(model.trace_rows(rows, bank.starts[-1:]))
+            assert len(got) == len(want)
+            for c, g, expected in zip(chunks, got, want):
+                for field in self.FIELDS:
+                    a, b = getattr(g, field), getattr(expected, field)
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), (lanes, c, field)
+
+    def test_refuses_rows_and_starts_that_are_not_windows(self):
+        model = DegradationNetwork(SMALL_MODEL, np.random.default_rng(35))
+        rows = np.zeros((20, SMALL_MODEL.n_features))
+        cases = [
+            (rows[:, :3], np.arange(2), r"expected rows \(N, 15\)"),
+            (rows, np.arange(0), "non-empty 1-D integer array"),
+            (rows, np.zeros((2, 2), dtype=np.int64), "non-empty 1-D integer array"),
+            (rows, np.array([0.0, 1.0]), "non-empty 1-D integer array"),
+            (rows, np.array([-1, 3]), "starts -1..3 leave"),
+            (rows, np.array([0, 13]), "starts 0..13 leave a 8-row window outside 20 rows"),
+        ]
+        for bad_rows, starts, message in cases:
+            with pytest.raises(ValueError, match=message):
+                model.trace_rows(bad_rows, starts)
+        assert model.trace_rows(rows, np.array([12])).prediction.shape == (1,)
+
+    def test_a_bank_of_another_window_is_refused(self):
+        model = DegradationNetwork(SMALL_MODEL, np.random.default_rng(36))
+        bank = WindowBank(np.zeros((12, SMALL_MODEL.n_features)), [6], np.zeros(6), 7)
+        with pytest.raises(ValueError, match="a bank of 7-row windows for a 8-row model"):
+            predict_windows(model, bank)
 
 
 class TestTrain:
