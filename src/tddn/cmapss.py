@@ -7,16 +7,17 @@ columns:
 
     unit  cycle  setting_1..setting_3  sensor_1..sensor_21
 
-A data file parses in one NumPy pass: ``np.loadtxt`` with no comment
-character reads the open file itself, with no list of its lines, and
+The parser takes one input, an open text file, and reads it from where
+it stands. It parses in one NumPy pass: ``np.loadtxt`` with no comment
+character reads the file itself, with no list of its lines, and
 vectorized checks require 26 columns and unit ids and cycles that are
 integers in [1, 2**53), so a float64 holds each exactly. Only when that
 pass refuses the input does the per-line loop run, over the file read
-again from the start. The loop is fail-fast: a malformed line raises ParseError
-with its 1-based line number, counting blank lines. It also accepts the
-forms ``float()`` reads and NumPy does not (``1_0``, non-ASCII digits),
-so a stream parses, or fails, as the loop alone would have it, with the
-same bits. Fields may be separated by any whitespace ``str.split()``
+again from the same place. The loop is fail-fast: a malformed line raises
+ParseError with its 1-based line number, counting blank lines. It also
+accepts the forms ``float()`` reads and NumPy does not (``1_0``, non-ASCII
+digits), so a file parses, or fails, as the loop alone would have it,
+with the same bits. Fields may be separated by any whitespace ``str.split()``
 splits on, and blank lines are skipped, since copies of the dataset in
 the wild vary; ``#`` and quotes are plain non-numeric tokens. Rows may
 come in any order; a data file parses into one (n, 26) float64 matrix in
@@ -121,43 +122,33 @@ def _is_number(token: str) -> bool:
     return True
 
 
-def parse_data_file(lines: Iterable[str]) -> np.ndarray:
-    """Parse a train/test data stream into an (n, 26) float64 matrix in file order.
+def parse_data_file(fh: IO[str]) -> np.ndarray:
+    """Parse an open text file into an (n, 26) float64 matrix in file order.
 
-    Raises ParseError naming the offending 1-based line number on a wrong
-    column count, a non-numeric token, or a unit id or cycle that is not
-    an integer in [1, 2**53). NumPy reads valid input in one pass; the
-    per-line loop runs only when that pass refuses the input. A seekable
-    stream (an open file) is read in place, and each further pass seeks
-    back to where it started; any other iterable is listed first.
+    The file is read from where it stands, and each further pass seeks
+    back there. Raises ParseError naming the offending 1-based line
+    number, counted from there, on a wrong column count, a non-numeric
+    token, or a unit id or cycle that is not an integer in [1, 2**53).
+    NumPy reads valid input in one pass; the per-line loop runs only when
+    that pass refuses the input.
     """
-    try:
-        start = lines.tell() if lines.seekable() else None
-    except (AttributeError, OSError):  # not a stream, or a file that next() has read from
-        start = None
-    if start is None:
-        lines = list(lines)
+    start = fh.tell()
     # stops at the first line with data; loadtxt warns on input with none
-    if not any(map(str.strip, lines)):
+    if not any(map(str.strip, fh)):
         return np.empty((0, N_FIELDS))
+    fh.seek(start)
     try:
-        rows = np.loadtxt(_rewound(lines, start), dtype=np.float64, comments=None, ndmin=2)
+        rows = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2)
     except ValueError:
         rows = np.empty((0, 0))  # refused: the loop names the first bad line
     ids = rows[:, :2]
     if rows.shape[1] != N_FIELDS or not np.all(
         (ids >= 1) & (ids < _INT_LIMIT) & (ids == np.trunc(ids))
     ):
+        fh.seek(start)
         # listed before the loop, so a non-ASCII byte anywhere is reported ahead of a bad line
-        return _parse_lines(list(_rewound(lines, start)))
+        return _parse_lines(list(fh))
     return rows
-
-
-def _rewound(lines: Iterable[str], start: int | None) -> Iterable[str]:
-    """``lines`` from its start again: a stream seeks back to ``start``; a list needs nothing."""
-    if start is not None:
-        lines.seek(start)
-    return lines
 
 
 def _parse_lines(lines: Iterable[str]) -> np.ndarray:

@@ -353,29 +353,28 @@ class DegradationNetwork:
         At stage ``L`` a window's position ``k`` sits on row ``s + d * k`` of
         the stage's rows ``h`` (dilation ``d = 2 ** (L - 1)``), and only
         positions 0 and 1 of a conv read the window's zero pad. So one matmul
-        over the patch rows ``[h[t - d], h[t]]`` serves every window, plus two
+        over the patch rows ``[h[t - d], h[t]]`` serves every window, with two
         edge rows per window, ``[0, first]`` and ``[first, h[s + d]]``, where
-        ``first`` is its position-0 value. The ops are the layers' own, in
-        their operand order, over rows padded to a multiple of ``ROW_TILE``.
+        ``first`` is its position-0 value, stacked below them. The ops are the
+        layers' own, in their operand order, over one matrix per stage padded
+        to a multiple of ``ROW_TILE`` rows.
         """
         n_win = len(starts)
         h, first, d = rows, rows[starts], 1
         for conv in self.conv_stack.children[::3]:
             n, c_in = h.shape
-            patches = np.zeros((_tiled(n), 2 * c_in))
+            e = n + n_win  # the patch rows, then each window's two edge rows
+            patches = np.zeros((_tiled(e + n_win), 2 * c_in))
             patches[d:n, :c_in] = h[: n - d]
             patches[:n, c_in:] = h
-            # both edge rows of every window in one matrix, so one matmul
-            edges = np.zeros((_tiled(2 * n_win), 2 * c_in))
-            edges[:n_win, c_in:] = first
-            edges[n_win : 2 * n_win, :c_in] = first
-            edges[n_win : 2 * n_win, c_in:] = h[starts + d]
+            patches[n:e, c_in:] = first
+            patches[e : e + n_win, :c_in] = first
+            patches[e : e + n_win, c_in:] = h[starts + d]
             # ReLU.forward's fmax, then MaxPool1d.forward's maximum(second, first)
-            out, edge = conv.affine(patches), conv.affine(edges)
+            out = conv.affine(patches)
             np.fmax(out, 0.0, out=out)
-            np.fmax(edge, 0.0, out=edge)
             h = np.maximum(out[d:n], out[: n - d])
-            first = np.maximum(edge[n_win : 2 * n_win], edge[:n_win])
+            first = np.maximum(out[e : e + n_win], out[n:e])
             d *= 2
         n_time = pooled_length(self.config.window, self.config.depth)
         temporal = np.empty((n_win, n_time, h.shape[1]))

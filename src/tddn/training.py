@@ -276,8 +276,6 @@ class WindowBank:
         self.labels = labels
         engine = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
         self.starts = np.arange(labels.shape[0], dtype=np.int64) + engine * (window - 1)
-        # flat index of each engine's last window
-        self.ends = np.cumsum(lengths) - 1
         self._windows = sliding_window_view(rows, (window, rows.shape[1]))[:, 0]
 
     @property

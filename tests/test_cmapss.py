@@ -117,43 +117,43 @@ def _line(unit: int, cycle: int, values=None) -> str:
 
 class TestParseDataFile:
     def test_parses_fields_in_order(self):
-        rows = parse_data_file([_line(3, 7, list(range(24)))])
+        rows = parse_data_file(_as_stream([_line(3, 7, list(range(24)))]))
         assert rows.shape == (1, N_FIELDS)
         assert rows.dtype == np.float64
         assert rows[0].tolist() == [3.0, 7.0] + [float(v) for v in range(24)]
 
     def test_blank_lines_skipped(self):
-        records = parse_data_file(["", _line(1, 1), "   ", _line(1, 2), ""])
+        records = parse_data_file(_as_stream(["", _line(1, 1), "   ", _line(1, 2), ""]))
         assert len(records) == 2
 
     def test_wrong_column_count(self):
         with pytest.raises(ParseError, match=r"line 1: expected 26 columns, got 25"):
-            parse_data_file(["1 1 " + " ".join(["0.0"] * 23)])
+            parse_data_file(_as_stream(["1 1 " + " ".join(["0.0"] * 23)]))
 
     def test_line_number_in_error_counts_all_lines(self):
         with pytest.raises(ParseError, match=r"line 3"):
-            parse_data_file([_line(1, 1), "", "1 2 short"])
+            parse_data_file(_as_stream([_line(1, 1), "", "1 2 short"]))
 
     def test_non_numeric_value(self):
         bad = _line(1, 1).replace("0.2", "abc")
         with pytest.raises(ParseError, match=r"non-numeric value 'abc'"):
-            parse_data_file([bad])
+            parse_data_file(_as_stream([bad]))
 
     def test_rejects_bad_unit_and_cycle(self):
         with pytest.raises(ParseError, match=r"unit id must be >= 1"):
-            parse_data_file([_line(0, 1)])
+            parse_data_file(_as_stream([_line(0, 1)]))
         with pytest.raises(ParseError, match=r"cycle must be >= 1"):
-            parse_data_file([_line(1, 0)])
+            parse_data_file(_as_stream([_line(1, 0)]))
         with pytest.raises(ParseError, match=r"unit id must be an integer"):
-            parse_data_file(["1.5 1 " + " ".join(["0.0"] * 24)])
+            parse_data_file(_as_stream(["1.5 1 " + " ".join(["0.0"] * 24)]))
 
     def test_rejects_ids_a_float64_cannot_hold(self):
         message = r"line 2: unit id must be below 2\*\*53, got '1e19'"
         with pytest.raises(ParseError, match=message):
-            parse_data_file(["", "1e19 1 " + " ".join(["0.0"] * 24)])
+            parse_data_file(_as_stream(["", "1e19 1 " + " ".join(["0.0"] * 24)]))
         with pytest.raises(ParseError, match=r"line 1: cycle must be below 2\*\*53"):
-            parse_data_file([_line(1, 2**53)])
-        rows = parse_data_file([_line(2**53 - 1, 1)])
+            parse_data_file(_as_stream([_line(1, 2**53)]))
+        rows = parse_data_file(_as_stream([_line(2**53 - 1, 1)]))
         assert int(rows[0, 0]) == 2**53 - 1
 
     @pytest.mark.parametrize("lines", [[], [""], ["", "   ", "\t\x0c", "\r\n"]],
@@ -161,7 +161,7 @@ class TestParseDataFile:
     def test_no_data_gives_an_empty_matrix_without_a_warning(self, lines):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = parse_data_file(lines)
+            rows = parse_data_file(_as_stream(lines))
             assert rows.shape == (0, N_FIELDS)
             assert rows.dtype == np.float64
             assert group_by_engine(rows) == []
@@ -170,7 +170,7 @@ class TestParseDataFile:
         calls = []
         loop = cmapss._parse_lines
         monkeypatch.setattr(cmapss, "_parse_lines", lambda lines: calls.append(1) or loop(lines))
-        rows = parse_data_file([_line(1, 1, ["1_0", "\u0661"] + [0.0] * 22)])
+        rows = parse_data_file(_as_stream([_line(1, 1, ["1_0", "\u0661"] + [0.0] * 22)]))
         assert rows[0, 2:4].tolist() == [10.0, 1.0]
         assert calls == [1]
 
@@ -180,7 +180,7 @@ class TestParseDataFile:
 
 
 class TestParseOpenFile:
-    """A seekable stream is read in place; the loop reads it again from the start."""
+    """An open file is read in place; the loop reads it again from where it stood."""
 
     @staticmethod
     def _file(tmp_path, lines: list[str]):
@@ -230,17 +230,25 @@ class TestParseOpenFile:
             parse_data_file(stream)
         assert calls == [1]
 
-    def test_file_read_with_next_is_listed_from_where_it_stands(self, tmp_path):
-        with self._file(tmp_path, ["unit cycle ...", _line(1, 1), _line(1, 2)]) as fh:
-            next(fh)  # a text file then refuses tell()
+    def test_file_past_a_header_is_parsed_from_where_it_stands(self, tmp_path, monkeypatch):
+        calls = self._count_loops(monkeypatch)
+        header = "unit cycle ..."
+        with self._file(tmp_path, [header, _line(1, 1), _line(1, 2)]) as fh:
+            fh.readline()  # unlike next(fh), keeps tell() working
             assert parse_data_file(fh)[:, 1].tolist() == [1.0, 2.0]
-
-    def test_generator_is_listed_first(self):
-        lines = [_line(1, 1), _line(1, 2)]
-        rows = parse_data_file(line for line in lines)
-        assert rows.tobytes() == parse_data_file(lines).tobytes()
-        with pytest.raises(ParseError, match=r"^line 3: non-numeric value 'abc'$"):
-            parse_data_file(line for line in lines + [_line(1, 3).replace("0.2", "abc")])
+        assert calls == []
+        odd = _line(1, 2, ["1_0"] + [0.1 * i for i in range(23)])
+        with self._file(tmp_path, [header, _line(1, 1), odd]) as fh:
+            fh.readline()
+            rows = parse_data_file(fh)
+        assert calls == [1]
+        assert rows[:, 1].tolist() == [1.0, 2.0]
+        assert rows[1, 2] == 10.0
+        with self._file(tmp_path, [header, _line(1, 1), "1 2 short"]) as fh:
+            fh.readline()
+            with pytest.raises(ParseError, match=r"^line 2: expected 26 columns, got 3$"):
+                parse_data_file(fh)
+        assert calls == [1, 1]
 
     def test_non_ascii_byte_deep_in_a_file_is_named(self, tmp_path):
         # past NumPy's first reads, and after a line that the loop would refuse
@@ -259,23 +267,23 @@ class TestParseOpenFile:
 
 class TestGroupByEngine:
     def test_groups_and_sorts(self):
-        records = parse_data_file([_line(2, 1), _line(1, 2), _line(1, 1), _line(2, 2)])
+        records = parse_data_file(_as_stream([_line(2, 1), _line(1, 2), _line(1, 1), _line(2, 2)]))
         trajectories = group_by_engine(records)
         assert [t.unit_id for t in trajectories] == [1, 2]
         assert all(t.n_cycles == 2 for t in trajectories)
 
     def test_values_matrix_shape(self):
-        trajectories = group_by_engine(parse_data_file([_line(1, 1), _line(1, 2)]))
+        trajectories = group_by_engine(parse_data_file(_as_stream([_line(1, 1), _line(1, 2)])))
         traj = trajectories[0]
         assert traj.values.shape == (2, 24)
 
     def test_duplicate_cycle(self):
         with pytest.raises(StructureError, match=r"unit 2: duplicate cycle 1"):
-            group_by_engine(parse_data_file([_line(2, 1), _line(2, 1)]))
+            group_by_engine(parse_data_file(_as_stream([_line(2, 1), _line(2, 1)])))
 
     def test_missing_cycle(self):
         with pytest.raises(StructureError, match=r"unit 2: missing cycle 2"):
-            group_by_engine(parse_data_file([_line(2, 1), _line(2, 3)]))
+            group_by_engine(parse_data_file(_as_stream([_line(2, 1), _line(2, 3)])))
 
 
 class TestParseRulFile:
@@ -300,7 +308,8 @@ class TestRoundTrip:
         bundle = make_bundle(n_train=3, n_test=2, seed=11)
         stream = io.StringIO()
         write_data_file(bundle.train, stream)
-        reparsed = group_by_engine(parse_data_file(stream.getvalue().splitlines()))
+        stream.seek(0)
+        reparsed = group_by_engine(parse_data_file(stream))
         assert len(reparsed) == len(bundle.train)
         for orig, back in zip(bundle.train, reparsed):
             assert back.unit_id == orig.unit_id

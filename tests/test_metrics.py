@@ -164,7 +164,7 @@ class TestEvaluateTest:
         source = make_bundle(n_test=len(lengths), min_len=20, max_len=30, seed=41).test
         test = tuple(replace(t, values=t.values[:n]) for t, n in zip(source, lengths))
         bank = build_window_bank(test, scaler, selection, LabelPolicy(), window)
-        want = bank.gather(bank.ends)[0]
+        want = bank.gather(np.cumsum([t.n_cycles for t in test]) - 1)[0]
         got = last_windows(replace(bundle, test=test), scaler, selection, window)
         assert got.shape == want.shape == (len(lengths), window, 15)
         assert got.tobytes() == want.tobytes()
@@ -242,7 +242,7 @@ class TestLastWindowsDefinition:
             assert str(info.value) == message
             return
         bank = build_window_bank(test, scaler, selection, LabelPolicy(), window)
-        want = bank.gather(bank.ends)[0]
+        want = bank.gather(np.cumsum(lengths) - 1)[0]
         got = last_windows(bundle, scaler, selection, window)
         assert got.shape == want.shape == (len(test), window, m)
         assert got.tobytes() == want.tobytes()
