@@ -1,9 +1,8 @@
 """Same seed, same bytes: one SHA-256 per artifact of a fixed set of ``tddn`` runs.
 
-Usage: ``python tests/same_bytes.py [--tree PATH] > hashes.json``, then
-compare with ``tests/same_bytes.json``. It runs each command in a subprocess,
-in a temporary directory, on the ``tddn`` of the checkout it sits in (its
-``src/``), or with ``--tree`` on the ``src/`` of the checkout at ``PATH``:
+Usage: ``python tests/same_bytes.py > hashes.json``, then compare with
+``tests/same_bytes.json``. It takes no flags and runs the checkout it sits in
+(its ``src/``), each command in a subprocess, in a temporary directory:
 
 - data: ``make_bundle(n_train=12, n_test=4, min_len=30, max_len=140, seed=5)``
 - ``train --epochs 8 --lr 3e-3 --patience 3 --seed 4`` at (window, depth,
@@ -23,16 +22,12 @@ The bytes also depend on the NumPy build and the SIMD code it dispatches to
 (another build or CPU rounds some sums differently), so ``host`` names the
 NumPy version, the machine and NumPy's dispatch targets. The hashes in
 ``tests/same_bytes.json`` pin the bytes only where ``host`` is the same.
-
-To compare two checkouts on any host, run the script once plainly and once
-with ``--tree`` at the other checkout, then ``diff`` the two outputs. With
-``--tree`` only the commands and the load-then-save import the other
-checkout; the data, the shapes and the hashing stay this script's own.
+To compare two checkouts on any host, run each checkout's own
+``tests/same_bytes.py`` on the same host and ``diff`` the two outputs.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import os
@@ -61,13 +56,13 @@ RESAVE = (
 )
 
 
-def run(work: Path, src: Path, *args: str) -> None:
-    env = {**os.environ, "PYTHONPATH": str(src)}
+def run(work: Path, *args: str) -> None:
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     subprocess.run([sys.executable, *args], cwd=work, env=env, stdout=sys.stderr, check=True)
 
 
-def tddn(work: Path, src: Path, *args: str) -> None:
-    run(work, src, "-m", "tddn.cli", *args)
+def tddn(work: Path, *args: str) -> None:
+    run(work, "-m", "tddn.cli", *args)
 
 
 def host() -> str:
@@ -91,14 +86,6 @@ def digest(path: Path) -> str:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--tree", type=Path, default=ROOT,
-        help="checkout whose src/ the commands run (default: this script's own)",
-    )
-    src = parser.parse_args().tree.resolve() / "src"
-    if not (src / "tddn").is_dir():
-        parser.error(f"no tddn package under {src}")
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         bundle = make_bundle(n_train=12, n_test=4, min_len=30, max_len=140, seed=5)
@@ -107,21 +94,18 @@ def main() -> int:
             shape = f"w{window}-d{depth}-b{batch}"
             ckpt = f"{shape}/run/model.ckpt"
             tddn(
-                work, src, "train", "--data", "data", "--out", f"{shape}/run", "--window",
+                work, "train", "--data", "data", "--out", f"{shape}/run", "--window",
                 str(window), "--depth", str(depth), "--batch", str(batch), *TRAIN,
             )
+            tddn(work, "evaluate", "--checkpoint", ckpt, "--data", "data", "--out", f"{shape}/eval")
             tddn(
-                work, src, "evaluate", "--checkpoint", ckpt, "--data", "data",
-                "--out", f"{shape}/eval",
-            )
-            tddn(
-                work, src, "export-features", "--checkpoint", ckpt, "--data", "data",
+                work, "export-features", "--checkpoint", ckpt, "--data", "data",
                 "--out", f"{shape}/features", "--engine", "1",
             )
-            run(work, src, "-c", RESAVE, ckpt, f"{shape}/resaved.ckpt")
+            run(work, "-c", RESAVE, ckpt, f"{shape}/resaved.ckpt")
             if (work / ckpt).read_bytes() != (work / shape / "resaved.ckpt").read_bytes():
                 sys.exit(f"{ckpt}: a load-then-save changed its bytes")
-        tddn(work, src, "sweep", "--data", "data", "--out", "sweep", *SWEEP)
+        tddn(work, "sweep", "--data", "data", "--out", "sweep", *SWEEP)
         hashes = {
             path.relative_to(work).as_posix(): digest(path)
             for path in sorted(work.rglob("*"))

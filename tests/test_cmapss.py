@@ -219,36 +219,26 @@ class TestParseOpenFile:
                 rows = parse_data_file(fh)
         assert rows.shape == (0, N_FIELDS)
 
-    def test_stream_is_parsed_from_where_it_stands(self, monkeypatch):
+    def test_stream_is_parsed_from_where_it_stands(self, tmp_path, monkeypatch):
         calls = self._count_loops(monkeypatch)
-        stream = _as_stream(["unit cycle ...", _line(1, 1), _line(1, 2)])
-        stream.readline()
-        assert parse_data_file(stream)[:, 1].tolist() == [1.0, 2.0]
-        stream = _as_stream(["unit cycle ...", _line(1, 1), "1 2 short"])
-        stream.readline()
-        with pytest.raises(ParseError, match=r"^line 2: "):
-            parse_data_file(stream)
-        assert calls == [1]
-
-    def test_file_past_a_header_is_parsed_from_where_it_stands(self, tmp_path, monkeypatch):
-        calls = self._count_loops(monkeypatch)
-        header = "unit cycle ..."
-        with self._file(tmp_path, [header, _line(1, 1), _line(1, 2)]) as fh:
-            fh.readline()  # unlike next(fh), keeps tell() working
-            assert parse_data_file(fh)[:, 1].tolist() == [1.0, 2.0]
-        assert calls == []
         odd = _line(1, 2, ["1_0"] + [0.1 * i for i in range(23)])
-        with self._file(tmp_path, [header, _line(1, 1), odd]) as fh:
-            fh.readline()
-            rows = parse_data_file(fh)
-        assert calls == [1]
-        assert rows[:, 1].tolist() == [1.0, 2.0]
-        assert rows[1, 2] == 10.0
-        with self._file(tmp_path, [header, _line(1, 1), "1 2 short"]) as fh:
-            fh.readline()
-            with pytest.raises(ParseError, match=r"^line 2: expected 26 columns, got 3$"):
-                parse_data_file(fh)
-        assert calls == [1, 1]
+        for source in (_as_stream, lambda lines: self._file(tmp_path, lines)):
+            calls.clear()
+            with source(["unit cycle ...", _line(1, 1), _line(1, 2)]) as fh:
+                fh.readline()  # unlike next(fh), keeps tell() working
+                assert parse_data_file(fh)[:, 1].tolist() == [1.0, 2.0]
+            assert calls == []
+            with source(["unit cycle ...", _line(1, 1), odd]) as fh:
+                fh.readline()
+                rows = parse_data_file(fh)
+            assert calls == [1]
+            assert rows[:, 1].tolist() == [1.0, 2.0]
+            assert rows[1, 2] == 10.0
+            with source(["unit cycle ...", _line(1, 1), "1 2 short"]) as fh:
+                fh.readline()
+                with pytest.raises(ParseError, match=r"^line 2: expected 26 columns, got 3$"):
+                    parse_data_file(fh)
+            assert calls == [1, 1]
 
     def test_non_ascii_byte_deep_in_a_file_is_named(self, tmp_path):
         # past NumPy's first reads, and after a line that the loop would refuse
