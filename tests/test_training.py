@@ -456,6 +456,52 @@ class TestAdamMatchesReference:
         self.step_several_blocks(346, beta1=TrainConfig.beta1)
         self.assert_lanes_used(lanes, executors)
 
+    def test_subnormal_first_moments_flushed_on_schedule(self, lanes, executors):
+        flush = training.ADAM_FLUSH_EVERY
+        tiny = np.finfo(np.float64).tiny
+        shapes = [(ADAM_BLOCK - 3,), (2, ADAM_BLOCK + 5), (7,), (3, 11, 5)]
+        rng = np.random.default_rng(8)
+        values = [rng.normal(size=s) for s in shapes]
+        params = packed_params(*(Param(f"p{i}", v) for i, v in enumerate(values)))
+        twins = [Param(f"p{i}", v.copy()) for i, v in enumerate(values)]
+        opt, ref = Adam(params), ReferenceAdam(twins)
+        # in both lanes' chunks: three subnormal moments, and a normal one
+        # that decays below 2^-1022 on its first zero-gradient step
+        injected = {(0, (0,)): 5e-324, (1, (0, ADAM_BLOCK)): -1e-315,
+                    (2, (3,)): 1e-310, (3, (2, 10, 4)): 2.3e-308}
+        flat = []
+        for (k, i), m in injected.items():
+            ref.m[k][i] = m
+            flat.append(params[k].layout[2] + np.ravel_multi_index(i, shapes[k]))
+        opt.m[flat] = list(injected.values())
+        assert tiny < 2.3e-308 and np.count_nonzero(opt.m) == 4
+        first = flush - 4
+        opt.step_count = ref.step_count = first - 1
+        for step in range(first, first + self.N_STEPS):
+            for p, q in zip(params, twins):
+                q.grad[...] = p.grad[...] = rng.normal(size=p.value.shape)
+            if step <= flush + 1:
+                for k, i in injected:
+                    params[k].grad[i] = twins[k].grad[i] = 0.0
+            opt.step(self.lr(step))
+            ref.step(self.lr(step))
+            ref_m = np.concatenate([m.ravel() for m in ref.m])
+            ref_subnormal = np.flatnonzero((ref_m != 0.0) & (np.abs(ref_m) < tiny))
+            if step < flush or step > flush + 1:
+                # off the schedule nothing is flushed, and the first nonzero
+                # gradient gives the moments the reference's bits again
+                self.assert_same_state(opt, ref)
+                assert list(ref_subnormal) == (flat if step < flush else [])
+                continue
+            for p, q in zip(params, twins):
+                np.testing.assert_array_equal(p.value, q.value, err_msg=f"step {step}")
+            assert list(ref_subnormal) == flat
+            assert not np.any(opt.m[flat]) and not np.any((opt.m != 0.0) & (np.abs(opt.m) < tiny))
+            ref_m[flat] = 0.0
+            np.testing.assert_array_equal(opt.m, ref_m)
+            np.testing.assert_array_equal(opt.v, np.concatenate([v.ravel() for v in ref.v]))
+        self.assert_lanes_used(lanes, executors)
+
 
 class TestTwoLaneAdam:
     def test_lane_decision(self, monkeypatch, executors):
