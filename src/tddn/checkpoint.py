@@ -9,10 +9,12 @@ shape (``arrays``), so a checkpoint can be evaluated without the
 training-time configuration. The header's ``config`` holds the three
 ``ModelConfig`` fields and the three values the architecture fixes
 (``kernel``, ``attention_hidden``, ``regressor_hidden``). The payload is
-hashed. Loading builds the config from its three fields, refuses a
-``config`` or an ``arrays`` table that is not the one that config
-produces, reads the payload into the model's buffer and verifies the
-digest before returning anything.
+hashed. One function, ``_header``, builds the header for both sides, and
+the rule is that a header loads only if it is the header
+``save_checkpoint`` writes for its fields: loading builds the config,
+selection and label policy from those fields, refuses any top-level entry
+that differs from ``_header``'s, reads the payload into the model's buffer
+and verifies the digest before returning anything.
 """
 
 from __future__ import annotations
@@ -54,23 +56,29 @@ def _int(value: object, field: str) -> int:
     return value
 
 
-def _config_table(config: ModelConfig) -> dict:
-    """The header's ``config``: the three fields a run sets, then the values they fix."""
+def _header(
+    model: DegradationNetwork, columns: tuple[str, ...], subset_id: str, r_max: int, digest: str
+) -> dict:
+    """The header ``save_checkpoint`` writes; ``load_checkpoint`` refuses any other."""
+    config = model.config
     return {
-        "window": _int(config.window, "window"),
-        "n_features": _int(config.n_features, "n_features"),
-        "conv_channels": [_int(c, "conv_channels") for c in config.conv_channels],
-        "kernel": config.kernel,
-        "attention_hidden": config.attention_hidden,
-        "regressor_hidden": config.regressor_hidden,
+        "format_version": FORMAT_VERSION,
+        "subset_id": subset_id,
+        "columns": list(columns),
+        "r_max": _int(r_max, "r_max"),
+        "config": {
+            "window": _int(config.window, "window"),
+            "n_features": _int(config.n_features, "n_features"),
+            "conv_channels": [_int(c, "conv_channels") for c in config.conv_channels],
+            "kernel": config.kernel,
+            "attention_hidden": config.attention_hidden,
+            "regressor_hidden": config.regressor_hidden,
+        },
+        # in payload order
+        "arrays": [{"name": p.name, "shape": list(p.value.shape)} for p in model.params()]
+        + [{"name": name, "shape": [config.n_features]} for name in ("scaler.min", "scaler.max")],
+        "payload_sha256": digest,
     }
-
-
-def _arrays_table(model: DegradationNetwork, n_columns: int) -> list[dict]:
-    """The header's ``arrays`` entries, in payload order."""
-    return [{"name": p.name, "shape": list(p.value.shape)} for p in model.params()] + [
-        {"name": name, "shape": [n_columns]} for name in ("scaler.min", "scaler.max")
-    ]
 
 
 def save_checkpoint(
@@ -97,19 +105,12 @@ def save_checkpoint(
             f"{selection.n_columns} selected columns and a scaler over "
             f"{scaler.col_min.size}/{scaler.col_max.size} for {n_features} model features"
         )
-    if not isinstance(subset_id, str) or _check_subset_id(subset_id) != selection.subset_id:
+    if _check_subset_id(subset_id) != selection.subset_id:
         raise ValueError(f"subset {subset_id!r} is not the selection's {selection.subset_id!r}")
     arrays = [model.value, scaler.col_min, scaler.col_max]
     payload = memoryview(np.concatenate(arrays).astype("<f8", copy=False))
-    header = {
-        "format_version": FORMAT_VERSION,
-        "subset_id": subset_id,
-        "columns": list(selection.columns),
-        "r_max": _int(policy.r_max, "r_max"),
-        "config": _config_table(model.config),
-        "arrays": _arrays_table(model, scaler.col_min.size),
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
-    }
+    digest = hashlib.sha256(payload).hexdigest()
+    header = _header(model, selection.columns, subset_id, policy.r_max, digest)
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -121,8 +122,15 @@ def save_checkpoint(
 def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
     """Read a checkpoint and rebuild the model it describes.
 
-    The file is opened once. Its magic, header and payload length (from the
-    file's size) are checked before the model is built, with no weights drawn
+    A header loads only if it is the header ``save_checkpoint`` writes for
+    its fields. The config, selection and label policy are built from those
+    fields, and any top-level entry that differs from ``_header``'s for them,
+    or is not one of its keys, is a ``CheckpointError`` naming the file and
+    the entry. The file's own ``subset_id`` is kept, so a ``"fd001"`` saved
+    as given loads as ``FD001``.
+
+    The file is opened once. Its magic, header fields and payload length (from
+    the file's size) are checked before the model is built, with no weights drawn
     (``rng=None``), so a crafted config cannot allocate more. The weights are
     then read straight into ``model.value`` and the scaler bounds into their
     own array, and those bytes are hashed, so the payload is never held
@@ -155,7 +163,25 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
             raise CheckpointError(
                 f"{path}: unsupported format version {version!r}"
             )
-        config, selection, policy = _parse_header(path, header)
+        try:
+            source = header["config"]
+            config = ModelConfig(
+                window=_int(source["window"], "window"),
+                n_features=_int(source["n_features"], "n_features"),
+                conv_channels=tuple(_int(c, "conv_channels") for c in source["conv_channels"]),
+            )
+            # "fd001" from a config file was saved as given; it loads as "FD001"
+            subset_id = _check_subset_id(header["subset_id"])
+            selection = SensorSelection(subset_id=subset_id, columns=tuple(header["columns"]))
+            policy = LabelPolicy(r_max=_int(header["r_max"], "r_max"))
+        except KeyError as exc:
+            raise CheckpointError(f"{path}: header has no {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path}: {exc}") from exc
+        if selection.n_columns != config.n_features:
+            raise CheckpointError(
+                f"{path}: {selection.n_columns} columns for {config.n_features} model features"
+            )
 
         # checked before the model is built, so a crafted config cannot allocate more
         payload_len = file_size - len(head) - header_len
@@ -168,9 +194,18 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
                 raise CheckpointError(f"{path}: payload checksum mismatch")
             raise CheckpointError(f"{path}: payload of {payload_len} bytes, expected {expected}")
         model = DegradationNetwork(config, rng=None)
-        # compared as JSON text, so 2.0 or true does not pass for 2 or 1
-        if json.dumps(header.get("arrays")) != json.dumps(_arrays_table(model, config.n_features)):
-            raise CheckpointError(f"{path}: header arrays are not those of its model config")
+        # the file's own subset_id and digest: "fd001" loads, and the digest is checked below
+        written = _header(
+            model, selection.columns, header["subset_id"], policy.r_max,
+            header.get("payload_sha256"),
+        )
+        for key in sorted(header.keys() | written.keys()):
+            if key not in written:
+                raise CheckpointError(f"{path}: unknown header key {key!r}")
+            # compared as JSON text, so 2.0 or true does not pass for 2 or 1
+            want = json.dumps(written[key], sort_keys=True)
+            if json.dumps(header.get(key), sort_keys=True) != want:
+                raise CheckpointError(f"{path}: header {key} is not {want}")
         bounds = np.empty(2 * config.n_features)
         digest = hashlib.sha256()
         for array in (model.value, bounds):
@@ -192,48 +227,3 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
         selection=selection,
         policy=policy,
     )
-
-
-def _parse_header(
-    path: Path, header: dict
-) -> tuple[ModelConfig, SensorSelection, LabelPolicy]:
-    """The model config, selection and label policy a checkpoint header states."""
-    try:
-        subset_id = header["subset_id"]
-        columns = header["columns"]
-        r_max = _int(header["r_max"], "r_max")
-    except KeyError as exc:
-        raise CheckpointError(f"{path}: header missing {exc}") from exc
-    except TypeError as exc:
-        raise CheckpointError(f"{path}: bad header field: {exc}") from exc
-    if not isinstance(subset_id, str):
-        raise CheckpointError(f"{path}: subset_id must be a string, got {subset_id!r}")
-    if not isinstance(columns, list) or not all(isinstance(c, str) for c in columns):
-        raise CheckpointError(f"{path}: columns must be a list of names, got {columns!r}")
-    columns = tuple(columns)
-
-    try:
-        source = header["config"]
-        config = ModelConfig(
-            window=_int(source["window"], "window"),
-            n_features=_int(source["n_features"], "n_features"),
-            conv_channels=tuple(_int(c, "conv_channels") for c in source["conv_channels"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"{path}: bad model config in header: {exc}") from exc
-    # compared as JSON text, so an unknown key, or a fixed value other than the model's, is refused
-    expected = json.dumps(_config_table(config), sort_keys=True)
-    if json.dumps(source, sort_keys=True) != expected:
-        raise CheckpointError(f"{path}: header config is not {expected}")
-    try:
-        # "fd001" from a config file was saved as given; it loads as "FD001"
-        subset_id = _check_subset_id(subset_id)
-        selection = SensorSelection(subset_id=subset_id, columns=columns)
-        policy = LabelPolicy(r_max=r_max)
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: {exc}") from exc
-    if selection.n_columns != config.n_features:
-        raise CheckpointError(
-            f"{path}: {selection.n_columns} columns for {config.n_features} model features"
-        )
-    return config, selection, policy

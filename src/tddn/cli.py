@@ -523,7 +523,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CheckpointError, CmapssError, TrainingError, ValueError, OSError) as exc:
+    except (CheckpointError, CmapssError, TrainingError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -96,6 +96,8 @@ class DatasetBundle:
 
 
 def _check_subset_id(subset_id: str) -> str:
+    if not isinstance(subset_id, str):
+        raise ValueError(f"subset_id must be a string, got {subset_id!r}")
     sid = subset_id.strip().upper()
     if sid not in SUBSET_IDS:
         raise ValueError(f"unknown subset {subset_id!r}; expected one of {SUBSET_IDS}")

@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .cmapss import COLUMN_NAMES, EngineTrajectory, _check_subset_id
+from .cmapss import _INT_LIMIT, COLUMN_NAMES, EngineTrajectory, _check_subset_id
 
 logger = logging.getLogger(__name__)
 
@@ -61,6 +61,9 @@ class LabelPolicy:
     def __post_init__(self) -> None:
         if self.r_max <= 0:
             raise ValueError(f"r_max must be positive, got {self.r_max}")
+        # labels are float64, so a larger cap is not a whole number of cycles
+        if self.r_max >= _INT_LIMIT:
+            raise ValueError(f"r_max must be below 2**53, got {self.r_max}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,6 +7,7 @@ import re
 import struct
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,10 @@ from tddn.model import DegradationNetwork, ModelConfig, conv_channels_for_depth
 from tddn.preprocess import COLUMN_NAMES, LabelPolicy, fit_scaler, select_columns
 from tddn.training import Adam
 from _synth import make_bundle
+
+
+# a format-1 file written at commit ae5bc37 from _save's model, scaler and label cap
+V1_FILE = Path(__file__).with_name("checkpoint_v1.ckpt")
 
 
 def _save(directory):
@@ -272,6 +277,20 @@ class TestLoader:
         assert second.read_bytes() == first.read_bytes()
 
 
+class TestV1File:
+    def test_loads_and_saves_to_the_same_bytes(self, tmp_path):
+        loaded = load_checkpoint(V1_FILE)
+        assert loaded.model.config == ModelConfig(window=8, n_features=15, conv_channels=(4, 8))
+        assert loaded.selection == select_columns("FD001")
+        assert loaded.policy == LabelPolicy(r_max=110)
+        again = tmp_path / "again.ckpt"
+        save_checkpoint(
+            again, loaded.model, loaded.scaler, loaded.selection, loaded.policy,
+            loaded.selection.subset_id,
+        )
+        assert again.read_bytes() == V1_FILE.read_bytes()
+
+
 class TestCorruption:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="missing checkpoint"):
@@ -412,7 +431,7 @@ class TestMalformedHeader:
     def test_bad_array_shape(self, saved, shape):
         path, *_ = saved
         _rewrite_header(path, _with_first_shape(shape))
-        message = r"model\.ckpt: header arrays are not those of its model config"
+        message = r'model\.ckpt: header arrays is not \[\{"name": "conv1\.weight", "shape": \[2'
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
 
@@ -431,6 +450,7 @@ class TestMalformedHeader:
             _with_field("r_max", 110.0),
             _with_field("r_max", True),
             _with_field("r_max", "110"),
+            _with_field("r_max", 2**53),
             _with_config(window=8.0),
             _with_config(kernel=True),
             _with_config(regressor_hidden="8"),
@@ -445,7 +465,7 @@ class TestMalformedHeader:
         ids=[
             "r_max-null", "r_max-inf", "columns-int", "shape-inf", "config-inf",
             "subset_id-int", "subset_id-unknown", "subset_id-list",
-            "r_max-fraction", "r_max-float", "r_max-bool", "r_max-string",
+            "r_max-fraction", "r_max-float", "r_max-bool", "r_max-string", "r_max-2**53",
             "config-float", "config-bool", "config-string",
             "conv_channels-string", "conv_channels-float",
             "shape-float", "shape-string", "format_version-bool", "columns-nested",
@@ -478,7 +498,7 @@ class TestMalformedHeader:
     def test_arrays_table_must_match(self, saved, edit):
         path, *_ = saved
         _rewrite_header(path, edit)
-        with pytest.raises(CheckpointError, match=r"model\.ckpt: header arrays are not those"):
+        with pytest.raises(CheckpointError, match=r'model\.ckpt: header arrays is not \[\{"name'):
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
@@ -501,6 +521,13 @@ class TestMalformedHeader:
         _rewrite_header(path, edit)
         message = r'model\.ckpt: header config is not \{"attention_hidden": 8, '
         with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [None, 1, "FD001"])
+    def test_unknown_top_level_key(self, saved, value):
+        path, *_ = saved
+        _rewrite_header(path, _with_field("dropout", value))
+        with pytest.raises(CheckpointError, match=r"model\.ckpt: unknown header key 'dropout'"):
             load_checkpoint(path)
 
     def test_payload_size_is_checked_before_building(self, saved):

@@ -104,6 +104,19 @@ class TestTrainCommand:
         assert manifest["patience"] == config.patience
         assert manifest["rmax"] == config.r_max
 
+    def test_memory_error_exits_1_without_traceback(
+        self, synth_data_dir, tmp_path, monkeypatch, capsys
+    ):
+        # faked: a real allocation that fails can commit gigabytes before it does
+        def fail(*args):
+            raise MemoryError("Unable to allocate 17.5 TiB for an array")
+
+        monkeypatch.setattr(cli, "train", fail)
+        assert run("train", "--data", str(synth_data_dir), "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert "error: Unable to allocate 17.5 TiB for an array" in err
+        assert "Traceback" not in err
+
     def test_missing_data_dir_exits_2_naming_path(self, tmp_path, capsys):
         missing = tmp_path / "nowhere"
         code = run("train", "--data", str(missing), "--out", str(tmp_path / "o"))
@@ -766,8 +779,12 @@ class TestRefusedSettings:
             ("--lr=5e-324", "got 5e-324 and its tenth 0.0"),
             ("--seed=-1", "seed must be >= 0, got -1"),
             ("--rmax=0", "r_max must be positive, got 0"),
+            ("--rmax=9223372036854775808", "r_max must be below 2**53, got 9223372036854775808"),
         ],
-        ids=["lr-nan", "lr-inf", "lr-minus-inf", "lr-tenth-zero", "seed-minus-1", "rmax-0"],
+        ids=[
+            "lr-nan", "lr-inf", "lr-minus-inf", "lr-tenth-zero", "seed-minus-1", "rmax-0",
+            "rmax-2**63",
+        ],
     )
     def test_exits_2_without_manifest(
         self, command, flag, message, synth_data_dir, tmp_path, capsys
