@@ -143,20 +143,25 @@ def split_engines(
     return tuple(train), tuple(val)
 
 
-# elements per pass of Adam.step: a block's six float64 operands (value,
-# grad, m, v, two scratch) take 1.5 MiB and stay in L2 between its ufuncs
+# elements per pass of Adam.step: a block's two float64 operands (value,
+# grad) and four float32 ones (m, v, two scratch) take 1 MiB and stay in L2
+# between its ufuncs. At the default shape 2^14, 2^16 and 2^17 beat it in
+# 2, 7 and 3 of 10 alternating rounds
 ADAM_BLOCK = 1 << 15
 # parameter count from which Adam.step hands map_chunks one chunk per lane; in
 # a train-step loop two lanes won 10/10 rounds from 191k params up and gained
-# nothing at 141k and below
+# nothing at 141k and below. With float32 moments, Adam alone on two lanes
+# beat one in 0-2 of 10 rounds at every size from 98k to 1.02M, on a host
+# whose two threads read 0.73-1.29 of serial time; kept until the lanes are
+# measured with a two-thread probe
 ADAM_TWO_LANE_MIN = 5 * ADAM_BLOCK
-# steps between Adam.step's flushes of subnormal first moments to zero (see
-# Adam). A flush scans a block in about 22 us, so at 64 it costs the default
-# model about 11 us a step (under 0.1%), and a moment that turns subnormal
-# between flushes is slow for at most 63 steps. Periods 16, 64 and 256 read
-# the same window-16 benchmark windows/s within its noise (2 runs each)
+# steps between Adam.step's flushes of small moments to zero (see Adam). A
+# flush scans a block in about 25-38 us, so at 64 it costs the default model
+# about 12-18 us a step (about 0.1%). Over steps 1,000-3,000 of a window-16
+# run, periods 16 and 256 read Adam faster than 64 in 4 and 6 of 10 rotating
+# rounds; never flushing read it 4-5x slower there
 ADAM_FLUSH_EVERY = 64
-_TINY = np.finfo(np.float64).tiny
+_TINY = np.finfo(np.float32).tiny
 
 
 # most windows per forward pass at inference (``map_windows``). Where a batch
@@ -187,26 +192,53 @@ class Adam:
     The update is element-wise, so the bits are those of the serial path
     either way. The optimizer holds no thread of its own.
 
-    Every ``ADAM_FLUSH_EVERY`` steps, each block also sets to zero every
-    first moment below ``np.finfo(np.float64).tiny`` (2^-1022) in magnitude,
-    after its own ``value`` update. A gradient that is exactly 0 on every
-    step, such as a dead ReLU unit's, takes ``m *= beta1`` below 2^-1022
-    after about 6,600 steps at beta1 0.9. There it sticks, since 0.9 times
-    the smallest subnormals rounds back to them, and on x86 every ufunc on
-    those elements then takes a microcode assist (NumPy sets neither FTZ nor
-    DAZ): unflushed, the window-16 step read about 1.9x slower and the
-    default one about 2.2x from epoch 14-15 on. ``v`` is not flushed; at
-    beta2 0.999 it needs about 700k steps to reach the subnormals.
+    ``m`` and ``v`` are float32, as is each lane's scratch, while ``value``
+    and ``grad`` stay float64: the moments take half the bytes, and a step
+    moves fewer. A step rounds the gradient to float32, updates the moments
+    and computes ``(m/bc1)/(sqrt(v/bc2)+eps)*lr`` in float32, and subtracts
+    that from the float64 ``value``. So the weights keep float64's
+    resolution, and only a step's size carries float32 rounding (2^-24,
+    about 6e-8, relative per operation). A |g| above about 1.8e19 makes
+    ``g*g``, and so ``v``, inf in float32, and that parameter then takes no
+    step. Where ``1 - beta**t`` rounds to a float32 1, the division by it is
+    skipped: it would be exact.
+
+    Every ``ADAM_FLUSH_EVERY`` steps, after its own ``value`` update, each
+    block sets to zero every ``m`` whose magnitude, or whose update term's,
+    is below ``tiny/beta1**ADAM_FLUSH_EVERY`` (about 1.0e-35), and every
+    ``v`` below ``tiny/beta2**ADAM_FLUSH_EVERY`` (about 1.25e-38), ``tiny``
+    being ``np.finfo(np.float32).tiny`` (2^-126): a moment or update term
+    that only decays can then not turn subnormal before the next flush. A
+    gradient that is exactly 0 on every step, such as a dead ReLU unit's,
+    takes ``m *= beta1`` below 2^-126 after about 760 steps at beta1 0.9, and
+    ``v *= beta2`` after about 71,000 at beta2 0.999, both inside a
+    200-epoch run. There a moment sticks, since beta times the smallest
+    subnormals rounds back to them, and on x86 every ufunc on those elements
+    takes a microcode assist (NumPy sets neither FTZ nor DAZ). The units
+    that die in the first epoch decay together: with the flush at ``tiny``
+    itself, up to 278k of the default model's first moments were subnormal
+    between two flushes and Adam read 4x slower over steps 700-900; with
+    ``m`` alone flushed early, the update terms of about 7k of them still
+    were, and Adam read about 1.4x slower. ``lr`` multiplies last for the
+    same reason: ``lr*m`` would go subnormal while ``m`` is still far above
+    its threshold.
 
     The flush changes a byte only in cases far below any real run. A
-    flushed moment's update term would have been below lr*2.2e-299
-    (lr*(m/bc1)/(sqrt(v/bc2)+eps) with bc1 >= 0.1 and eps 1e-8), which
-    leaves any |value| above about lr*1e-283 unchanged. Once a gradient with
-    |(1-beta1)*g| >= 2^-968 returns, the subnormal beta1*m sits below half an
-    ulp of it, so ``m`` takes the unflushed optimizer's bits again. Bytes can
-    therefore differ only for a parameter within about lr*1e-283 of zero, or
-    where a nonzero gradient component below about 1e-290 meets a flushed
-    moment.
+    flushed ``m`` would have added less than lr*1.0e-27 to an update (|m| <
+    1.0e-35, bc1 above 0.998 from step 64 on, and a denominator of at least
+    eps 1e-8), or, flushed for its update term, less than 1.0e-35, and its
+    later terms decay from there; so it moves no |value| above about
+    lr*1e-11 (1e-19 for the second kind). A flushed ``v`` moves no byte
+    while sqrt(v/bc2) stays below half an ulp of float32 ``eps`` (2^-51):
+    both denominators then round to eps, and a flushed ``v`` gives at most
+    about 5e-19. Once a gradient returns whose term, (1-beta1)*g or
+    (1-beta2)*g*g, is 2^24 times beta times the flushed moment or more, the
+    old moment sits below half an ulp of the new term, and the moment takes
+    the unflushed optimizer's bits again: for |m| < 1.0e-35 from
+    |g| >= 1.5e-27, for a flushed ``v`` from |g| >= 1.5e-14. Value bytes can
+    therefore differ only for a parameter within about lr*1e-11 of zero, or
+    where a gradient near 1.5e-14 meets a flushed ``v`` and moves a
+    denominator by an ulp.
     """
 
     def __init__(
@@ -234,8 +266,8 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = np.zeros(self.value.size)
-        self.v = np.zeros(self.value.size)
+        self.m = np.zeros(self.value.size, np.float32)
+        self.v = np.zeros(self.value.size, np.float32)
 
     def step(self, lr: float) -> None:
         """Apply one update from the gradients currently in the params."""
@@ -243,6 +275,10 @@ class Adam:
         b1, b2, eps = self.beta1, self.beta2, self.eps
         bc1 = 1.0 - b1**self.step_count
         bc2 = 1.0 - b2**self.step_count
+        # a division by a float32 1 is exact, so it is skipped: from step 165
+        # for bc1 at beta1 0.9, and from step 17,321 for bc2 at beta2 0.999
+        divide_m = np.float32(bc1) != 1.0
+        divide_v = np.float32(bc2) != 1.0
         size = self.value.size
         # from ADAM_TWO_LANE_MIN up, one chunk of whole blocks per lane (the
         # caller's rounded up), so each lane allocates one scratch pair a step
@@ -251,12 +287,15 @@ class Adam:
 
         def update(chunk: slice) -> None:
             stop = min(chunk.stop, size)
-            s1 = np.empty(min(ADAM_BLOCK, stop - chunk.start))
+            s1 = np.empty(min(ADAM_BLOCK, stop - chunk.start), np.float32)
             s2 = np.empty_like(s1)
             # the element-wise order of the per-array formula
-            #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
-            #   value -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
-            # is kept exactly, so the bits match an unblocked update
+            #   g = f32(g);  m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
+            #   value -= (m/bc1) / (sqrt(v/bc2) + eps) * lr
+            # is kept exactly, so the bits match an unblocked update. All
+            # but the last operation are float32 (a Python float takes the
+            # float32 array's dtype); value subtracts the float32 term in
+            # float64
             for start in range(chunk.start, stop, ADAM_BLOCK):
                 block = slice(start, min(start + ADAM_BLOCK, stop))
                 g = self.grad[block]
@@ -264,32 +303,47 @@ class Adam:
                 v = self.v[block]
                 t1 = s1[: g.size]
                 t2 = s2[: g.size]
+                # one cast, and then no float64 operand: the casting ufunc
+                # loops that a float64 g would take are slower
+                np.copyto(t2, g)
                 m *= b1
-                np.multiply(1.0 - b1, g, out=t1)
+                np.multiply(1.0 - b1, t2, out=t1)
                 m += t1
                 v *= b2
-                np.multiply(g, g, out=t1)
+                np.multiply(t2, t2, out=t1)
                 np.multiply(1.0 - b2, t1, out=t1)
                 v += t1
-                if bc1 == 1.0:
-                    # bc1 rounds to 1 from step 356 at beta1 0.9: m / bc1 is m
-                    np.multiply(lr, m, out=t1)
+                if divide_v:
+                    np.divide(v, bc2, out=t2)
+                    np.sqrt(t2, out=t2)
                 else:
-                    np.divide(m, bc1, out=t1)
-                    np.multiply(lr, t1, out=t1)
-                np.divide(v, bc2, out=t2)
-                np.sqrt(t2, out=t2)
+                    np.sqrt(v, out=t2)
                 t2 += eps
-                t1 /= t2
+                if divide_m:
+                    np.divide(m, bc1, out=t1)
+                    t1 /= t2
+                else:
+                    np.divide(m, t2, out=t1)
+                # lr last: lr*m would turn subnormal while m is still well
+                # above the flush threshold
+                t1 *= lr
                 self.value[block] -= t1
                 if flush:
                     # after this block's value update, so this step's own
                     # bytes are the unflushed optimizer's; the mask reuses
                     # t2's bytes, since a 32 KiB bool block allocated per
-                    # flush left train-fd001 1.2 MB higher and about 3% slower
+                    # flush left train-fd001 1.2 MB higher and about 3% slower.
+                    # A moment, or an update term, that only decays (by about
+                    # its beta a step) stays normal up to the next flush from
+                    # above these thresholds; t1 still holds the update term
+                    mask = s2.view(bool)[: g.size]
+                    small = s2.view(bool)[g.size : 2 * g.size]
+                    np.abs(t1, out=t1)
+                    np.less(t1, _TINY / b1**ADAM_FLUSH_EVERY, out=mask)
                     np.abs(m, out=t1)
-                    flushed = np.less(t1, _TINY, out=s2.view(bool)[: g.size])
-                    m[flushed] = 0.0
+                    mask |= np.less(t1, _TINY / b1**ADAM_FLUSH_EVERY, out=small)
+                    m[mask] = 0.0
+                    v[np.less(v, _TINY / b2**ADAM_FLUSH_EVERY, out=mask)] = 0.0
 
         map_chunks(update, size, lane)
 

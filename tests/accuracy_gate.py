@@ -136,9 +136,10 @@ class Verdict:
         return self.shift < -self.noise
 
 
-def compare(
-    reference: dict[str, list[float]], null: dict[str, list[float]], candidate: dict[str, list[float]]
-) -> list[Verdict]:
+Scores = dict[str, list[float]]
+
+
+def compare(reference: Scores, null: Scores, candidate: Scores) -> list[Verdict]:
     """One ``Verdict`` per shape, from three arms' per-seed scores in seed order."""
     return [
         Verdict(
@@ -150,7 +151,7 @@ def compare(
     ]
 
 
-def run_arms(arms: dict[str, tuple[Path, bool]]) -> dict[str, dict[str, list[list[float]]]]:
+def run_arms(arms: dict[str, tuple[Path, str]]) -> dict[str, dict[str, list[list[float]]]]:
     """Each arm's curves, from one subprocess per arm, one arm per usable CPU at a time.
 
     Each arm pins itself to its CPU, so it trains on one lane and no two
@@ -163,10 +164,10 @@ def run_arms(arms: dict[str, tuple[Path, bool]]) -> dict[str, dict[str, list[lis
         wave, pending = pending[: len(cpus)], pending[len(cpus) :]
         procs = {
             name: subprocess.Popen(
-                [sys.executable, __file__, "--arm", str(src), "nudge" if nudge else "plain", str(cpu)],
+                [sys.executable, __file__, "--arm", str(src), mode, str(cpu)],
                 stdout=subprocess.PIPE,
             )
-            for (name, (src, nudge)), cpu in zip(wave, cpus)
+            for (name, (src, mode)), cpu in zip(wave, cpus)
         }
         for name, proc in procs.items():
             stdout, _ = proc.communicate()
@@ -186,9 +187,11 @@ def main(argv: list[str]) -> int:
     started = time.perf_counter()
     here = TESTS.parent / "src"
     reference = Path(argv[0]).resolve() if argv else here
-    curves = run_arms(
-        {"reference": (reference, False), "null": (reference, True), "candidate": (here, False)}
-    )
+    curves = run_arms({
+        "reference": (reference, "plain"),
+        "null": (reference, "nudge"),
+        "candidate": (here, "plain"),
+    })
     scores = {
         arm: {shape: [score(c) for c in runs] for shape, runs in by_shape.items()}
         for arm, by_shape in curves.items()

@@ -1,18 +1,20 @@
-"""Long Adam run: flushing subnormal first moments changes no byte and saves time.
+"""Long Adam run: flushing subnormal moments changes no byte and saves time.
 
 Usage: ``python tests/long_adam.py``. It takes no flags and runs the checkout
 it sits in (its ``src/``). It trains the window-16, depth-1 network on the
 windows of ``make_bundle(n_train=20, min_len=120, max_len=260, seed=2)`` at
 batch 32 for ``STEPS`` steps, twice in one process: first as shipped, then with
-``training.ADAM_FLUSH_EVERY`` out of reach, so no first moment is ever flushed.
+``training.ADAM_FLUSH_EVERY`` out of reach, so no moment is ever flushed.
 
 Every 1,000 steps it prints, for each run, the medians of the Adam step and of
-the whole training step over those steps, and the count of subnormal first
-moments. It exits non-zero unless the two runs' parameter bytes are equal at
-every 1,000th step and the unflushed run ends with subnormal first moments
-(without them, the comparison covered no flush). Gradients that are exactly
-0 on every step (dead ReLU units) drive those moments below 2^-1022 after
-about 6,600 steps, so ``STEPS`` stays well past that.
+the whole training step over those steps, and the counts of subnormal first
+and second moments. It exits non-zero unless the two runs' parameter bytes
+are equal at every 1,000th step and the unflushed run ends with subnormal
+first moments (without them, the comparison covered no flush). Gradients
+that are exactly 0 on every step (dead ReLU units) drive the float32 first
+moments below 2^-126 after about 760 steps, so ``STEPS`` stays well past
+that. Their second moments need about 71,000 steps, past what a CI step
+can run, so here they stay normal; the tier-1 flush test covers them.
 """
 
 from __future__ import annotations
@@ -34,13 +36,13 @@ from tddn.layers import mse_loss  # noqa: E402
 from tddn.model import DegradationNetwork, ModelConfig, conv_channels_for_depth  # noqa: E402
 from tddn.preprocess import fit_scaler, select_columns  # noqa: E402
 
-STEPS = 9_000
+STEPS = 3_000
 REPORT_EVERY = 1_000
-TINY = np.finfo(np.float64).tiny
+TINY = np.finfo(np.float32).tiny
 
 
-def subnormal_moments(m: np.ndarray) -> int:
-    return int(np.count_nonzero((m != 0.0) & (np.abs(m) < TINY)))
+def subnormal_moments(moments: np.ndarray) -> int:
+    return int(np.count_nonzero((moments != 0.0) & (np.abs(moments) < TINY)))
 
 
 def run(bank: training.WindowBank, label: str) -> tuple[list[str], int]:
@@ -78,7 +80,7 @@ def run(bank: training.WindowBank, label: str) -> tuple[list[str], int]:
                 f"{label:>9} steps {step - REPORT_EVERY + 1:>5}-{step:<5} epoch {epoch:>3}  "
                 f"adam p50 {statistics.median(adam_ms):6.3f} ms  "
                 f"step p50 {statistics.median(step_ms):6.3f} ms  "
-                f"subnormal m {subnormal_moments(opt.m)}",
+                f"subnormal m {subnormal_moments(opt.m)} v {subnormal_moments(opt.v)}",
                 flush=True,
             )
             adam_ms.clear()

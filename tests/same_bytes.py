@@ -1,8 +1,8 @@
 """Same seed, same bytes: one SHA-256 per artifact of a fixed set of ``tddn`` runs.
 
-Usage: ``python tests/same_bytes.py > hashes.json``, then compare with
-``tests/same_bytes.json``. It takes no flags and runs the checkout it sits in
-(its ``src/``), each command in a subprocess, in a temporary directory:
+Usage: ``python tests/same_bytes.py [MODE] > hashes.json``, then compare with
+``tests/same_bytes.json``. It runs the checkout it sits in (its ``src/``),
+each command in a subprocess, in a temporary directory:
 
 - data: ``make_bundle(n_train=12, n_test=4, min_len=30, max_len=140, seed=5)``
 - ``train --epochs 8 --lr 3e-3 --patience 3 --seed 4`` at (window, depth,
@@ -15,8 +15,15 @@ Usage: ``python tests/same_bytes.py > hashes.json``, then compare with
 It prints a JSON object: ``host``, and ``sha256``, which maps each file the
 runs leave (paths relative to the work directory) to its SHA-256. The sweep's
 ``seconds`` and ``mean_seconds`` columns are left out of the hashed bytes. The
-commands' own output goes to stderr. Run it natively and under ``taskset -c 0``
-to check one lane against two: those outputs must be equal on any host.
+commands' own output goes to stderr.
+
+``MODE`` sets the lanes in every command's process, as the golden pins do:
+``native`` (the default) leaves the host's lane count, ``one-lane`` holds
+``map_chunks`` to one lane, and ``two-lanes`` gives it two lanes with
+``training.ADAM_TWO_LANE_MIN`` and ``layers.BACKWARD_TWO_LANE_MIN`` at 0, so
+that every Adam step and every layer backward splits. The lanes split work
+without changing it, so every mode, natively or under ``taskset -c 0``, must
+print the same output on any host.
 
 The bytes also depend on the NumPy build and the SIMD code it dispatches to
 (another build or CPU rounds some sums differently), so ``host`` names the
@@ -54,15 +61,27 @@ RESAVE = (
     "c = load_checkpoint(sys.argv[1]); "
     "save_checkpoint(sys.argv[2], c.model, c.scaler, c.selection, c.policy, c.selection.subset_id)"
 )
+# code each command's process runs first, by mode
+MODES = {
+    "native": "",
+    "one-lane": "from tddn import lanes; lanes.cpu_lanes = lambda: 1",
+    "two-lanes": (
+        "from tddn import layers, lanes, training; lanes.cpu_lanes = lambda: 2; "
+        "training.ADAM_TWO_LANE_MIN = layers.BACKWARD_TWO_LANE_MIN = 0"
+    ),
+}
 
 
-def run(work: Path, *args: str) -> None:
+def run(work: Path, mode: str, code: str, *args: str) -> None:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    subprocess.run([sys.executable, *args], cwd=work, env=env, stdout=sys.stderr, check=True)
+    subprocess.run(
+        [sys.executable, "-c", f"{MODES[mode]}\n{code}", *args],
+        cwd=work, env=env, stdout=sys.stderr, check=True,
+    )
 
 
-def tddn(work: Path, *args: str) -> None:
-    run(work, "-m", "tddn.cli", *args)
+def tddn(work: Path, mode: str, *args: str) -> None:
+    run(work, mode, "from tddn.cli import entrypoint; entrypoint()", *args)
 
 
 def host() -> str:
@@ -85,7 +104,10 @@ def digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
+    (mode,) = argv or ["native"]
+    if mode not in MODES:
+        sys.exit(f"unknown mode {mode!r}; one of {', '.join(MODES)}")
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         bundle = make_bundle(n_train=12, n_test=4, min_len=30, max_len=140, seed=5)
@@ -94,18 +116,21 @@ def main() -> int:
             shape = f"w{window}-d{depth}-b{batch}"
             ckpt = f"{shape}/run/model.ckpt"
             tddn(
-                work, "train", "--data", "data", "--out", f"{shape}/run", "--window",
+                work, mode, "train", "--data", "data", "--out", f"{shape}/run", "--window",
                 str(window), "--depth", str(depth), "--batch", str(batch), *TRAIN,
             )
-            tddn(work, "evaluate", "--checkpoint", ckpt, "--data", "data", "--out", f"{shape}/eval")
             tddn(
-                work, "export-features", "--checkpoint", ckpt, "--data", "data",
+                work, mode, "evaluate", "--checkpoint", ckpt, "--data", "data",
+                "--out", f"{shape}/eval",
+            )
+            tddn(
+                work, mode, "export-features", "--checkpoint", ckpt, "--data", "data",
                 "--out", f"{shape}/features", "--engine", "1",
             )
-            run(work, "-c", RESAVE, ckpt, f"{shape}/resaved.ckpt")
+            run(work, mode, RESAVE, ckpt, f"{shape}/resaved.ckpt")
             if (work / ckpt).read_bytes() != (work / shape / "resaved.ckpt").read_bytes():
                 sys.exit(f"{ckpt}: a load-then-save changed its bytes")
-        tddn(work, "sweep", "--data", "data", "--out", "sweep", *SWEEP)
+        tddn(work, mode, "sweep", "--data", "data", "--out", "sweep", *SWEEP)
         hashes = {
             path.relative_to(work).as_posix(): digest(path)
             for path in sorted(work.rglob("*"))
@@ -117,4 +142,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

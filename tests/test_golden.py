@@ -37,16 +37,16 @@ RTOL = 1e-9
 # (window, depth) -> per-epoch (train_loss, val_rmse), then (rmse, nasa_score)
 PINNED = {
     (8, 2): (
-        [(3535.3061653869813, 43.96392416212094), (3511.2060303579124, 43.65908011849933)],
-        (24.132994812267526, 23.590255378700405),
+        [(3535.306167152524, 43.96392420336614), (3511.2060455022142, 43.659080426238184)],
+        (24.132994940683275, 23.590255641541425),
     ),
     (16, 1): (
-        [(3531.205392286816, 43.70662061247567), (3407.9581803320552, 41.856598635427396)],
-        (23.197606669719377, 21.704171518805353),
+        [(3531.2053949750702, 43.7066207221052), (3407.95823564853, 41.8565997773817)],
+        (23.197607219897474, 21.70417260780512),
     ),
     (32, 3): (
-        [(3479.309966808748, 42.438423754208536), (2759.255395743786, 24.867207449518293)],
-        (14.036296818025539, 8.139156475551331),
+        [(3479.30998523716, 42.43842454353565), (2759.255882846991, 24.86722149955472)],
+        (14.036298818747548, 8.139155291067283),
     ),
 }
 
@@ -54,19 +54,19 @@ PINNED = {
 # its values, of their squares, and of each value times its column number
 EXPORTED = {
     (8, 2): {
-        "attention.csv": (37.0, 5.215240504301346, 159.2401614639984),
-        "temporal_features.csv": (914.8241528685933, 547.6912021860176, 31236.279591265764),
-        "abstract_features.csv": (761.9174770440395, 515.7030669188048, 6057.439680826506),
+        "attention.csv": (37.0, 5.215239788080714, 159.24017081274607),
+        "temporal_features.csv": (914.8238752823385, 547.690870586924, 31236.269643632975),
+        "abstract_features.csv": (761.9171095259317, 515.7025669019964, 6057.436608210266),
     },
     (16, 1): {
-        "attention.csv": (37.0, 3.763480730877689, 330.0426448947012),
-        "temporal_features.csv": (2940.807882592726, 1916.9006248226685, 47985.180000451124),
-        "abstract_features.csv": (4767.555415488602, 5230.772309136015, 41240.39476595563),
+        "attention.csv": (37.0, 3.7634798420199504, 330.0426434132067),
+        "temporal_features.csv": (2940.8074639703495, 1916.9001846870917, 47985.17295143177),
+        "abstract_features.csv": (4767.553284589751, 5230.767772241068, 41240.375831182035),
     },
     (32, 3): {
-        "attention.csv": (37.0, 18.995025136182388, 699.9671540064918),
-        "temporal_features.csv": (19272.453337409337, 32110.25094345076, 1212534.5249814675),
-        "abstract_features.csv": (69605.53530071737, 521349.5307151889, 586016.2724849607),
+        "attention.csv": (37.0, 18.995027076533923, 699.9671709836622),
+        "temporal_features.csv": (19272.442868192997, 32110.21879268228, 1212533.8550760266),
+        "abstract_features.csv": (69605.48244647097, 521348.7363786182, 586015.8253240616),
     },
 }
 # leading key columns of each exported file: the cycle, then the step or row

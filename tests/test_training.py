@@ -205,14 +205,18 @@ class TestAdam:
         assert opt.step_count == 1
 
     def test_first_step_is_signed_lr(self):
-        # bias-corrected first step: -lr * g / (|g| + eps') ≈ -lr * sign(g)
+        # bias-corrected first step: -lr * g / (|g| + eps') ≈ -lr * sign(g),
+        # each term rounded to float32 as the optimizer rounds it
+        f32 = np.float32
         for g in (0.7, -3.0, 1e-3):
             p = Param("p", np.array([0.5]))
             opt = Adam(packed_params(p))
             p.grad[:] = g
             opt.step(lr=0.01)
-            update = p.value[0] - 0.5
-            assert update == pytest.approx(-0.01 * np.sign(g), rel=1e-5)
+            m, v = f32(g) * f32(1.0 - 0.9), f32(g) * f32(g) * f32(1.0 - 0.999)
+            term = m / f32(1.0 - 0.9) / (np.sqrt(v / f32(1.0 - 0.999)) + f32(1e-8)) * f32(0.01)
+            assert np.sign(term) == np.sign(g)
+            assert p.value[0] == 0.5 - np.float64(term)
 
     def test_identical_states_step_identically(self):
         rng = np.random.default_rng(42)
@@ -305,7 +309,17 @@ class TestAdam:
         np.testing.assert_array_equal(model.value, before)
         model.grad[...] = 1.0
         opt.step(lr=0.01)
-        np.testing.assert_array_equal(model.value, before - 0.01 * (1.0 / (1.0 + 1e-8)))
+        # m/bc1 and v/bc2 are 1, and 1 + 1e-8 rounds to 1 in float32, so each
+        # weight moves by the float32 lr
+        np.testing.assert_array_equal(model.value, before - np.float64(np.float32(0.01)))
+
+    def test_moments_are_float32_and_the_buffers_float64(self):
+        model = DegradationNetwork(SMALL_MODEL, np.random.default_rng(3))
+        opt = Adam(model.params())
+        opt.step(lr=0.01)
+        assert opt.value.dtype == opt.grad.dtype == np.float64
+        assert opt.m.dtype == opt.v.dtype == np.float32
+        assert opt.m.shape == opt.v.shape == opt.value.shape
 
     @pytest.mark.parametrize(
         "case",
@@ -348,7 +362,12 @@ class TestAdam:
 
 
 class ReferenceAdam:
-    """The per-parameter Adam the flat-buffer optimizer must match bit for bit."""
+    """The per-parameter Adam the flat-buffer optimizer must match bit for bit.
+
+    Its moments are float32. It rounds the gradient to float32, makes every
+    operation on the moments in float32, and subtracts the float32 update
+    from the value in float64.
+    """
 
     def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
@@ -356,19 +375,20 @@ class ReferenceAdam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = [np.zeros_like(p.value) for p in self.params]
-        self.v = [np.zeros_like(p.value) for p in self.params]
+        self.m = [np.zeros(p.value.shape, np.float32) for p in self.params]
+        self.v = [np.zeros(p.value.shape, np.float32) for p in self.params]
 
     def step(self, lr):
         self.step_count += 1
         bc1 = 1.0 - self.beta1**self.step_count
         bc2 = 1.0 - self.beta2**self.step_count
         for p, m, v in zip(self.params, self.m, self.v):
+            g = p.grad.astype(np.float32)
             m *= self.beta1
-            m += (1.0 - self.beta1) * p.grad
+            m += (1.0 - self.beta1) * g
             v *= self.beta2
-            v += (1.0 - self.beta2) * (p.grad * p.grad)
-            p.value -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            v += (1.0 - self.beta2) * (g * g)
+            p.value -= (m / bc1) / (np.sqrt(v / bc2) + self.eps) * lr
 
 
 @pytest.fixture(params=[1, 2], ids=["one-lane", "two-lane"])
@@ -425,7 +445,16 @@ class TestAdamMatchesReference:
             self.assert_same_state(opt, ref)
         self.assert_lanes_used(lanes, executors)
 
-    def step_several_blocks(self, first_step: int, beta1: float) -> None:
+    @staticmethod
+    def first_step_rounding_to_one(beta: float) -> int:
+        """The first step from which the bias correction 1 - beta**t is 1 in float32."""
+        step = 1
+        while np.float32(1.0 - beta**step) != 1.0:
+            step += 1
+        assert all(np.float32(1.0 - beta**t) == 1.0 for t in range(step, step + 100))
+        return step
+
+    def step_several_blocks(self, first_step: int, beta1: float, beta2: float = 0.99) -> None:
         """N_STEPS steps from ``first_step`` on params of 3 full blocks and a partial one."""
         # param edges fall inside blocks
         shapes = [(ADAM_BLOCK - 3,), (2, ADAM_BLOCK + 5), (7,), (3, 11, 5)]
@@ -434,8 +463,8 @@ class TestAdamMatchesReference:
         values = [rng.normal(size=s) for s in shapes]
         params = packed_params(*(Param(f"p{i}", v) for i, v in enumerate(values)))
         twins = [Param(f"p{i}", v.copy()) for i, v in enumerate(values)]
-        opt = Adam(params, beta1=beta1, beta2=0.99, eps=1e-6)
-        ref = ReferenceAdam(twins, beta1=beta1, beta2=0.99, eps=1e-6)
+        opt = Adam(params, beta1=beta1, beta2=beta2, eps=1e-6)
+        ref = ReferenceAdam(twins, beta1=beta1, beta2=beta2, eps=1e-6)
         opt.step_count = ref.step_count = first_step - 1
         for step in range(first_step, first_step + self.N_STEPS):
             for p, q in zip(params, twins):
@@ -451,30 +480,57 @@ class TestAdamMatchesReference:
         self.assert_lanes_used(lanes, executors)
 
     def test_steps_past_the_first_bias_correction_rounding_to_one(self, lanes, executors):
-        # 1 - 0.9**t is 1.0 from step 356 on, where the update skips m / bc1
-        assert 1.0 - TrainConfig.beta1**355 < 1.0 == 1.0 - TrainConfig.beta1**356
-        self.step_several_blocks(346, beta1=TrainConfig.beta1)
+        # from the step where float32(1 - 0.9**t) is 1 (165), the update skips m / bc1
+        first = self.first_step_rounding_to_one(TrainConfig.beta1)
+        assert np.float32(1.0 - TrainConfig.beta2**first) != 1.0
+        self.step_several_blocks(first - 10, TrainConfig.beta1, TrainConfig.beta2)
+        self.assert_lanes_used(lanes, executors)
+
+    def test_steps_past_the_second_bias_correction_rounding_to_one(self, lanes, executors):
+        # from the step where float32(1 - 0.999**t) is 1 (17,321), the update
+        # skips v / bc2 as well
+        first = self.first_step_rounding_to_one(TrainConfig.beta2)
+        assert first > self.first_step_rounding_to_one(TrainConfig.beta1) + self.N_STEPS
+        self.step_several_blocks(first - 10, TrainConfig.beta1, TrainConfig.beta2)
         self.assert_lanes_used(lanes, executors)
 
     def test_subnormal_first_moments_flushed_on_schedule(self, lanes, executors):
+        # and the second moments with them, and every moment, or first
+        # moment's update term, that decay alone would take below 2^-126
+        # before the next flush
         flush = training.ADAM_FLUSH_EVERY
-        tiny = np.finfo(np.float64).tiny
-        shapes = [(ADAM_BLOCK - 3,), (2, ADAM_BLOCK + 5), (7,), (3, 11, 5)]
+        tiny = np.finfo(np.float32).tiny
+        shapes = [(ADAM_BLOCK - 3,), (2, ADAM_BLOCK + 5), (7,), (3, 11, 5), (4,), (2,)]
         rng = np.random.default_rng(8)
         values = [rng.normal(size=s) for s in shapes]
         params = packed_params(*(Param(f"p{i}", v) for i, v in enumerate(values)))
         twins = [Param(f"p{i}", v.copy()) for i, v in enumerate(values)]
         opt, ref = Adam(params), ReferenceAdam(twins)
-        # in both lanes' chunks: three subnormal moments, and a normal one
-        # that decays below 2^-1022 on its first zero-gradient step
-        injected = {(0, (0,)): 5e-324, (1, (0, ADAM_BLOCK)): -1e-315,
-                    (2, (3,)): 1e-310, (3, (2, 10, 4)): 2.3e-308}
+        # in both lanes' chunks, (m, v): three subnormal pairs, a normal pair
+        # that decays below 2^-126 on its first zero-gradient step, a normal
+        # pair that stays normal up to the flush but would not up to the next
+        # one, and a large v that makes a normal m's update term that small
+        injected = {(0, (0,)): (1e-45, 1e-45), (1, (0, ADAM_BLOCK)): (-1e-40, 3e-41),
+                    (2, (3,)): (1e-39, 1e-39), (3, (2, 10, 4)): (1.3e-38, 1.176e-38),
+                    (4, (1,)): (-1e-36, 1.2e-38), (5, (0,)): (1e-33, 1e4)}
         flat = []
-        for (k, i), m in injected.items():
-            ref.m[k][i] = m
+        for (k, i), (m, v) in injected.items():
+            ref.m[k][i], ref.v[k][i] = m, v
             flat.append(params[k].layout[2] + np.ravel_multi_index(i, shapes[k]))
-        opt.m[flat] = list(injected.values())
-        assert tiny < 2.3e-308 and np.count_nonzero(opt.m) == 4
+        opt.m[flat], opt.v[flat] = zip(*injected.values())
+        m0, v0 = np.abs(opt.m[flat]), opt.v[flat]
+        assert np.all(m0[:3] < tiny) and np.all(v0[:3] < tiny)
+        assert m0[3] * 0.9 < tiny < m0[3] and v0[3] * 0.999 < tiny < v0[3]
+        assert tiny < m0[4] * 0.9**4 and m0[4] * 0.9 ** (4 + flush) < tiny
+        assert tiny < v0[4] * 0.999**4 and v0[4] * 0.999 ** (4 + flush) < tiny
+        assert m0[5] * 0.9 ** (4 + flush) > tiny
+        assert np.count_nonzero(opt.m) == np.count_nonzero(opt.v) == 6
+
+        def subnormal(moments: list[np.ndarray]) -> tuple[np.ndarray, list[int]]:
+            flat_moments = np.concatenate([x.ravel() for x in moments])
+            small = np.flatnonzero((flat_moments != 0.0) & (np.abs(flat_moments) < tiny))
+            return flat_moments, list(small)
+
         first = flush - 4
         opt.step_count = ref.step_count = first - 1
         for step in range(first, first + self.N_STEPS):
@@ -485,21 +541,20 @@ class TestAdamMatchesReference:
                     params[k].grad[i] = twins[k].grad[i] = 0.0
             opt.step(self.lr(step))
             ref.step(self.lr(step))
-            ref_m = np.concatenate([m.ravel() for m in ref.m])
-            ref_subnormal = np.flatnonzero((ref_m != 0.0) & (np.abs(ref_m) < tiny))
+            (ref_m, ref_m_small), (ref_v, ref_v_small) = subnormal(ref.m), subnormal(ref.v)
             if step < flush or step > flush + 1:
                 # off the schedule nothing is flushed, and the first nonzero
                 # gradient gives the moments the reference's bits again
                 self.assert_same_state(opt, ref)
-                assert list(ref_subnormal) == (flat if step < flush else [])
+                assert ref_m_small == ref_v_small == (flat[:4] if step < flush else [])
                 continue
             for p, q in zip(params, twins):
                 np.testing.assert_array_equal(p.value, q.value, err_msg=f"step {step}")
-            assert list(ref_subnormal) == flat
-            assert not np.any(opt.m[flat]) and not np.any((opt.m != 0.0) & (np.abs(opt.m) < tiny))
-            ref_m[flat] = 0.0
-            np.testing.assert_array_equal(opt.m, ref_m)
-            np.testing.assert_array_equal(opt.v, np.concatenate([v.ravel() for v in ref.v]))
+            assert ref_m_small == ref_v_small == flat[:4]
+            for moments, ref_moments, flushed in ((opt.m, ref_m, flat), (opt.v, ref_v, flat[:5])):
+                assert np.all(ref_moments[flushed]) and not np.any(moments[flushed])
+                ref_moments[flushed] = 0.0
+                np.testing.assert_array_equal(moments, ref_moments)
         self.assert_lanes_used(lanes, executors)
 
 
