@@ -38,6 +38,11 @@ class TrainingError(RuntimeError):
     """Raised when optimization cannot continue (non-finite loss or validation RMSE)."""
 
 
+# float32's smallest normal, 2^-126: the least learning rate (or tenth of one)
+# a TrainConfig takes, and the base of Adam's flush thresholds
+_TINY = np.finfo(np.float32).tiny
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Optimization hyperparameters.
@@ -66,10 +71,12 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        # a NaN fails every comparison, and the tenth of a subnormal rate rounds to 0
-        if not (self.lr_initial < math.inf and self.lr_reduced > 0.0):
+        # a NaN fails every comparison. Adam multiplies by the rate in float32,
+        # where a rate below float32's smallest normal would train nothing
+        if not (self.lr_initial < math.inf and self.lr_reduced >= float(_TINY)):
             raise ValueError(
-                f"learning rates must be positive and finite, got {self.lr_initial} "
+                f"learning rates must be positive and finite, and the tenth at least "
+                f"float32's smallest normal {_TINY:.8g}; got {self.lr_initial} "
                 f"and its tenth {self.lr_reduced}"
             )
         if self.patience < 1:
@@ -161,7 +168,6 @@ ADAM_TWO_LANE_MIN = 5 * ADAM_BLOCK
 # run, periods 16 and 256 read Adam faster than 64 in 4 and 6 of 10 rotating
 # rounds; never flushing read it 4-5x slower there
 ADAM_FLUSH_EVERY = 64
-_TINY = np.finfo(np.float32).tiny
 
 
 # most windows per forward pass at inference (``map_windows``). Where a batch
@@ -198,9 +204,14 @@ class Adam:
     and computes ``(m/bc1)/(sqrt(v/bc2)+eps)*lr`` in float32, and subtracts
     that from the float64 ``value``. So the weights keep float64's
     resolution, and only a step's size carries float32 rounding (2^-24,
-    about 6e-8, relative per operation). A |g| above about 1.8e19 makes
-    ``g*g``, and so ``v``, inf in float32, and that parameter then takes no
-    step. Where ``1 - beta**t`` rounds to a float32 1, the division by it is
+    about 6e-8, relative per operation). ``lr`` too is rounded to float32:
+    ``TrainConfig`` refuses a rate whose tenth is below float32 ``tiny``,
+    and a rate above float32's largest (about 3.4e38) is inf there, so
+    training stops on a non-finite loss after the first step. A |g| above
+    about 1.8e19 makes ``g*g``, and so ``v``, inf in float32. ``beta2*inf``
+    stays inf, so that parameter takes no step for the rest of the run, and
+    the flush below zeroes its ``m``; nothing reports it but the loss.
+    Where ``1 - beta**t`` rounds to a float32 1, the division by it is
     skipped: it would be exact.
 
     Every ``ADAM_FLUSH_EVERY`` steps, after its own ``value`` update, each
@@ -221,7 +232,10 @@ class Adam:
     ``m`` alone flushed early, the update terms of about 7k of them still
     were, and Adam read about 1.4x slower. ``lr`` multiplies last for the
     same reason: ``lr*m`` would go subnormal while ``m`` is still far above
-    its threshold.
+    its threshold. At a rate r, the update-term test also zeroes a live
+    ``m`` whose ratio ``(m/bc1)/(sqrt(v/bc2)+eps)`` is below about
+    1.0e-35/r (1e-31 at the protocol's 1e-4): a term that small moves no
+    |value| above about 1e-19, with the flush or without it.
 
     The flush changes a byte only in cases far below any real run. A
     flushed ``m`` would have added less than lr*1.0e-27 to an update (|m| <
@@ -276,7 +290,11 @@ class Adam:
         bc1 = 1.0 - b1**self.step_count
         bc2 = 1.0 - b2**self.step_count
         # a division by a float32 1 is exact, so it is skipped: from step 165
-        # for bc1 at beta1 0.9, and from step 17,321 for bc2 at beta2 0.999
+        # for bc1 at beta1 0.9, and from step 17,321 for bc2 at beta2 0.999,
+        # most of a 200-epoch run. There, skipping v/bc2 read Adam alone 3.23
+        # against 3.58 ms at the default shape and 0.194 against 0.220 ms at
+        # window 16 (medians, one lane), faster in 10 and 9 of 10 alternating
+        # rounds (the tenth a tie)
         divide_m = np.float32(bc1) != 1.0
         divide_v = np.float32(bc2) != 1.0
         size = self.value.size

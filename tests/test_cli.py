@@ -777,12 +777,14 @@ class TestRefusedSettings:
             ("--lr=inf", "learning rates must be positive and finite"),
             ("--lr=-inf", "learning rates must be positive and finite"),
             ("--lr=5e-324", "got 5e-324 and its tenth 0.0"),
+            ("--lr=1e-37", "got 1e-37 and its tenth 1.0000000000000001e-38"),
             ("--seed=-1", "seed must be >= 0, got -1"),
             ("--rmax=0", "r_max must be positive, got 0"),
             ("--rmax=9223372036854775808", "r_max must be below 2**53, got 9223372036854775808"),
         ],
         ids=[
-            "lr-nan", "lr-inf", "lr-minus-inf", "lr-tenth-zero", "seed-minus-1", "rmax-0",
+            "lr-nan", "lr-inf", "lr-minus-inf", "lr-tenth-zero", "lr-tenth-below-float32",
+            "seed-minus-1", "rmax-0",
             "rmax-2**63",
         ],
     )

@@ -133,6 +133,15 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="got 5e-324 and its tenth 0.0"):
             TrainConfig(lr_initial=5e-324)
 
+    def test_refuses_a_rate_whose_tenth_is_below_the_float32_normals(self):
+        # Adam multiplies by the rate in float32
+        tiny = float(np.finfo(np.float32).tiny)
+        assert TrainConfig(lr_initial=10.0 * tiny).lr_reduced == tiny
+        below = 10.0 * math.nextafter(tiny, 0.0)
+        assert below / 10.0 < tiny
+        with pytest.raises(ValueError, match=f"got {below} and its tenth"):
+            TrainConfig(lr_initial=below)
+
     def test_refuses_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             TrainConfig(seed=-1)
@@ -217,6 +226,21 @@ class TestAdam:
             term = m / f32(1.0 - 0.9) / (np.sqrt(v / f32(1.0 - 0.999)) + f32(1e-8)) * f32(0.01)
             assert np.sign(term) == np.sign(g)
             assert p.value[0] == 0.5 - np.float64(term)
+
+    def test_a_float32_overflowed_v_freezes_the_param_for_the_run(self):
+        # g*g is inf in float32 from |g| about 1.8e19, and beta2*inf stays inf
+        p = Param("p", np.array([1.0, 1.0]))
+        opt = Adam(packed_params(p))
+        p.grad[:] = [1e20, 1.0]
+        with np.errstate(over="ignore"):
+            opt.step(lr=0.01)
+        assert np.isinf(opt.v[0]) and opt.m[0] > 0.0
+        p.grad[:] = 1.0
+        while opt.step_count < training.ADAM_FLUSH_EVERY:
+            opt.step(lr=0.01)
+        # the flush zeroes an m whose update term is 0
+        assert np.isinf(opt.v[0]) and opt.m[0] == 0.0
+        assert p.value[0] == 1.0 and p.value[1] < 0.5
 
     def test_identical_states_step_identically(self):
         rng = np.random.default_rng(42)
