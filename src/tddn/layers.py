@@ -1,4 +1,16 @@
-"""Minimal float64 layers with explicit forward and backward passes.
+"""Minimal layers with explicit forward and backward passes, in float64 or float32.
+
+A layer computes in the dtype of its input. A param's ``value`` is
+float64, the master copy that the optimizer updates and checkpoints hold.
+A float32 input runs a float32 forward: each layer casts the weights it
+uses to float32 once and keeps that cast in its cache, so its backward
+multiplies by the same float32 weights. ``np.tanh`` and
+``np.exp`` run in float64 whatever the dtype and round into their output:
+NumPy's float32 SIMD loops for them round about 40% of outputs one float32
+ulp away from its baseline loops, while the float32 roundings of the
+float64 results agree, so a float32 step gives the same bytes with or
+without the SIMD loops. A float64 input runs the float64 code: its
+``astype(float64, copy=False)`` is the param's own array.
 
 Layers are stateless. ``forward(x) -> (out, cache)`` writes nothing to
 the layer, and ``backward(cache, gout) -> gin`` takes that cache back and
@@ -20,11 +32,11 @@ from .lanes import map_chunks
 class Param:
     """A trainable array and its gradient, which each ``backward`` overwrites.
 
-    The gradient starts as ``np.zeros``, whose pages the OS maps only when
-    written. ``pack``, which every ``DegradationNetwork`` runs when it is
-    built, rebinds ``value`` and ``grad`` to views into two flat buffers,
-    carries only the value over, and records ``layout``: those buffers and
-    the param's offset in them. From then on, update both in place
+    The gradient starts as float64 ``np.zeros``, whose pages the OS maps only
+    when written. ``pack``, which every ``DegradationNetwork`` runs when it is
+    built, rebinds ``value`` and ``grad`` to views into two flat buffers (the
+    grad one float32), carries only the value over, and records ``layout``:
+    those buffers and the param's offset in them. From then on, update both in place
     (``p.value[...] = x``, ``p.value -= x``): rebinding either to another
     array is a ``ValueError`` naming the param and the attribute.
     """
@@ -56,9 +68,12 @@ class Param:
 def pack(params: Sequence[Param]) -> tuple[np.ndarray, np.ndarray]:
     """Lay ``params`` out, in order, in one flat value and one flat grad buffer.
 
-    Both buffers are ``np.zeros``, each param's value is copied in,
-    ``value``/``grad`` are rebound to views into them, and each param's
-    ``layout`` records the two buffers and its offset. A gradient is not
+    Both buffers are ``np.zeros``, the value one float64 and the grad one
+    float32, which a float32 backward writes and Adam reads without a cast
+    (a float64 backward's gradients are rounded to float32 there). Each
+    param's value is copied in, ``value``/``grad`` are rebound to views into
+    them, and each param's ``layout`` records the two buffers and its
+    offset. A gradient is not
     carried over: the grad buffer reads zero, and the OS maps its pages
     only when a ``backward`` first writes them, so a model that only
     predicts never does. A param packed before or listed twice, or no param
@@ -72,7 +87,7 @@ def pack(params: Sequence[Param]) -> tuple[np.ndarray, np.ndarray]:
         if any(p is q for q in params[:i]):
             raise ValueError(f"param {p.name!r} is listed twice")
     size = sum(p.value.size for p in params)
-    value, grad = np.zeros(size), np.zeros(size)
+    value, grad = np.zeros(size), np.zeros(size, np.float32)
     offset = 0
     for p in params:
         end, shape = offset + p.value.size, p.value.shape
@@ -175,18 +190,19 @@ class Linear(Module):
         return [self.weight, self.bias]
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, object]:
-        out = x @ self.weight.value
-        out += self.bias.value
-        return out, x
+        w = self.weight.value.astype(x.dtype, copy=False)
+        out = x @ w
+        out += self.bias.value.astype(x.dtype, copy=False)
+        return out, (x, w)
 
-    def backward(self, x: np.ndarray, gout: np.ndarray) -> np.ndarray:
+    def backward(self, cache: tuple[np.ndarray, np.ndarray], gout: np.ndarray) -> np.ndarray:
+        x, w = cache
+
         def write_grads() -> None:
             np.matmul(x.T, gout, out=self.weight.grad)
             np.sum(gout, axis=0, out=self.bias.grad)
 
-        return split_backward(
-            x.shape[0], self.weight, write_grads, lambda: gout @ self.weight.value.T
-        )
+        return split_backward(x.shape[0], self.weight, write_grads, lambda: gout @ w.T)
 
 
 class ReLU(Module):
@@ -232,19 +248,27 @@ class Conv1d(Module):
         batch, n_time, c_in = x.shape
         if c_in != self.c_in:
             raise ValueError(f"expected {self.c_in} input channels, got {c_in}")
-        patches = np.empty((batch, n_time, 2 * c_in))
+        patches = np.empty((batch, n_time, 2 * c_in), x.dtype)
         patches[:, 0, :c_in] = 0.0
         patches[:, 1:, :c_in] = x[:, :-1]
         patches[:, :, c_in:] = x
-        return self.affine(patches), patches
+        out, flat_w = self.affine(patches)
+        return out, (patches, flat_w)
 
-    def affine(self, patches: np.ndarray) -> np.ndarray:
-        """``forward``'s one matmul and bias add, over (..., 2 * c_in) patches a caller built."""
-        out = patches @ self.weight.value.reshape(2 * self.c_in, self.c_out)
-        out += self.bias.value
-        return out
+    def affine(self, patches: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``forward``'s one matmul and bias add, over (..., 2 * c_in) patches a caller built.
 
-    def backward(self, patches: np.ndarray, gout: np.ndarray) -> np.ndarray:
+        Returns the output and the (2 * c_in, c_out) weight matrix it used,
+        in the patches' dtype.
+        """
+        dtype = patches.dtype
+        flat_w = self.weight.value.astype(dtype, copy=False).reshape(2 * self.c_in, self.c_out)
+        out = patches @ flat_w
+        out += self.bias.value.astype(dtype, copy=False)
+        return out, flat_w
+
+    def backward(self, cache: tuple[np.ndarray, np.ndarray], gout: np.ndarray) -> np.ndarray:
+        patches, flat_w = cache
         batch, n_time, _ = gout.shape
         c_in = self.c_in
         flat_g = gout.reshape(batch * n_time, self.c_out)
@@ -255,10 +279,9 @@ class Conv1d(Module):
             np.sum(flat_g, axis=0, out=self.bias.grad)
 
         def input_grad() -> np.ndarray:
-            flat_w = self.weight.value.reshape(2 * c_in, self.c_out)
             gpatches = (flat_g @ flat_w.T).reshape(batch, n_time, 2 * c_in)
             # added onto zeros, previous-step tap first, so -0.0 comes out as +0.0
-            gin = np.zeros((batch, n_time, c_in))
+            gin = np.zeros((batch, n_time, c_in), gout.dtype)
             gin[:, :-1] += gpatches[:, 1:, :c_in]
             gin += gpatches[:, :, c_in:]
             return gin
@@ -290,7 +313,7 @@ class MaxPool1d(Module):
     def backward(self, cache: tuple[np.ndarray, tuple[int, ...]], gout: np.ndarray) -> np.ndarray:
         second_wins, in_shape = cache
         batch, n_out, channels = gout.shape
-        gin = np.zeros(in_shape)
+        gin = np.zeros(in_shape, gout.dtype)
         # splitting the time axis keeps the reshape a view into gin
         pairs = gin[:, : 2 * n_out].reshape(batch, n_out, 2, channels)
         np.multiply(gout, ~second_wins, out=pairs[:, :, 0])
@@ -299,9 +322,13 @@ class MaxPool1d(Module):
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
-    """Stable softmax over the last axis; the max is subtracted before exponentiation."""
+    """Stable softmax over the last axis; the max is subtracted before exponentiation.
+
+    The exponential runs in float64 and is rounded into ``x``'s dtype (see
+    the module docstring).
+    """
     shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
+    e = np.exp(shifted, out=shifted, dtype=np.float64)
     return e / e.sum(axis=-1, keepdims=True)
 
 

@@ -17,6 +17,10 @@ run over the whole batch, so the bits are those of one block. A row matrix
 and window start rows, such as a ``WindowBank``'s, go through
 ``trace_rows``, which runs each conv stage once per row, so overlapping
 windows share it, and then the same walk as ``trace`` from ``expand`` on.
+
+Every walk computes in the dtype of its input (see ``layers``): training
+feeds float32 batches, while ``trace_rows`` and ``predict`` on float64
+windows, which inference and the checkpoints' users run, stay float64.
 """
 
 from __future__ import annotations
@@ -177,7 +181,8 @@ class FeatureAttention(Module):
     vector [row, first, row - first, row * first], scored by a shared
     one-hidden-layer tanh MLP against a trainable context vector, and
     the softmax-weighted sum of the original rows is returned. The
-    weights are the last item of the cache ``forward`` returns.
+    weights are the last item of the cache ``forward`` returns. The tanh
+    runs in float64 and is rounded into the input's dtype (see ``layers``).
     """
 
     def __init__(self, n_features: int, hidden: int, rng: np.random.Generator | None):
@@ -200,36 +205,39 @@ class FeatureAttention(Module):
         if m != self.n_features:
             raise ValueError(f"expected {self.n_features} features, got {m}")
         first = h[:, :1, :]
-        augmented = np.empty(h.shape[:2] + (4 * m,))
+        augmented = np.empty(h.shape[:2] + (4 * m,), h.dtype)
         augmented[:, :, :m] = h
         augmented[:, :, m : 2 * m] = first
         np.subtract(h, first, out=augmented[:, :, 2 * m : 3 * m])
         np.multiply(h, first, out=augmented[:, :, 3 * m :])
+        w = self.weight.value.astype(h.dtype, copy=False)
+        context = self.context.value.astype(h.dtype, copy=False)
         # in place: these (B, w, hidden) arrays are the largest of a forward
-        hidden = augmented @ self.weight.value
-        hidden += self.bias.value
-        np.tanh(hidden, out=hidden)
-        scores = hidden @ self.context.value
+        hidden = augmented @ w
+        hidden += self.bias.value.astype(h.dtype, copy=False)
+        np.tanh(hidden, out=hidden, dtype=np.float64)
+        scores = hidden @ context
         weights = softmax(scores)
         pooled = np.einsum("bw,bwm->bm", weights, h)
-        return pooled, (h, augmented, hidden, weights)
+        return pooled, (h, augmented, hidden, w, context, weights)
 
     def backward(self, cache: tuple[np.ndarray, ...], gout: np.ndarray) -> np.ndarray:
-        h, augmented, hidden, weights = cache
+        h, augmented, hidden, w, context, weights = cache
         batch, n_rows, m = h.shape
         gweights = np.einsum("bm,bwm->bw", gout, h)
         gscores = softmax_backward(weights, gweights)
-        gpre = gscores[:, :, None] * self.context.value * (1.0 - hidden * hidden)
+        gpre = gscores[:, :, None] * context * (1.0 - hidden * hidden)
         flat_gpre = gpre.reshape(batch * n_rows, self.hidden)
 
         def write_grads() -> None:
-            np.einsum("bwd,bw->d", hidden, gscores, out=self.context.grad)
+            # same_kind: a float64 backward rounds into a packed float32 gradient
+            np.einsum("bwd,bw->d", hidden, gscores, out=self.context.grad, casting="same_kind")
             flat_aug = augmented.reshape(batch * n_rows, 4 * m)
             np.matmul(flat_aug.T, flat_gpre, out=self.weight.grad)
             np.sum(flat_gpre, axis=0, out=self.bias.grad)
 
         def input_grad() -> np.ndarray:
-            gaug = (flat_gpre @ self.weight.value.T).reshape(batch, n_rows, 4 * m)
+            gaug = (flat_gpre @ w.T).reshape(batch, n_rows, 4 * m)
             g_row, g_first, g_diff, g_prod = np.split(gaug, 4, axis=2)
             first = h[:, :1, :]
             gh = weights[:, :, None] * gout[:, None, :]
@@ -245,7 +253,8 @@ class DegradationNetwork:
     """Full network: windows (B, w, m) in, RUL estimates (B,) out.
 
     Every param is a view into ``value`` and ``grad``, two flat buffers in
-    ``params()`` order that the network lays out when it is built (``pack``).
+    ``params()`` order that the network lays out when it is built (``pack``):
+    float64 weights, which a float32 forward casts, and float32 gradients.
     Weights are drawn from ``rng``; with ``rng`` None they start at zero, for
     a caller that fills ``value`` itself, as ``load_checkpoint`` does.
     """
@@ -271,8 +280,8 @@ class DegradationNetwork:
             Linear(config.regressor_hidden, 1, rng, name="regress2"),
         )
         self.value, self.grad = pack(self.params())
-        # the pending forward's prediction shape and its (layer, cache) entries
-        self._tape: tuple[tuple[int, ...], list] | None = None
+        # the pending forward's predictions and its (layer, cache) entries
+        self._tape: tuple[np.ndarray, list] | None = None
 
     def params(self) -> list[Param]:
         return (
@@ -371,7 +380,7 @@ class DegradationNetwork:
             patches[e : e + n_win, :c_in] = first
             patches[e : e + n_win, c_in:] = h[starts + d]
             # ReLU.forward's fmax, then MaxPool1d.forward's maximum(second, first)
-            out = conv.affine(patches)
+            out = conv.affine(patches)[0]
             np.fmax(out, 0.0, out=out)
             h = np.maximum(out[d:n], out[: n - d])
             first = np.maximum(out[e : e + n_win], out[n:e])
@@ -419,7 +428,7 @@ class DegradationNetwork:
         self._tape = None
         tape: list = []
         prediction = self._walk(x, tape).prediction
-        self._tape = (prediction.shape, tape)
+        self._tape = (prediction, tape)
         return prediction
 
     def backward(self, gout: np.ndarray) -> np.ndarray:
@@ -427,18 +436,21 @@ class DegradationNetwork:
 
         Every parameter gradient is written; a layer whose backward splits
         (``layers.split_backward``) is done with the calling thread's lane
-        worker before it returns or raises. With no pending forward (none
-        yet, or its tape already taken) this raises ``RuntimeError``; with
-        ``gout`` not shaped like the predictions, ``ValueError``, and the
-        tape is kept.
+        worker before it returns or raises. ``gout`` is cast to the dtype of
+        the predictions, so a float32 forward has a float32 backward, whatever
+        the dtype of the loss. With no pending forward (none yet, or its tape
+        already taken) this raises ``RuntimeError``; with ``gout`` not shaped
+        like the predictions, ``ValueError``, and the tape is kept.
         """
         if self._tape is None:
             raise RuntimeError("DegradationNetwork.backward called without a pending forward")
-        shape, tape = self._tape
-        if gout.shape != shape:
-            raise ValueError(f"gradient of shape {gout.shape} for predictions of shape {shape}")
+        prediction, tape = self._tape
+        if gout.shape != prediction.shape:
+            raise ValueError(
+                f"gradient of shape {gout.shape} for predictions of shape {prediction.shape}"
+            )
         self._tape = None
-        g = gout
+        g = gout.astype(prediction.dtype, copy=False)
         while tape:
             layer, cache = tape.pop()
             g = g.reshape(cache) if layer is None else layer.backward(cache, g)

@@ -150,10 +150,10 @@ def split_engines(
     return tuple(train), tuple(val)
 
 
-# elements per pass of Adam.step: a block's two float64 operands (value,
-# grad) and four float32 ones (m, v, two scratch) take 1 MiB and stay in L2
-# between its ufuncs. At the default shape 2^14, 2^16 and 2^17 beat it in
-# 2, 7 and 3 of 10 alternating rounds
+# elements per pass of Adam.step: a block's float64 operand (value) and five
+# float32 ones (grad, m, v, two scratch) take 896 KiB and stay in L2 between
+# its ufuncs. With a float64 grad (1 MiB a block), 2^14, 2^16 and 2^17 beat
+# it at the default shape in 2, 7 and 3 of 10 alternating rounds
 ADAM_BLOCK = 1 << 15
 # parameter count from which Adam.step hands map_chunks one chunk per lane; in
 # a train-step loop two lanes won 10/10 rounds from 191k params up and gained
@@ -198,19 +198,22 @@ class Adam:
     The update is element-wise, so the bits are those of the serial path
     either way. The optimizer holds no thread of its own.
 
-    ``m`` and ``v`` are float32, as is each lane's scratch, while ``value``
-    and ``grad`` stay float64: the moments take half the bytes, and a step
-    moves fewer. A step rounds the gradient to float32, updates the moments
-    and computes ``(m/bc1)/(sqrt(v/bc2)+eps)*lr`` in float32, and subtracts
-    that from the float64 ``value``. So the weights keep float64's
-    resolution, and only a step's size carries float32 rounding (2^-24,
-    about 6e-8, relative per operation). ``lr`` too is rounded to float32:
-    ``TrainConfig`` refuses a rate whose tenth is below float32 ``tiny``,
-    and a rate above float32's largest (about 3.4e38) is inf there, so
-    training stops on a non-finite loss after the first step. A |g| above
-    about 1.8e19 makes ``g*g``, and so ``v``, inf in float32. ``beta2*inf``
-    stays inf, so that parameter takes no step for the rest of the run, and
-    the flush below zeroes its ``m``; nothing reports it but the loss.
+    ``grad`` (as ``pack`` lays it out), ``m`` and ``v`` are float32, as is
+    each lane's scratch, while ``value`` stays float64, the master weights
+    of mixed-precision training (Micikevicius et al., "Mixed Precision
+    Training", ICLR 2018): the forward and backward run in float32 on a
+    float32 cast of them. A step reads the float32 gradient as it is,
+    updates the moments and computes ``(m/bc1)/(sqrt(v/bc2)+eps)*lr`` in
+    float32, and subtracts that from the float64 ``value``. So the weights
+    keep float64's resolution, and only a step's size carries float32
+    rounding (2^-24, about 6e-8, relative per operation). ``lr`` too is
+    rounded to float32: ``TrainConfig`` refuses a rate whose tenth is below
+    float32 ``tiny``, and a rate above float32's largest (about 3.4e38) is
+    inf there, so training stops on a non-finite loss after the first step.
+    A |g| above about 1.8e19 makes ``g*g``, and so ``v``, inf in float32.
+    ``beta2*inf`` stays inf, so that parameter takes no step for the rest of
+    the run, and the flush below zeroes its ``m``; nothing reports it but the
+    loss.
     Where ``1 - beta**t`` rounds to a float32 1, the division by it is
     skipped: it would be exact.
 
@@ -308,7 +311,7 @@ class Adam:
             s1 = np.empty(min(ADAM_BLOCK, stop - chunk.start), np.float32)
             s2 = np.empty_like(s1)
             # the element-wise order of the per-array formula
-            #   g = f32(g);  m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
+            #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
             #   value -= (m/bc1) / (sqrt(v/bc2) + eps) * lr
             # is kept exactly, so the bits match an unblocked update. All
             # but the last operation are float32 (a Python float takes the
@@ -321,14 +324,11 @@ class Adam:
                 v = self.v[block]
                 t1 = s1[: g.size]
                 t2 = s2[: g.size]
-                # one cast, and then no float64 operand: the casting ufunc
-                # loops that a float64 g would take are slower
-                np.copyto(t2, g)
                 m *= b1
-                np.multiply(1.0 - b1, t2, out=t1)
+                np.multiply(1.0 - b1, g, out=t1)
                 m += t1
                 v *= b2
-                np.multiply(t2, t2, out=t1)
+                np.multiply(g, g, out=t1)
                 np.multiply(1.0 - b2, t1, out=t1)
                 v += t1
                 if divide_v:
@@ -374,9 +374,10 @@ class WindowBank:
     ``labels`` holds one label per window in flat order (engine by engine,
     cycle by cycle). Flat window j of engine k starts on row ``starts[j] =
     j + k * (window - 1)``. Training batches are stacked by ``gather``, one
-    fancy index into a ``sliding_window_view`` over ``rows``; full-curve
-    inference hands ``rows`` and ``starts`` to
-    ``DegradationNetwork.trace_rows``, which shares the overlapping rows.
+    fancy index into a ``sliding_window_view`` over ``rows``, cast to
+    float32, so training runs the float32 network; full-curve inference
+    hands ``rows`` and ``starts`` to ``DegradationNetwork.trace_rows``, which
+    shares the overlapping rows in float64.
     """
 
     def __init__(self, rows: np.ndarray, lengths: Sequence[int], labels: np.ndarray, window: int):
@@ -392,8 +393,11 @@ class WindowBank:
         return self.labels.shape[0]
 
     def gather(self, indices: np.ndarray | slice) -> tuple[np.ndarray, np.ndarray]:
-        """The windows at flat indices (an array or a slice) as a (B, w, m) batch, with labels."""
-        return self._windows[self.starts[indices]], self.labels[indices]
+        """The windows at flat indices (an array or a slice) as a (B, w, m) batch, with labels.
+
+        The batch is float32, the dtype training runs in.
+        """
+        return self._windows[self.starts[indices]].astype(np.float32), self.labels[indices]
 
 
 def build_window_bank(

@@ -7,9 +7,9 @@ number of epochs (no early stop), in three arms:
 
 - reference: the package under ``REFERENCE_SRC`` (by default this
   checkout's ``src/``, so that the tree is tested against itself)
-- null: the reference with one initial weight nudged by 1 ulp. Training is
-  chaotic (a dead or live ReLU unit can hinge on one rounding), so this
-  shows how far rounding alone moves each seed
+- null: the reference with one initial weight nudged by 1 float32 ulp.
+  Training is chaotic (a dead or live ReLU unit can hinge on one
+  rounding), so this shows how far rounding alone moves each seed
 - candidate: this checkout's ``src/``
 
 To gate a change against its parent, check the parent out and pass its
@@ -29,8 +29,15 @@ asks whether a variant trains better can call it with its own arms and
 read ``Verdict.better``.
 
 How the rule was sized, before any float32-moment run, on the tree before
-them: against itself the gate passes, with a noise of 0.42, 1.98 and 1.21
-RMSE at the three shapes (212.7 s on a 2-core host). A learning rate x10
+them, with the null nudged by one float64 ulp: against itself the gate
+passes, with a noise of 0.42, 1.98 and 1.21 RMSE at the three shapes
+(212.7 s on a 2-core host). Once Adam rounded every gradient to float32,
+that nudge moved 29 of the 30 seed-shapes by exactly 0 (noise 0.000, 0.000
+and 0.166), so the gate would have failed any change that moves bits. With
+the float32-ulp nudge, on the tree with float32 moments and float64 layers,
+the noise reads 0.398, 4.848 and 1.137 against itself (pass, 205.4 s), and a
+learning rate x10 shifts the shapes by +0.872, +0.413 and +0.425 and fails
+at (8, 2). The figures below are the float64-ulp sizing. A learning rate x10
 (a change the gate must fail) shifts them by +0.81, +0.12 and -0.01 and
 fails at (8, 2), as it does in every 8-seed subset of the 10 there.
 Initial weights rounded to float32 (a change of rounding only, of
@@ -61,7 +68,9 @@ SEEDS = tuple(range(10))
 TAIL = 4
 LR = 3e-3
 BATCH = 32
-# the arena element the null arm nudges: conv1's first weight
+# the arena element the null arm nudges, by one float32 ulp: conv1's first
+# weight. A float64 ulp does not survive training's float32 rounding of the
+# gradients and weights: it left 29 of the 30 seed-shapes unmoved
 NUDGED = 0
 
 
@@ -78,7 +87,7 @@ def train_arm(nudge: bool) -> dict[str, list[list[float]]]:
         class Nudged(training.DegradationNetwork):
             def __init__(self, config, rng):
                 super().__init__(config, rng)
-                self.value[NUDGED] = np.nextafter(self.value[NUDGED], np.inf)
+                self.value[NUDGED] += np.spacing(np.float32(self.value[NUDGED]))
 
         training.DegradationNetwork = Nudged
     bundle = make_bundle(n_train=20, n_test=6, min_len=60, max_len=200, seed=3)

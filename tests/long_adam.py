@@ -6,9 +6,13 @@ windows of ``make_bundle(n_train=20, min_len=120, max_len=260, seed=2)`` at
 batch 32 for ``STEPS`` steps, twice in one process: first as shipped, then with
 ``training.ADAM_FLUSH_EVERY`` out of reach, so no moment is ever flushed.
 
-Every 1,000 steps it prints, for each run, the medians of the Adam step and of
-the whole training step over those steps, and the counts of subnormal first
-and second moments. It exits non-zero unless the two runs' parameter bytes
+The batches are float32, as ``train``'s are, so the forward and backward run
+in float32 and write float32 gradients. Every 1,000 steps it prints, for each
+run, the medians of the Adam step and of the whole training step over those
+steps, and the counts of subnormal first and second moments and of subnormal
+gradient elements at that step: a float32 slowdown on subnormal operands, in
+Adam or in the layers, shows as a step median that climbs with those counts.
+It exits non-zero unless the two runs' parameter bytes
 are equal at every 1,000th step and the unflushed run ends with subnormal
 first moments (without them, the comparison covered no flush). Gradients
 that are exactly 0 on every step (dead ReLU units) drive the float32 first
@@ -41,8 +45,9 @@ REPORT_EVERY = 1_000
 TINY = np.finfo(np.float32).tiny
 
 
-def subnormal_moments(moments: np.ndarray) -> int:
-    return int(np.count_nonzero((moments != 0.0) & (np.abs(moments) < TINY)))
+def subnormal(array: np.ndarray) -> int:
+    """Elements of a float32 array that are nonzero and below float32's smallest normal."""
+    return int(np.count_nonzero((array != 0.0) & (np.abs(array) < TINY)))
 
 
 def run(bank: training.WindowBank, label: str) -> tuple[list[str], int]:
@@ -80,12 +85,13 @@ def run(bank: training.WindowBank, label: str) -> tuple[list[str], int]:
                 f"{label:>9} steps {step - REPORT_EVERY + 1:>5}-{step:<5} epoch {epoch:>3}  "
                 f"adam p50 {statistics.median(adam_ms):6.3f} ms  "
                 f"step p50 {statistics.median(step_ms):6.3f} ms  "
-                f"subnormal m {subnormal_moments(opt.m)} v {subnormal_moments(opt.v)}",
+                f"subnormal m {subnormal(opt.m)} v {subnormal(opt.v)} "
+                f"grad {subnormal(model.grad)}",
                 flush=True,
             )
             adam_ms.clear()
             step_ms.clear()
-    return hashes, subnormal_moments(opt.m)
+    return hashes, subnormal(opt.m)
 
 
 def main() -> int:

@@ -624,8 +624,10 @@ class TestTwoLaneLinearBackward:
         monkeypatch.setattr("tddn.lanes.cpu_lanes", lambda: 2)
         expand = DegradationNetwork(ModelConfig(), np.random.default_rng(35)).expand
         rng = np.random.default_rng(36)
-        _, cache = expand.forward(rng.normal(size=(32, expand.weight.value.shape[0])))
-        gout = rng.normal(size=(32, 64 * 15))
+        # a training batch: the float32 weight cast is made in forward
+        x = rng.normal(size=(32, expand.weight.value.shape[0])).astype(np.float32)
+        _, cache = expand.forward(x)
+        gout = rng.normal(size=(32, 64 * 15)).astype(np.float32)
         tracemalloc.start()
         try:
             expand.backward(cache, gout)

@@ -164,7 +164,9 @@ class TestEvaluateTest:
         source = make_bundle(n_test=len(lengths), min_len=20, max_len=30, seed=41).test
         test = tuple(replace(t, values=t.values[:n]) for t, n in zip(source, lengths))
         bank = build_window_bank(test, scaler, selection, LabelPolicy(), window)
-        want = bank.gather(np.cumsum([t.n_cycles for t in test]) - 1)[0]
+        # the float64 windows of the bank's rows: gather gives training's float32
+        ends = bank.starts[np.cumsum([t.n_cycles for t in test]) - 1]
+        want = bank.rows[ends[:, None] + np.arange(window)]
         got = last_windows(replace(bundle, test=test), scaler, selection, window)
         assert got.shape == want.shape == (len(lengths), window, 15)
         assert got.tobytes() == want.tobytes()
@@ -242,7 +244,9 @@ class TestLastWindowsDefinition:
             assert str(info.value) == message
             return
         bank = build_window_bank(test, scaler, selection, LabelPolicy(), window)
-        want = bank.gather(np.cumsum(lengths) - 1)[0]
+        # the float64 windows of the bank's rows: gather gives training's float32
+        ends = bank.starts[np.cumsum(lengths) - 1]
+        want = bank.rows[ends[:, None] + np.arange(window)]
         got = last_windows(bundle, scaler, selection, window)
         assert got.shape == want.shape == (len(test), window, m)
         assert got.tobytes() == want.tobytes()

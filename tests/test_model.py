@@ -19,8 +19,9 @@ from tddn.model import (
     conv_channels_for_depth,
     pooled_length,
 )
+from tddn.layers import Conv1d, Linear, MaxPool1d, ReLU, softmax, softmax_backward
 from tddn.preprocess import LabelPolicy, Scaler, SensorSelection
-from gradcheck import TOL, check_module_gradients
+from gradcheck import TOL, check_module_gradients, forward_backward
 
 TINY = ModelConfig(window=8, n_features=3, conv_channels=(4, 8, 16))
 
@@ -260,7 +261,7 @@ def assert_views_the_buffers(net: DegradationNetwork) -> None:
 class TestArena:
     def test_params_view_the_buffers_from_construction(self):
         net = DegradationNetwork(TINY, np.random.default_rng(11))
-        assert net.value.dtype == net.grad.dtype == np.float64
+        assert net.value.dtype == np.float64 and net.grad.dtype == np.float32
         assert net.value.flags.owndata and net.grad.flags.owndata
         assert_views_the_buffers(net)
 
@@ -422,3 +423,98 @@ class TestBlockedInference:
         assert attention_batches == [256]
         assert prediction.tobytes() == unblocked_walk(net, x)[-1].tobytes()
         assert net.backward(np.ones(256)).shape == x.shape
+
+
+class Softmax:
+    """``softmax`` and ``softmax_backward`` as a layer without params."""
+
+    def params(self) -> list:
+        return []
+
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        y = softmax(x)
+        return y, y
+
+    def backward(self, y: np.ndarray, gout: np.ndarray) -> np.ndarray:
+        return softmax_backward(y, gout)
+
+
+# float32 against float64 results, relative to the largest float64 magnitude:
+# the float32 paths read at most 2e-6 in these tests, a float16 weight cast or
+# gradient about 1e-3
+FLOAT32_TOL = 1e-5
+
+
+def assert_float32_close(got: np.ndarray, want: np.ndarray, what: str) -> None:
+    assert got.dtype == np.float32, what
+    scale = float(np.abs(want).max())
+    np.testing.assert_allclose(got, want, rtol=FLOAT32_TOL, atol=FLOAT32_TOL * scale, err_msg=what)
+
+
+class TestFloat32Path:
+    """A float32 forward and backward give the float64 ones' values, to float32's precision.
+
+    A float32 input runs each layer in float32, on float32 casts of its
+    weights; the network casts a float64 ``gout``, such as ``mse_loss``
+    gives, to float32. Outputs, input gradients and every parameter gradient
+    are compared, twice, with the weights moved in between, as an optimizer
+    step moves them, so that a cast kept from an earlier forward shows.
+    """
+
+    LAYERS = {
+        "conv": (lambda rng: Conv1d(5, 7, rng), (6, 9, 5)),
+        "relu": (lambda rng: ReLU(), (6, 9, 5)),
+        "pool": (lambda rng: MaxPool1d(), (6, 9, 5)),
+        "linear": (lambda rng: Linear(11, 7, rng), (6, 11)),
+        "attention": (lambda rng: FeatureAttention(5, 9, rng), (6, 9, 5)),
+        "softmax": (lambda rng: Softmax(), (6, 9)),
+    }
+    NETWORKS = {
+        "8-3-3": ModelConfig(window=8, n_features=3, conv_channels=(4, 8, 16)),
+        "16-15-1": ModelConfig(window=16, n_features=15, conv_channels=(32,)),
+    }
+
+    @staticmethod
+    def check(module, x: np.ndarray, gout: np.ndarray, gout32: np.ndarray, rng) -> None:
+        for step in range(2):
+            # random biases too: they start at zero, where a wrong cast would not show
+            for p in module.params():
+                p.value[...] += rng.normal(scale=0.05, size=p.value.shape)
+            out, backward = forward_backward(module, x)
+            gin = backward(gout)
+            grads = [p.grad.copy() for p in module.params()]
+            out32, backward32 = forward_backward(module, x.astype(np.float32))
+            assert_float32_close(out32, out, f"step {step}: output")
+            assert_float32_close(backward32(gout32), gin, f"step {step}: input gradient")
+            for p, want in zip(module.params(), grads):
+                assert_float32_close(p.grad.astype(np.float32), want, f"step {step}: {p.name}")
+
+    @pytest.mark.parametrize("kind", LAYERS)
+    def test_each_layer(self, kind):
+        make, shape = self.LAYERS[kind]
+        rng = np.random.default_rng(60)
+        layer = make(rng)
+        x = rng.normal(size=shape)
+        gout = rng.normal(size=forward_backward(layer, x)[0].shape)
+        self.check(layer, x, gout, gout.astype(np.float32), rng)
+
+    @pytest.mark.parametrize("config", NETWORKS.values(), ids=NETWORKS)
+    def test_the_network_casts_a_float64_gout(self, config):
+        rng = np.random.default_rng(61)
+        net = DegradationNetwork(config, rng)
+        x = rng.normal(size=(5, config.window, config.n_features))
+        gout = rng.normal(size=5)
+        self.check(net, x, gout, gout, rng)
+        assert net.grad.dtype == np.float32
+
+    def test_tanh_and_exp_are_float64s_rounded_to_float32(self):
+        rng = np.random.default_rng(62)
+        x = rng.normal(scale=3.0, size=(40, 50)).astype(np.float32)
+        e = np.exp((x - x.max(axis=-1, keepdims=True)).astype(np.float64)).astype(np.float32)
+        assert softmax(x).tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
+        att = FeatureAttention(5, 9, rng)
+        att.bias.value[...] = rng.normal(size=9)
+        _, (_, augmented, hidden, *_) = att.forward(rng.normal(size=(40, 9, 5)).astype(np.float32))
+        pre = augmented @ att.weight.value.astype(np.float32)
+        pre += att.bias.value.astype(np.float32)
+        assert hidden.tobytes() == np.tanh(pre.astype(np.float64)).astype(np.float32).tobytes()

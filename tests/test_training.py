@@ -337,12 +337,12 @@ class TestAdam:
         # weight moves by the float32 lr
         np.testing.assert_array_equal(model.value, before - np.float64(np.float32(0.01)))
 
-    def test_moments_are_float32_and_the_buffers_float64(self):
+    def test_moments_and_grad_are_float32_and_the_value_float64(self):
         model = DegradationNetwork(SMALL_MODEL, np.random.default_rng(3))
         opt = Adam(model.params())
         opt.step(lr=0.01)
-        assert opt.value.dtype == opt.grad.dtype == np.float64
-        assert opt.m.dtype == opt.v.dtype == np.float32
+        assert opt.value.dtype == np.float64
+        assert opt.grad.dtype == opt.m.dtype == opt.v.dtype == np.float32
         assert opt.m.shape == opt.v.shape == opt.value.shape
 
     @pytest.mark.parametrize(
@@ -951,11 +951,13 @@ class TestWindowBank:
             assert bank.n_windows == sum(lengths)
             x, y = bank.gather(np.arange(bank.n_windows))
             assert x.shape == (bank.n_windows, window, selection.n_columns)
+            assert x.dtype == np.float32 and bank.rows.dtype == np.float64
             flat = 0
             for engine in engines:
                 scaled = apply_scaler(engine, scaler, selection)
                 for j in range(1, engine.n_cycles + 1):
-                    np.testing.assert_array_equal(x[flat], window_oracle(scaled, j, window))
+                    want = window_oracle(scaled, j, window).astype(np.float32)
+                    np.testing.assert_array_equal(x[flat], want)
                     assert y[flat] == min(policy.r_max, engine.n_cycles - j)
                     flat += 1
             # chunks walk the same flat order, engine boundaries included
@@ -979,7 +981,8 @@ class TestWindowBank:
             for j in range(1, traj.n_cycles + 1):
                 oracle_x.append(window_oracle(scaled, j, window))
                 oracle_y.append(labels[j - 1])
-        np.testing.assert_array_equal(x, np.stack(oracle_x)[order])
+        assert x.dtype == np.float32
+        np.testing.assert_array_equal(x, np.stack(oracle_x)[order].astype(np.float32))
         np.testing.assert_array_equal(y, np.array(oracle_y)[order])
 
     def test_inference_paths_match_stacked_windows_bit_for_bit(self, tmp_path):
